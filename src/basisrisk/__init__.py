@@ -5,7 +5,6 @@ premium principles, cat-in-a-circle hazard simulation, and dependence
 analytics, with a batch CLI (`basisrisk`).
 """
 
-from ._kernels import USE_NUMBA
 from .contracts import (
     AnalyticConditioner,
     ContractSpec,

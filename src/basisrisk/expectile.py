@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import expectile_sorted
-
 __all__ = [
     "EmpiricalSample",
     "Level",
@@ -65,10 +63,13 @@ class EmpiricalSample:
     """Weighted empirical sample with cached ascending view and cumulative sums.
 
     Weights default to uniform, must be non-negative and sum to 1 within
-    1e-12. The cached arrays back the exact expectile solve.
+    1e-12. The cached arrays back the exact expectile solve: ``knot_ratio``
+    holds r_i = E[(x_i - X)+] / E[|X - x_i|] at each sorted value x_i, which
+    never decreases along the sample (0 where all mass sits on x_i).
     """
 
-    __slots__ = ("values", "weights", "sorted_values", "cum_weights", "cum_weighted")
+    __slots__ = ("values", "weights", "sorted_values", "cum_weights", "cum_weighted",
+                 "knot_ratio")
 
     def __init__(self, values, weights=None):
         values = np.asarray(values, dtype=np.float64)
@@ -87,13 +88,29 @@ class EmpiricalSample:
             if abs(weights.sum() - 1.0) > 1e-12:
                 raise ValueError("weights must sum to 1 within 1e-12")
         order = np.argsort(values, kind="stable")
+        xs, scratch = values[order], weights[order]
+        del order
+        cw = np.cumsum(scratch)
+        scratch *= xs
+        cxw = np.cumsum(scratch)
+        # knot ratio, built in place to bound peak memory on large samples
+        lower = xs * cw
+        lower -= cxw                                  # E[(x_i - X)+]
+        np.subtract(1.0, cw, out=scratch)
+        scratch *= xs
+        mad = cxw[-1] - cxw
+        mad -= scratch                                # E[(X - x_i)+]
+        mad += lower                                  # E[|X - x_i|]
+        scratch.fill(0.0)
+        np.divide(lower, mad, out=scratch, where=mad > 0.0)
         self.values = values
         self.weights = weights
-        self.sorted_values = np.ascontiguousarray(values[order])
-        self.cum_weights = np.cumsum(weights[order])
-        self.cum_weighted = np.cumsum(weights[order] * values[order])
+        self.sorted_values = xs
+        self.cum_weights = cw
+        self.cum_weighted = cxw
+        self.knot_ratio = scratch
         for arr in (self.values, self.weights, self.sorted_values,
-                    self.cum_weights, self.cum_weighted):
+                    self.cum_weights, self.cum_weighted, self.knot_ratio):
             arr.setflags(write=False)
 
     def __len__(self):
@@ -157,6 +174,27 @@ def alpha_from_gamma(gamma: Level | float) -> BasisRiskWeight:
     return BasisRiskWeight((g - math.sqrt(g - g * g)) / (2.0 * g - 1.0))
 
 
+def _expectile_sorted(sample: EmpiricalSample, gammas: np.ndarray) -> np.ndarray:
+    """Exact expectiles of a non-constant sample at each level in ``gammas``.
+
+    The first-order condition gamma*E[(X-y)+] = (1-gamma)*E[(y-X)+] is
+    piecewise linear in y between order statistics. It holds with ">=" at
+    knot x_i exactly when knot_ratio[i] <= gamma, so one binary search per
+    level finds the bracketing interval, where the root is solved in closed
+    form. Levels below the first knot or past the last clamp to the sample
+    min/max.
+    """
+    xs, cw, cxw = sample.sorted_values, sample.cum_weights, sample.cum_weighted
+    idx = np.searchsorted(sample.knot_ratio, gammas, side="right") - 1
+    i = np.clip(idx, 0, xs.size - 2)
+    w, c, total = cw[i], cxw[i], cxw[-1]
+    out = (gammas * (total - c) + (1.0 - gammas) * c) / (
+        gammas * (1.0 - w) + (1.0 - gammas) * w)
+    out[idx < 0] = xs[0]
+    out[idx >= xs.size - 1] = xs[-1]
+    return out
+
+
 def expectile(sample: EmpiricalSample, gamma: Level | float) -> float:
     """Expectile of an empirical sample, solved exactly.
 
@@ -169,20 +207,17 @@ def expectile(sample: EmpiricalSample, gamma: Level | float) -> float:
     g = gamma.gamma if isinstance(gamma, Level) else Level(gamma).gamma
     if sample.is_constant():
         return sample.min
-    out = expectile_sorted(sample.sorted_values, sample.cum_weights,
-                           sample.cum_weighted, np.array([g]))
-    return float(out[0])
+    return float(_expectile_sorted(sample, np.array([g]))[0])
 
 
 def expectile_grid(sample: EmpiricalSample, gammas) -> np.ndarray:
     """Vectorized :func:`expectile` over a gamma grid."""
-    gs = np.asarray(gammas, dtype=np.float64)
+    gs = np.atleast_1d(np.asarray(gammas, dtype=np.float64))
     if np.any((gs <= 0.0) | (gs >= 1.0)):
         raise ValueError("gamma grid must lie strictly inside (0,1)")
     if sample.is_constant():
         return np.full(gs.shape, sample.min)
-    return expectile_sorted(sample.sorted_values, sample.cum_weights,
-                            sample.cum_weighted, gs)
+    return _expectile_sorted(sample, gs)
 
 
 def expectile_derivative(sample: EmpiricalSample, gamma: Level | float) -> float:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import EARTH_RADIUS_KM, xtrack_min_distance
 from .contracts import LossIndexSample
 from .expectile import EmpiricalSample
 
@@ -36,6 +35,7 @@ __all__ = [
     "storm_to_track_csv",
 ]
 
+EARTH_RADIUS_KM = 6371.0
 KNOTS_PER_MS = 1.943844
 GUST_FACTOR_10MIN_TO_1MIN = 0.88
 
@@ -159,18 +159,77 @@ def _unit_vectors(lat_deg, lon_deg):
     return (np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat))
 
 
+def _xtrack_min_distance(px, py, pz, vx, vy, vz) -> float:
+    """Angular distance from the unit vector p to the polyline through the v_i."""
+    n = vx.shape[0]
+    if n == 1:
+        d = np.arccos(np.clip(px * vx[0] + py * vy[0] + pz * vz[0], -1.0, 1.0))
+        return float(d)
+    ax, ay, az = vx[:-1], vy[:-1], vz[:-1]
+    bx, by, bz = vx[1:], vy[1:], vz[1:]
+    # segment great-circle normal a x b
+    nx = ay * bz - az * by
+    ny = az * bx - ax * bz
+    nz = ax * by - ay * bx
+    nn = np.sqrt(nx * nx + ny * ny + nz * nz)
+    dot_pa = np.clip(px * ax + py * ay + pz * az, -1.0, 1.0)
+    dot_pb = np.clip(px * bx + py * by + pz * bz, -1.0, 1.0)
+    end_dist = np.minimum(np.arccos(dot_pa), np.arccos(dot_pb))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sin_xt = np.clip((px * nx + py * ny + pz * nz) / nn, -1.0, 1.0)
+        xtrack = np.abs(np.arcsin(sin_xt))
+        # foot of perpendicular: p projected onto the great-circle plane
+        fx = px - sin_xt * nx / nn
+        fy = py - sin_xt * ny / nn
+        fz = pz - sin_xt * nz / nn
+        fn = np.sqrt(fx * fx + fy * fy + fz * fz)
+        fx, fy, fz = fx / fn, fy / fn, fz / fn
+        arc_ab = np.arccos(np.clip(ax * bx + ay * by + az * bz, -1.0, 1.0))
+        arc_af = np.arccos(np.clip(ax * fx + ay * fy + az * fz, -1.0, 1.0))
+        arc_bf = np.arccos(np.clip(bx * fx + by * fy + bz * fz, -1.0, 1.0))
+    inside = (arc_af <= arc_ab + 1e-12) & (arc_bf <= arc_ab + 1e-12)
+    degenerate = nn < 1e-15
+    dist = np.where(inside & ~degenerate, xtrack, end_dist)
+    return float(np.min(dist))
+
+
 def min_distance_km(track: Track, site: Site) -> float:
     """Minimum great-circle distance from the site to the track polyline.
 
     Cross-track distance per geodesic segment, clamped to the nearer endpoint
     when the perpendicular foot falls outside the segment; spherical earth.
     """
-    px, py, pz = _unit_vectors(site.lat_deg, site.lon_deg)
+    ang = _xtrack_min_distance(*_unit_vectors(site.lat_deg, site.lon_deg),
+                               *_unit_vectors(track.lat_deg, track.lon_deg))
+    return ang * EARTH_RADIUS_KM
+
+
+def _incident_wind(track: Track, p, limit: float) -> float | None:
+    """Incident wind of one track at a trigger circle, None if it misses.
+
+    ``p`` is the site's unit vector and ``limit`` the circle's angular
+    radius; see :func:`incident_windspeeds` for the wind rule.
+    """
+    px, py, pz = p
     vx, vy, vz = _unit_vectors(track.lat_deg, track.lon_deg)
-    ang = xtrack_min_distance(float(px), float(py), float(pz),
-                              np.ascontiguousarray(vx), np.ascontiguousarray(vy),
-                              np.ascontiguousarray(vz))
-    return float(ang) * EARTH_RADIUS_KM
+    if _xtrack_min_distance(px, py, pz, vx, vy, vz) > limit:
+        return None
+    dots = np.clip(px * vx + py * vy + pz * vz, -1.0, 1.0)
+    inside = np.arccos(dots) <= limit
+    if not inside.any():
+        # passes within the radius between sampled points; use the two
+        # points bracketing the closest segment
+        seg = int(np.argmin(np.arccos(dots)))
+        sel = np.zeros(len(track), dtype=bool)
+        sel[max(seg - 1, 0):min(seg + 2, len(track))] = True
+    else:
+        sel = inside.copy()
+        idx = np.flatnonzero(inside)
+        before = idx - 1
+        after = idx + 1
+        sel[before[before >= 0]] = True
+        sel[after[after < len(track)]] = True
+    return float(track.wind_kn[sel].max())
 
 
 def incident_windspeeds(tracks: TrackSet, site: Site) -> np.ndarray:
@@ -180,33 +239,10 @@ def incident_windspeeds(tracks: TrackSet, site: Site) -> np.ndarray:
     the recorded wind is the maximum over the in-circle points plus one
     adjacent point on each side of every in-circle run.
     """
-    out = []
-    px, py, pz = _unit_vectors(site.lat_deg, site.lon_deg)
+    p = _unit_vectors(site.lat_deg, site.lon_deg)
     limit = site.radius_km / EARTH_RADIUS_KM
-    for tr in tracks:
-        vx, vy, vz = _unit_vectors(tr.lat_deg, tr.lon_deg)
-        ang = xtrack_min_distance(float(px), float(py), float(pz),
-                                  np.ascontiguousarray(vx), np.ascontiguousarray(vy),
-                                  np.ascontiguousarray(vz))
-        if ang > limit:
-            continue
-        dots = np.clip(px * vx + py * vy + pz * vz, -1.0, 1.0)
-        inside = np.arccos(dots) <= limit
-        if not inside.any():
-            # passes within the radius between sampled points; use the two
-            # points bracketing the closest segment
-            seg = int(np.argmin(np.arccos(dots)))
-            sel = np.zeros(len(tr), dtype=bool)
-            sel[max(seg - 1, 0):min(seg + 2, len(tr))] = True
-        else:
-            sel = inside.copy()
-            idx = np.flatnonzero(inside)
-            before = idx - 1
-            after = idx + 1
-            sel[before[before >= 0]] = True
-            sel[after[after < len(tr)]] = True
-        out.append(float(tr.wind_kn[sel].max()))
-    return np.asarray(out, dtype=np.float64)
+    winds = (_incident_wind(tr, p, limit) for tr in tracks)
+    return np.asarray([w for w in winds if w is not None], dtype=np.float64)
 
 
 def storm_wind_convert(wind_10min_ms) -> np.ndarray | float:
@@ -289,19 +325,13 @@ def simulate_portfolio(tracks: TrackSet, sites, params_per_site, seed: int):
     winds = np.zeros((n_tracks, len(sites)))
     losses = np.zeros((n_tracks, len(sites)))
     for j, (site, params) in enumerate(zip(sites, params_per_site)):
-        px, py, pz = _unit_vectors(site.lat_deg, site.lon_deg)
+        p = _unit_vectors(site.lat_deg, site.lon_deg)
         limit = site.radius_km / EARTH_RADIUS_KM
         col = np.zeros(n_tracks)
         for i, tr in enumerate(tracks):
-            vx, vy, vz = _unit_vectors(tr.lat_deg, tr.lon_deg)
-            ang = xtrack_min_distance(float(px), float(py), float(pz),
-                                      np.ascontiguousarray(vx),
-                                      np.ascontiguousarray(vy),
-                                      np.ascontiguousarray(vz))
-            if ang <= limit:
-                sub = TrackSet([tr])
-                w = incident_windspeeds(sub, site)
-                col[i] = w[0] if w.size else 0.0
+            w = _incident_wind(tr, p, limit)
+            if w is not None:
+                col[i] = w
         winds[:, j] = col
         sample = simulate_losses(col, params, seed, site_key=j)
         losses[:, j] = np.where(col > 0.0, sample.losses, 0.0)
@@ -314,15 +344,20 @@ def storm_to_track_csv(storm_path, out_path):
     STORM rows are comma-separated: year, month, TC number, timestep, basin,
     lat, lon, min pressure (hPa), 10-min max sustained wind (m/s), then
     additional columns that are ignored here. Track identity is
-    (year, month, TC number); winds are converted to 1-minute knots.
+    (year, month, TC number); winds are converted to 1-minute knots. Blank
+    lines are skipped; any other line with fewer than 9 fields raises
+    ValueError.
     """
     by_id: dict[str, list] = {}
     order: list[str] = []
     with open(storm_path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
             parts = [p.strip() for p in line.strip().split(",") if p.strip() != ""]
             if len(parts) < 9:
-                continue
+                raise ValueError(f"{storm_path}: line {lineno} has {len(parts)} fields; "
+                                 "a STORM row needs at least 9")
             year, month, tc, step = parts[0], parts[1], parts[2], parts[3]
             lat, lon, wind_ms = float(parts[5]), float(parts[6]), float(parts[8])
             tid = f"{year}-{month}-{tc}"

@@ -19,7 +19,12 @@ import numpy as np
 
 from .contracts import ContractSpec, LossIndexSample, PremiumPrinciple
 from .expectile import Level, alpha_from_gamma
-from .weighting_pure import Decision, UtilityContext, WeightingSolution
+from .weighting_pure import (
+    Decision,
+    UtilityContext,
+    WeightingSolution,
+    _check_monotone,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -295,10 +300,7 @@ def solve_gamma_star_index(sample: LossIndexSample, spec: ContractSpec,
     for i, g in enumerate(gammas):
         v1_trace[i], v2_trace[i] = _v_pair_index(
             sample, spec, utility, decomp, quants, decomp.eval_h2(float(g)))
-    scale = max(np.abs(v1_trace).max(), np.abs(v2_trace).max(), 1e-300)
-    slack = 1e-12 * scale
-    if np.any(np.diff(v1_trace) > slack) or np.any(np.diff(v2_trace) < -slack):
-        raise RuntimeError("monotonicity violated: index V1/V2 traces not monotone")
+    _check_monotone(v1_trace, v2_trace)
     trace = {"gamma": gammas, "v1": v1_trace, "v2": v2_trace}
 
     lower, upper, _ = check_bounds_index(sample, spec, utility, decomp, quants)

@@ -23,10 +23,10 @@ import numpy as np
 from .contracts import (
     ContractSpec,
     LossIndexSample,
+    PayoutVector,
     PremiumPrinciple,
     index_payout,
     premium,
-    pure_parametric_payout,
     split_by_trigger,
 )
 from .expectile import (
@@ -451,13 +451,16 @@ def utility_curve(sample: LossIndexSample, spec: ContractSpec,
     if np.any((gammas <= 0) | (gammas >= 1)):
         raise ValueError("gamma grid must lie strictly inside (0,1)")
     mask = spec.in_trigger(sample.indices)
+    if conditioner is None:
+        triggered, _ = split_by_trigger(sample, spec)
+        levels = expectile_grid(EmpiricalSample(triggered.losses), gammas)
+        payouts = (PayoutVector(np.where(mask, y, 0.0)) for y in levels)
+    else:
+        payouts = (index_payout(sample, spec, Level(float(g)), conditioner)
+                   for g in gammas)
     w0 = utility.w0
     out = np.empty((gammas.size, 4))
-    for i, g in enumerate(gammas):
-        if conditioner is None:
-            payout = pure_parametric_payout(sample, spec, Level(float(g)))
-        else:
-            payout = index_payout(sample, spec, Level(float(g)), conditioner)
+    for i, (g, payout) in enumerate(zip(gammas, payouts)):
         pi = premium(payout, spec)
         wealth = w0 - sample.losses + payout.payments - pi
         uvals = np.asarray(utility.u(wealth), dtype=np.float64)

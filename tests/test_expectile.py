@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,15 @@ class TestEmpiricalSample:
         assert s.cdf_mid(2.0) == pytest.approx(0.5)
         assert s.partial_mean(2.0) == pytest.approx((1.0 + 2.0 + 2.0) / 4.0)
         assert s.mean_abs_dev(2.0) == pytest.approx(np.mean(np.abs(s.values - 2.0)))
+
+    def test_constant_sample_builds_without_warning(self):
+        # the knot ratio is 0/0 on a constant sample; building it must stay silent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for vals in ([0.0] * 5, [4.0, 4.0, 4.0], [2.5]):
+                s = EmpiricalSample(vals)
+                assert s.is_constant()
+                assert expectile_grid(s, [0.1, 0.5, 0.9]).tolist() == [vals[0]] * 3
 
     def test_weighted_matches_expanded(self):
         weighted = EmpiricalSample([1.0, 5.0], [0.25, 0.75])
@@ -190,6 +200,59 @@ def test_expectile_monotone_in_gamma(vals, g1, g2):
     s = EmpiricalSample(vals)
     lo, hi = min(g1, g2), max(g1, g2)
     assert expectile(s, lo) <= expectile(s, hi) + 1e-9
+
+
+def _knot_scan(xs, cw, cxw, gammas):
+    """Reference solver: one O(n) scan of the first-order condition per level.
+
+    The kernel this package shipped before the knot-ratio search; kept as a
+    bit-for-bit oracle.
+    """
+    total = cxw[-1]
+    upper = (total - cxw) - xs * (1.0 - cw)  # E[(X-y)+] at y = xs[i]
+    lower = xs * cw - cxw                    # E[(y-X)+] at y = xs[i]
+    out = np.empty(gammas.shape[0], dtype=np.float64)
+    for j, g in enumerate(gammas):
+        knot_vals = g * upper - (1.0 - g) * lower
+        # knot_vals is non-increasing; find last index with value >= 0
+        idx = np.searchsorted(-knot_vals, 0.0, side="right") - 1
+        if idx < 0:
+            out[j] = xs[0]
+            continue
+        if idx >= xs.shape[0] - 1:
+            out[j] = xs[-1]
+            continue
+        w, c = cw[idx], cxw[idx]
+        denom = g * (1.0 - w) + (1.0 - g) * w
+        out[j] = (g * (total - c) + (1.0 - g) * c) / denom
+    return out
+
+
+_EDGE_LEVELS = [1e-300, 1e-12, 1e-9, 0.5 - 1e-15, 0.5, 0.5 + 1e-15, 1 - 1e-9, 1 - 1e-12]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    vals=st.one_of(
+        st.lists(st.sampled_from([0.0, 1.0, 2.5, 7.0, 100.0]), min_size=2, max_size=40),
+        st.lists(st.floats(-1e6, 1e6, allow_subnormal=False), min_size=2, max_size=40)),
+    gammas=st.lists(st.one_of(st.sampled_from(_EDGE_LEVELS), st.floats(1e-12, 1 - 1e-12)),
+                    min_size=1, max_size=20),
+    data=st.data(),
+)
+def test_expectile_matches_knot_scan_bitwise(vals, gammas, data):
+    weights = None
+    if data.draw(st.booleans(), label="weighted"):
+        ints = data.draw(st.lists(st.integers(1, 9), min_size=len(vals), max_size=len(vals)),
+                         label="integer weights")
+        weights = np.asarray(ints, dtype=np.float64) / sum(ints)
+    s = EmpiricalSample(vals, weights)
+    if s.is_constant():
+        return
+    gs = np.asarray(gammas)
+    expected = _knot_scan(s.sorted_values, s.cum_weights, s.cum_weighted, gs)
+    np.testing.assert_array_equal(expectile_grid(s, gs), expected)
+    assert [expectile(s, float(g)) for g in gs] == expected.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from basisrisk._kernels import EARTH_RADIUS_KM
 from basisrisk.hazard import (
+    EARTH_RADIUS_KM,
     LossModelParams,
     Site,
     Track,
@@ -265,3 +265,21 @@ class TestStormConversion:
         assert first.lat_deg.tolist() == [18.0, 18.5]
         assert first.wind_kn[0] == pytest.approx(storm_wind_convert(22.0))
         assert first.wind_kn[1] == pytest.approx(storm_wind_convert(30.0))
+
+    def test_blank_lines_skipped(self, tmp_path):
+        storm = tmp_path / "storm.txt"
+        storm.write_text("\n1980,6,1,0,NA,18.0,-60.0,990.0,22.0,1,0\n   \n")
+        out = tmp_path / "tracks.csv"
+        storm_to_track_csv(storm, out)
+        assert [len(t) for t in TrackSet.from_csv(out)] == [1]
+
+    def test_short_line_raises_with_line_number(self, tmp_path, config_dir):
+        # an already-converted track CSV is not STORM text: its 5-field
+        # header must be rejected, not skipped into an empty output
+        out = tmp_path / "tracks.csv"
+        with pytest.raises(ValueError, match="line 1 "):
+            storm_to_track_csv(config_dir / "fixtures" / "toy_tracks.csv", out)
+        storm = tmp_path / "storm.txt"
+        storm.write_text("1980,6,1,0,NA,18.0,-60.0,990.0,22.0,1,0\n1980,6,1,1,NA\n")
+        with pytest.raises(ValueError, match="line 2 "):
+            storm_to_track_csv(storm, out)

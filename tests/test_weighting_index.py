@@ -20,7 +20,12 @@ from basisrisk.weighting_index import (
     solve_gamma_star_index,
     violated_boundary_decision_index,
 )
-from basisrisk.weighting_pure import TriggeredSplit, UtilityContext, solve_gamma_star
+from basisrisk.weighting_pure import (
+    MonotonicityError,
+    TriggeredSplit,
+    UtilityContext,
+    solve_gamma_star,
+)
 from conftest import rng
 
 THETAS = np.linspace(1.0, 5.0, 10)
@@ -192,6 +197,16 @@ class TestSolveIndex:
         sol = solve_gamma_star_index(sample, spec, util, d)
         assert sol.decision is Decision.INTERIOR_OPTIMUM
         assert 0.0 < sol.gamma_star < 1.0
+
+    def test_monotonicity_error_on_convex_utility(self):
+        sample = independent_sample()
+        spec = ContractSpec(t_lo=116.0, rho=0.2)
+        convex = UtilityContext.custom(
+            u=lambda x: np.exp(0.05 * x), u_prime=lambda x: 0.05 * np.exp(0.05 * x),
+            u_second=lambda x: 0.0025 * np.exp(0.05 * x), w0=0.0)
+        with pytest.raises(MonotonicityError):
+            solve_gamma_star_index(sample, spec, convex,
+                                   degenerate_decomposition(sample, spec))
 
     def test_std_dev_rejected(self):
         sample = separable_sample()
