@@ -192,7 +192,10 @@ def _sample_from(cfg, seed) -> LossIndexSample:
         path = s["csv"]
         if not os.path.exists(path):
             raise ConfigError(f"sample file does not exist: {path}")
-        return LossIndexSample.from_csv(path)
+        try:
+            return LossIndexSample.from_csv(path)
+        except ValueError as exc:
+            raise ConfigError(f"malformed sample file {path}: {exc}") from exc
     if "synthetic" in s:
         return _synthetic_sample(s["synthetic"], seed)
     raise ConfigError("sample must provide 'csv' or 'synthetic'")
@@ -308,7 +311,10 @@ def cmd_fit_weighting(cfg, seed) -> dict[str, str]:
     spec = _contract_from(cfg)
     utility = _utility_from(cfg)
     family = cfg.get("payout_family", "pure")
-    grid_size = int(cfg.get("gamma_grid", 200))
+    grid_size = cfg.get("gamma_grid", 200)
+    if isinstance(grid_size, bool) or not isinstance(grid_size, int) or grid_size < 1:
+        raise ConfigError("fit-weighting gamma_grid must be a positive integer "
+                          f"(the trace size), got {grid_size!r:.40}")
     rho_i = cfg.get("rho_indemnity")
     rho_i = None if rho_i is None else float(rho_i)
 

@@ -133,8 +133,9 @@ class LossIndexSample:
 
     @classmethod
     def from_csv(cls, path):
-        data = np.genfromtxt(path, delimiter=",", skip_header=1)
-        data = np.atleast_2d(data)
+        data = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
+        if data.shape[1] != 2:
+            raise ValueError(f"expected the 2 columns loss,index, got {data.shape[1]}")
         return cls(data[:, 0], data[:, 1])
 
 

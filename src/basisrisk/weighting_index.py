@@ -12,21 +12,21 @@ and is rejected.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .contracts import ContractSpec, LossIndexSample, PremiumPrinciple
-from .expectile import Level, alpha_from_gamma
+from .expectile import Level
 from .weighting_pure import (
     Decision,
+    IndexQuantities,
     UtilityContext,
     WeightingSolution,
-    _check_monotone,
+    _boundary_scan,
+    _FirstOrderSystem,
+    _solve_system,
 )
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "SeparabilityError",
@@ -172,81 +172,49 @@ def decompose(surface, gammas, thetas, *, tolerance: float = 1e-2,
         h2_eval=h2_eval)
 
 
-@dataclass(frozen=True)
-class IndexQuantities:
-    """Moment functionals of the separable decomposition over the index law."""
+def _index_system(sample: LossIndexSample, spec: ContractSpec, utility,
+                  decomp: SeparableDecomposition, quants: IndexQuantities | None = None):
+    """The index first-order system: h1 and H3 evaluated once, at the triggered indices.
 
-    p_trigger: float
-    int_h1: float          # E[h1(tau) 1_T]
-    int_h3: float          # E[H3(tau) 1_T]
-    v1: float              # Var(h1(tau) 1_T)
-    v3: float              # Var(H3(tau) 1_T)
-    v13: float             # Cov(h1(tau) 1_T, H3(tau) 1_T)
-    b_e: float             # expected-value boundary threshold
-    rho: float
-
-    def r_tilde(self, k: float) -> float:
-        return 2.0 * self.rho * k * self.v1 + 2.0 * self.rho * self.v13 + self.int_h1
-
-    def pi_v(self, k: float) -> float:
-        return (self.int_h1 * k + self.int_h3
-                + self.rho * (k * k * self.v1 + 2.0 * k * self.v13 + self.v3))
-
-    def pi_e(self, k: float) -> float:
-        return (1.0 + self.rho) * (self.int_h1 * k + self.int_h3)
+    The moments are taken over the whole index sample unless ``quants``
+    supplies them; ``utility`` may be None when only they are wanted.
+    """
+    mask = spec.in_trigger(sample.indices)
+    n, n_t = mask.size, int(np.count_nonzero(mask))
+    if not 0 < n_t < n:
+        raise ValueError("degenerate trigger")
+    h1, h3 = decomp.eval_theta(sample.indices[mask])
+    if quants is None:
+        p = float(mask.mean())
+        h1_ind, h3_ind = np.zeros(n), np.zeros(n)
+        h1_ind[mask], h3_ind[mask] = h1, h3
+        int_h1 = float(h1_ind.mean())
+        int_h3 = float(h3_ind.mean())
+        quants = IndexQuantities(
+            p_trigger=p, int_h1=int_h1, int_h3=int_h3, v1=float(h1_ind.var()),
+            v3=float(h3_ind.var()), v13=float(np.mean(h1_ind * h3_ind) - int_h1 * int_h3),
+            b_e=(1.0 + spec.rho) * (1.0 - p) / p * int_h1, rho=spec.rho)
+    return _FirstOrderSystem(spec, utility, quants, sample.losses[mask], 1.0 / n_t,
+                             h1, h3, sample.losses[~mask], 1.0 / (n - n_t))
 
 
 def index_quantities(decomp: SeparableDecomposition, sample: LossIndexSample,
                      spec: ContractSpec) -> IndexQuantities:
     """Empirical moments of h1(tau)1_T and H3(tau)1_T over the index sample."""
-    mask = spec.in_trigger(sample.indices)
-    p = float(mask.mean())
-    if not (0.0 < p < 1.0):
-        raise ValueError("degenerate trigger")
-    h1_all, h3_all = decomp.eval_theta(sample.indices)
-    h1_ind = np.where(mask, h1_all, 0.0)
-    h3_ind = np.where(mask, h3_all, 0.0)
-    int_h1 = float(h1_ind.mean())
-    int_h3 = float(h3_ind.mean())
-    v1 = float(h1_ind.var())
-    v3 = float(h3_ind.var())
-    v13 = float(np.mean(h1_ind * h3_ind) - int_h1 * int_h3)
-    b_e = (1.0 + spec.rho) * (1.0 - p) / p * int_h1
-    return IndexQuantities(p_trigger=p, int_h1=int_h1, int_h3=int_h3,
-                           v1=v1, v3=v3, v13=v13, b_e=b_e, rho=spec.rho)
+    return _index_system(sample, spec, None, decomp).quants
 
 
-def _v_pair_index(sample, spec, utility, decomp, quants, k):
-    """(V1, V2) of the index first-order system at payout scale k = H2(gamma)."""
-    mask = spec.in_trigger(sample.indices)
-    w0 = utility.w0
-    s = sample.losses
-    h1_all, h3_all = decomp.eval_theta(sample.indices)
-    p, iq = quants.p_trigger, quants
-    if spec.principle is PremiumPrinciple.EXPECTED_VALUE:
-        d1 = h1_all - (1.0 + spec.rho) * iq.int_h1
-        d3 = h3_all - (1.0 + spec.rho) * iq.int_h3
-        wt = w0 - s + d1 * k + d3
-        v1 = float(np.mean(np.where(mask, d1, 0.0)
-                           * np.where(mask, utility.u_prime(np.where(mask, wt, w0)), 0.0)))
-        pi = iq.pi_e(k)
-        wu = w0 - s - pi
-        v2 = ((1.0 + spec.rho) * iq.int_h1
-              * float(np.mean(np.where(mask, 0.0,
-                                       utility.u_prime(np.where(mask, w0, wu))))))
-        return v1, v2
-    if spec.principle is PremiumPrinciple.VARIANCE:
-        r = iq.r_tilde(k)
-        pi = iq.pi_v(k)
-        wt = w0 - s + h1_all * k + h3_all - pi
-        v1 = float(np.mean(np.where(mask, h1_all - r, 0.0)
-                           * np.where(mask, utility.u_prime(np.where(mask, wt, w0)), 0.0)))
-        wu = w0 - s - pi
-        v2 = r * float(np.mean(np.where(mask, 0.0,
-                                        utility.u_prime(np.where(mask, w0, wu)))))
-        return v1, v2
-    raise UnsupportedPrincipleError(
-        "standard-deviation principle is not supported for index insurance")
+def _reject_std_dev(spec: ContractSpec) -> None:
+    if spec.principle is PremiumPrinciple.STD_DEV:
+        raise UnsupportedPrincipleError(
+            "standard-deviation principle is not supported for index insurance")
+
+
+def _h2_range(decomp: SeparableDecomposition):
+    """(H2(0+), H2(1-), truncated); an unbounded H2(1) ends at the grid's last value."""
+    k0, k1 = decomp.h2_0, decomp.h2_1
+    truncated = not np.isfinite(k1)
+    return k0, float(decomp.h2_grid[-1]) if truncated else k1, truncated
 
 
 def check_bounds_index(sample, spec, utility, decomp, quants, n_scan: int = 50):
@@ -256,24 +224,11 @@ def check_bounds_index(sample, spec, utility, decomp, quants, n_scan: int = 50):
     (H2(0), H2(1)) with log spacing toward the supremum. An unbounded H2(1)
     truncates the scan at the largest grid value (reported in witnesses).
     """
-    k0 = decomp.h2_0
-    k1 = decomp.h2_1
-    truncated = not np.isfinite(k1)
-    if truncated:
-        k1 = float(decomp.h2_grid[-1])
-    v1, v2 = _v_pair_index(sample, spec, utility, decomp, quants, k0)
-    lower = v1 > v2
-    witnesses = {"lower_k": k0, "lower_v1": v1, "lower_v2": v2,
-                 "upper_scan_truncated": truncated}
-    ts = np.linspace(0.0, 9.0, n_scan)
-    ks = np.append(k1 - (k1 - k0) * 10.0 ** (-ts), k1)
-    upper = False
-    for k in ks:
-        v1k, v2k = _v_pair_index(sample, spec, utility, decomp, quants, float(k))
-        if v1k < v2k:
-            upper = True
-            witnesses["upper_k"] = float(k)
-            break
+    _reject_std_dev(spec)
+    k0, k1, truncated = _h2_range(decomp)
+    lower, upper, witnesses = _boundary_scan(
+        _index_system(sample, spec, utility, decomp, quants), k0, k1, n_scan)
+    witnesses["upper_scan_truncated"] = truncated
     return lower, upper, witnesses
 
 
@@ -289,48 +244,17 @@ def solve_gamma_star_index(sample: LossIndexSample, spec: ContractSpec,
     traces is asserted on a gamma grid before solving; violated bounds defer
     to violated_boundary_decision_index.
     """
-    if spec.principle is PremiumPrinciple.STD_DEV:
-        raise UnsupportedPrincipleError(
-            "standard-deviation principle is not supported for index insurance")
-    quants = index_quantities(decomp, sample, spec)
+    _reject_std_dev(spec)
+    system = _index_system(sample, spec, utility, decomp)
     g_lo, g_hi = 1e-9, 1.0 - 1e-9
     gammas = np.linspace(g_lo, g_hi, grid_size)
-    v1_trace = np.empty(grid_size)
-    v2_trace = np.empty(grid_size)
-    for i, g in enumerate(gammas):
-        v1_trace[i], v2_trace[i] = _v_pair_index(
-            sample, spec, utility, decomp, quants, decomp.eval_h2(float(g)))
-    _check_monotone(v1_trace, v2_trace)
-    trace = {"gamma": gammas, "v1": v1_trace, "v2": v2_trace}
-
-    lower, upper, _ = check_bounds_index(sample, spec, utility, decomp, quants)
-    if lower and upper:
-        a, b = g_lo, g_hi
-        while b - a > tol_bracket:
-            mid = 0.5 * (a + b)
-            v1m, v2m = _v_pair_index(sample, spec, utility, decomp, quants,
-                                     decomp.eval_h2(mid))
-            if abs(v1m - v2m) <= tol_residual * (abs(v1m) + abs(v2m)):
-                a = b = mid
-                break
-            if v1m > v2m:
-                a = mid
-            else:
-                b = mid
-        g_star = 0.5 * (a + b)
-        v1s, v2s = _v_pair_index(sample, spec, utility, decomp, quants,
-                                 decomp.eval_h2(g_star))
-        return WeightingSolution(
-            gamma_star=g_star, alpha_star=alpha_from_gamma(Level(g_star)).alpha,
-            lower_bound_holds=True, upper_bound_holds=True,
-            decision=Decision.INTERIOR_OPTIMUM, residual=abs(v1s - v2s), trace=trace)
-
-    decision = violated_boundary_decision_index(
-        sample, spec, utility, decomp,
-        rho_indemnity=spec.rho if rho_indemnity is None else rho_indemnity)
-    return WeightingSolution(
-        gamma_star=None, alpha_star=None, lower_bound_holds=lower,
-        upper_bound_holds=upper, decision=decision, trace=trace)
+    rho_i = spec.rho if rho_indemnity is None else rho_indemnity
+    return _solve_system(
+        system, gammas, [decomp.eval_h2(float(g)) for g in gammas], decomp.eval_h2,
+        (g_lo, g_hi), _h2_range(decomp)[:2],
+        lambda lower, upper: (None, _fallback_decision_index(
+            sample, spec, decomp, rho_i, lower, upper)),
+        tol_bracket, tol_residual)
 
 
 def _per_bin_extrema(sample: LossIndexSample, spec: ContractSpec,
@@ -364,14 +288,20 @@ def violated_boundary_decision_index(sample: LossIndexSample, spec: ContractSpec
     indemnity coverage with loading rho_indemnity, using per-bin empirical
     essential suprema (an unbounded H2(1) short-circuits to indemnity).
     """
-    quants = index_quantities(decomp, sample, spec)
-    lower, upper, _ = check_bounds_index(sample, spec, utility, decomp, quants)
+    lower, upper, _ = check_bounds_index(sample, spec, utility, decomp, None)
+    return _fallback_decision_index(sample, spec, decomp, rho_indemnity, lower, upper)
+
+
+def _fallback_decision_index(sample: LossIndexSample, spec: ContractSpec,
+                             decomp: SeparableDecomposition, rho_indemnity: float,
+                             lower: bool, upper: bool) -> Decision:
+    """violated_boundary_decision_index given the boundary conditions' outcome."""
     if lower and upper:
         raise ValueError("both boundary conditions hold; no fallback needed")
     if not lower and not upper:
         raise RuntimeError("internal inconsistency: both bounds reported violated")
     mask = spec.in_trigger(sample.indices)
-    p = quants.p_trigger
+    p = float(mask.mean())
     if not lower:
         mins, _ = _per_bin_extrema(sample, spec, decomp)
         observed = mins[~np.isnan(mins)]

@@ -1,11 +1,12 @@
 """Utility-optimal basis-risk weighting for pure parametric contracts.
 
 Implements the first-order system V1(gamma) = V2(gamma) for the expected
-value, standard deviation, and variance premium principles, the two
-existence boundary conditions, the fallback decision logic when a boundary
-fails (no insurance vs. extreme weightings vs. full indemnity), the closed
-form under exponential utility with the expected-value principle, and
-empirical expected-utility curves.
+value, standard deviation, and variance premium principles (one system,
+shared with the index contracts of weighting_index), the two existence
+boundary conditions, the fallback decision logic when a boundary fails (no
+insurance vs. extreme weightings vs. full indemnity), the closed form under
+exponential utility with the expected-value principle, and empirical
+expected-utility curves.
 
 V1 is strictly decreasing and V2 strictly increasing in gamma for concave
 utilities, so a sign change of V1 - V2 pins down the unique optimum and
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .contracts import (
     split_by_trigger,
 )
 from .expectile import (
-    BasisRiskWeight,
     EmpiricalSample,
     Level,
     alpha_from_gamma,
@@ -186,38 +186,105 @@ def _premium_multiplier(spec: ContractSpec, p: float) -> float:
     raise ValueError("no constant multiplier under the variance principle")
 
 
-def _v_pair_at_level(split: TriggeredSplit, spec: ContractSpec,
-                     utility: UtilityContext, x: float):
-    """(V1, V2) of the critical-point system, parameterized by the payout level x.
+@dataclass(frozen=True)
+class IndexQuantities:
+    """Moment functionals of the separable decomposition over the index law.
 
-    With x = e_gamma(S | trigger) this is the sample version of the
-    first-order system; evaluated at fixed x it yields the boundary-condition
-    sides (ratio comparisons against b reduce to the sign of V1 - V2).
+    A pure contract (h1 = 1, H3 = 0) has int_h1 = p, v1 = p(1 - p), and zeros.
     """
-    p = split.p
-    w0 = utility.w0
-    st = split.triggered
-    su = split.untriggered
-    if spec.principle in (PremiumPrinciple.EXPECTED_VALUE, PremiumPrinciple.STD_DEV):
-        c = _premium_multiplier(spec, p)
-        if c >= 1.0:
-            raise PremiumDominatesError("premium dominates payout (c >= 1)")
-        v1 = p * (1.0 - c) * _wmean(st, utility.u_prime(w0 - st.values + (1.0 - c) * x))
-        v2 = (1.0 - p) * c * _wmean(su, utility.u_prime(w0 - su.values - c * x))
+
+    p_trigger: float
+    int_h1: float          # E[h1(tau) 1_T]
+    int_h3: float          # E[H3(tau) 1_T]
+    v1: float              # Var(h1(tau) 1_T)
+    v3: float              # Var(H3(tau) 1_T)
+    v13: float             # Cov(h1(tau) 1_T, H3(tau) 1_T)
+    b_e: float             # expected-value boundary threshold
+    rho: float
+
+    def r_tilde(self, k: float) -> float:
+        return 2.0 * self.rho * k * self.v1 + 2.0 * self.rho * self.v13 + self.int_h1
+
+    def pi_v(self, k: float) -> float:
+        return (self.int_h1 * k + self.int_h3
+                + self.rho * (k * k * self.v1 + 2.0 * k * self.v13 + self.v3))
+
+    def pi_e(self, k: float) -> float:
+        return (1.0 + self.rho) * (self.int_h1 * k + self.int_h3)
+
+
+class _FirstOrderSystem:
+    """First-order system V1(k) = V2(k) for the payout h1(theta)*k + H3(theta) on trigger.
+
+    Holds everything that does not depend on k: the triggered losses with
+    their weights and h1, H3 there (the scalars 1 and 0 for a pure contract,
+    where k is the payout level), the untriggered losses with their weights,
+    and the moments. With r the premium's slope in k and pi its value,
+
+        V1 = p * sum_T w (h1 - r) u'(w0 - S + h1 k + H3 - pi),
+        V2 = (1 - p) * r * sum_U w u'(w0 - S - pi).
+    """
+
+    def __init__(self, spec, utility, quants, s_t, w_t, h1, h3, s_u, w_u):
+        self.spec, self.utility, self.quants = spec, utility, quants
+        self.s_t, self.w_t, self.h1, self.h3 = s_t, w_t, h1, h3
+        self.s_u, self.w_u = s_u, w_u
+
+    def v_pair(self, k: float):
+        """(V1, V2) at payout scale k."""
+        q = self.quants
+        if self.spec.principle is PremiumPrinciple.EXPECTED_VALUE:
+            r, pi = (1.0 + q.rho) * q.int_h1, q.pi_e(k)
+        elif self.spec.principle is PremiumPrinciple.VARIANCE:
+            r, pi = q.r_tilde(k), q.pi_v(k)
+        else:  # standard deviation: pure contracts only, constant multiplier
+            r = _premium_multiplier(self.spec, q.p_trigger)
+            pi = r * k
+        p, w0, u_prime = q.p_trigger, self.utility.w0, self.utility.u_prime
+        v1 = p * float(np.sum(self.w_t * (self.h1 - r)
+                              * u_prime(w0 - self.s_t + self.h1 * k + self.h3 - pi)))
+        v2 = (1.0 - p) * r * float(np.sum(self.w_u * u_prime(w0 - self.s_u - pi)))
         return v1, v2
-    # variance principle
-    big_r = p * (1.0 + spec.rho * (1.0 - p) * x)
-    small_r = p * (1.0 + 2.0 * spec.rho * (1.0 - p) * x)
-    v1 = p * (1.0 - small_r) * _wmean(st, utility.u_prime(w0 - st.values + (1.0 - big_r) * x))
-    v2 = (1.0 - p) * small_r * _wmean(su, utility.u_prime(w0 - su.values - big_r * x))
-    return v1, v2
+
+
+def _pure_system(split: TriggeredSplit, spec: ContractSpec,
+                 utility: UtilityContext) -> _FirstOrderSystem:
+    """The pure contract's system; k is the payout level x = e_gamma(S | trigger)."""
+    p = split.p
+    if (spec.principle is not PremiumPrinciple.VARIANCE
+            and _premium_multiplier(spec, p) >= 1.0):
+        raise PremiumDominatesError("premium dominates payout (c >= 1)")
+    quants = IndexQuantities(p_trigger=p, int_h1=p, int_h3=0.0, v1=p * (1.0 - p),
+                             v3=0.0, v13=0.0, b_e=(1.0 + spec.rho) * (1.0 - p),
+                             rho=spec.rho)
+    st, su = split.triggered, split.untriggered
+    return _FirstOrderSystem(spec, utility, quants, st.values, st.weights, 1.0, 0.0,
+                             su.values, su.weights)
 
 
 def v1_v2(split: TriggeredSplit, spec: ContractSpec, utility: UtilityContext,
           gamma: Level | float):
     """Sample versions of the decreasing/increasing sides at level gamma."""
-    x = expectile(split.triggered, gamma)
-    return _v_pair_at_level(split, spec, utility, x)
+    return _pure_system(split, spec, utility).v_pair(expectile(split.triggered, gamma))
+
+
+def _boundary_scan(system: _FirstOrderSystem, k_lo: float, k_hi: float,
+                   n_scan: int = 50):
+    """Existence boundary conditions on [k_lo, k_hi], as in check_bounds."""
+    v1, v2 = system.v_pair(k_lo)
+    lower = v1 > v2
+    witnesses = {"lower_k": k_lo, "lower_v1": v1, "lower_v2": v2}
+    # log-spaced toward k_hi: k_hi - (k_hi - k_lo)*10^-t
+    ts = np.linspace(0.0, 9.0, n_scan)
+    ks = np.append(k_hi - (k_hi - k_lo) * 10.0 ** (-ts), k_hi)
+    upper = False
+    for k in ks:
+        v1k, v2k = system.v_pair(float(k))
+        if v1k < v2k:
+            upper = True
+            witnesses.update(upper_k=float(k), upper_v1=v1k, upper_v2=v2k)
+            break
+    return lower, upper, witnesses
 
 
 def check_bounds(split: TriggeredSplit, spec: ContractSpec, utility: UtilityContext,
@@ -233,32 +300,7 @@ def check_bounds(split: TriggeredSplit, spec: ContractSpec, utility: UtilityCont
     """
     lo = split.triggered.min if x_low is None else x_low
     hi = split.triggered.max if x_high is None else x_high
-    v1, v2 = _v_pair_at_level(split, spec, utility, lo)
-    lower = v1 > v2
-    witnesses = {"lower_k": lo, "lower_v1": v1, "lower_v2": v2}
-    # log-spaced toward hi: hi - (hi-lo)*10^-t
-    ts = np.linspace(0.0, 9.0, n_scan)
-    ks = hi - (hi - lo) * 10.0 ** (-ts)
-    ks = np.append(ks, hi)
-    upper = False
-    for k in ks:
-        v1k, v2k = _v_pair_at_level(split, spec, utility, float(k))
-        if v1k < v2k:
-            upper = True
-            witnesses["upper_k"] = float(k)
-            witnesses["upper_v1"] = v1k
-            witnesses["upper_v2"] = v2k
-            break
-    return lower, upper, witnesses
-
-
-def _trace(split, spec, utility, gammas):
-    xs = expectile_grid(split.triggered, gammas)
-    v1 = np.empty(len(gammas))
-    v2 = np.empty(len(gammas))
-    for i, x in enumerate(xs):
-        v1[i], v2[i] = _v_pair_at_level(split, spec, utility, float(x))
-    return v1, v2
+    return _boundary_scan(_pure_system(split, spec, utility), lo, hi, n_scan)
 
 
 def _check_monotone(v1, v2):
@@ -268,6 +310,46 @@ def _check_monotone(v1, v2):
         raise MonotonicityError(
             "monotonicity violated: V1 must decrease and V2 increase in gamma "
             "(check utility concavity)")
+
+
+def _solve_system(system: _FirstOrderSystem, gammas, ks, k_of, bracket, k_bounds,
+                  fallback, tol_bracket: float, tol_residual: float) -> WeightingSolution:
+    """Trace, boundary scan on k_bounds and, when both hold, bisection over gamma.
+
+    ks are the payout scales at the levels gammas and k_of maps one level
+    to its scale. When a bound fails, fallback(lower, upper) gives the
+    solution's (gamma_star or None, decision).
+    """
+    pairs = np.array([system.v_pair(float(k)) for k in ks]).reshape(-1, 2)
+    v1_trace, v2_trace = pairs[:, 0], pairs[:, 1]
+    _check_monotone(v1_trace, v2_trace)
+    trace = {"gamma": gammas, "v1": v1_trace, "v2": v2_trace}
+
+    lower, upper, _ = _boundary_scan(system, *k_bounds)
+    if not (lower and upper):
+        g_end, decision = fallback(lower, upper)
+        return WeightingSolution(
+            gamma_star=g_end,
+            alpha_star=None if g_end is None else alpha_from_gamma(Level(g_end)).alpha,
+            lower_bound_holds=lower, upper_bound_holds=upper, decision=decision,
+            trace=trace)
+    a, b = bracket
+    while b - a > tol_bracket:
+        mid = 0.5 * (a + b)
+        v1m, v2m = system.v_pair(k_of(mid))
+        if abs(v1m - v2m) <= tol_residual * (abs(v1m) + abs(v2m)):
+            a = b = mid
+            break
+        if v1m > v2m:
+            a = mid
+        else:
+            b = mid
+    g_star = 0.5 * (a + b)
+    v1s, v2s = system.v_pair(k_of(g_star))
+    return WeightingSolution(
+        gamma_star=g_star, alpha_star=alpha_from_gamma(Level(g_star)).alpha,
+        lower_bound_holds=True, upper_bound_holds=True,
+        decision=Decision.INTERIOR_OPTIMUM, residual=abs(v1s - v2s), trace=trace)
 
 
 def solve_gamma_star(split: TriggeredSplit, spec: ContractSpec,
@@ -288,56 +370,22 @@ def solve_gamma_star(split: TriggeredSplit, spec: ContractSpec,
     g_lo, g_hi = (1e-9, 1.0 - 1e-9) if restrict is None else restrict
     if not (0.0 < g_lo < g_hi < 1.0):
         raise ValueError("restriction must satisfy 0 < lo < hi < 1")
+    system = _pure_system(split, spec, utility)
+    st = split.triggered
     gammas = np.linspace(g_lo, g_hi, grid_size)
-    v1_trace, v2_trace = _trace(split, spec, utility, gammas)
-    _check_monotone(v1_trace, v2_trace)
-    trace = {"gamma": gammas, "v1": v1_trace, "v2": v2_trace}
+    k_bounds = ((st.min, st.max) if restrict is None
+                else (expectile(st, g_lo), expectile(st, g_hi)))
 
-    if restrict is None:
-        lower, upper, _ = check_bounds(split, spec, utility)
-    else:
-        x_lo = expectile(split.triggered, g_lo)
-        x_hi = expectile(split.triggered, g_hi)
-        lower, upper, _ = check_bounds(split, spec, utility, x_low=x_lo, x_high=x_hi)
+    def fallback(lower, upper):
+        if restrict is not None:
+            return (g_hi, Decision.ENDPOINT_HIGH) if lower else (g_lo, Decision.ENDPOINT_LOW)
+        return None, _fallback_decision(
+            split, spec, utility, spec.rho if rho_indemnity is None else rho_indemnity,
+            lower, upper)
 
-    if lower and upper:
-        a, b = g_lo, g_hi
-        resid = None
-        while b - a > tol_bracket:
-            mid = 0.5 * (a + b)
-            v1m, v2m = v1_v2(split, spec, utility, Level(mid))
-            resid = abs(v1m - v2m)
-            if resid <= tol_residual * (abs(v1m) + abs(v2m)):
-                a = b = mid
-                break
-            if v1m > v2m:
-                a = mid
-            else:
-                b = mid
-        g_star = 0.5 * (a + b)
-        v1s, v2s = v1_v2(split, spec, utility, Level(g_star))
-        return WeightingSolution(
-            gamma_star=g_star, alpha_star=alpha_from_gamma(Level(g_star)).alpha,
-            lower_bound_holds=True, upper_bound_holds=True,
-            decision=Decision.INTERIOR_OPTIMUM, residual=abs(v1s - v2s), trace=trace)
-
-    if lower and not upper and restrict is not None:
-        return WeightingSolution(
-            gamma_star=g_hi, alpha_star=alpha_from_gamma(Level(g_hi)).alpha,
-            lower_bound_holds=lower, upper_bound_holds=upper,
-            decision=Decision.ENDPOINT_HIGH, trace=trace)
-    if not lower and restrict is not None:
-        return WeightingSolution(
-            gamma_star=g_lo, alpha_star=alpha_from_gamma(Level(g_lo)).alpha,
-            lower_bound_holds=lower, upper_bound_holds=upper,
-            decision=Decision.ENDPOINT_LOW, trace=trace)
-
-    decision = violated_boundary_decision(
-        split, spec, utility,
-        rho_indemnity=spec.rho if rho_indemnity is None else rho_indemnity)
-    return WeightingSolution(
-        gamma_star=None, alpha_star=None, lower_bound_holds=lower,
-        upper_bound_holds=upper, decision=decision, trace=trace)
+    return _solve_system(system, gammas, expectile_grid(st, gammas),
+                         lambda g: expectile(st, Level(g)), (g_lo, g_hi), k_bounds,
+                         fallback, tol_bracket, tol_residual)
 
 
 def _constant_payout_premium(spec: ContractSpec, p: float, y: float) -> float:
@@ -372,6 +420,13 @@ def violated_boundary_decision(split: TriggeredSplit, spec: ContractSpec,
     coverage with loading rho_indemnity.
     """
     lower, upper, _ = check_bounds(split, spec, utility)
+    return _fallback_decision(split, spec, utility, rho_indemnity, lower, upper)
+
+
+def _fallback_decision(split: TriggeredSplit, spec: ContractSpec,
+                       utility: UtilityContext, rho_indemnity: float,
+                       lower: bool, upper: bool) -> Decision:
+    """violated_boundary_decision given the boundary conditions' outcome."""
     if lower and upper:
         raise ValueError("both boundary conditions hold; no fallback needed")
     if not lower and not upper:

@@ -126,6 +126,34 @@ class TestErrorPaths:
         assert code == 5
         assert not out.exists()
 
+    def test_gamma_grid_list_under_fit_weighting_exits_2(self, tmp_path, config_dir):
+        # regime_k1's gamma_grid is a utility-curve level list, not a trace size
+        code, out = run(tmp_path, "fit-weighting", config_dir / "regime_k1.yaml")
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", [0, -3, 2.5, "many", True])
+    def test_gamma_grid_not_positive_integer_exits_2(self, tmp_path, grid):
+        cfg = write_cfg(tmp_path, "c.yaml", interior_fit_cfg(gamma_grid=grid))
+        code, out = run(tmp_path, "fit-weighting", cfg)
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "loss,index\n1.0,90.0\nabc,50.0\n",        # non-numeric cell
+        "loss\n1.0\n2.0\n3.0\n",                   # one column
+        "loss,index,extra\n1.0,90.0,0\n2.0,50.0,0\n",  # three columns
+        "loss,index\n1.0,90.0\n2.0\n",              # ragged row
+    ], ids=["non_numeric", "one_column", "three_columns", "ragged"])
+    def test_malformed_sample_csv_exits_2(self, tmp_path, text):
+        csv_path = tmp_path / "sample.csv"
+        csv_path.write_text(text)
+        cfg = write_cfg(tmp_path, "c.yaml", interior_fit_cfg(
+            sample={"csv": str(csv_path)}))
+        code, out = run(tmp_path, "fit-weighting", cfg)
+        assert code == 2
+        assert not out.exists()
+
     def test_unwritable_out_exits_3(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("x")

@@ -1,0 +1,309 @@
+"""The one first-order system shared by pure and index contracts.
+
+``_v_pair_at_level`` and ``_v_pair_index`` below are the two evaluators the
+system replaced; their bodies are kept verbatim as reference implementations.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from basisrisk import weighting_pure
+from basisrisk.contracts import ContractSpec, LossIndexSample, PremiumPrinciple
+from basisrisk.expectile import EmpiricalSample, expectile_grid
+from basisrisk.weighting_index import (
+    SeparableDecomposition,
+    UnsupportedPrincipleError,
+    _index_system,
+    check_bounds_index,
+    decompose,
+    index_quantities,
+    solve_gamma_star_index,
+)
+from basisrisk.weighting_pure import (
+    Decision,
+    PremiumDominatesError,
+    TriggeredSplit,
+    UtilityContext,
+    _pure_system,
+    check_bounds,
+    solve_gamma_star,
+)
+from conftest import rng
+from test_weighting_index import (
+    GAMMAS,
+    THETAS,
+    degenerate_decomposition,
+    independent_sample,
+    logit,
+    separable_sample,
+)
+
+EV = PremiumPrinciple.EXPECTED_VALUE
+SD = PremiumPrinciple.STD_DEV
+VAR = PremiumPrinciple.VARIANCE
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the evaluators before the shared system
+# ---------------------------------------------------------------------------
+
+def _wmean(sample, values):
+    return float(np.sum(sample.weights * values))
+
+
+def _premium_multiplier(spec, p):
+    if spec.principle is PremiumPrinciple.EXPECTED_VALUE:
+        return (1.0 + spec.rho) * p
+    if spec.principle is PremiumPrinciple.STD_DEV:
+        return p + spec.rho * math.sqrt(p * (1.0 - p))
+    raise ValueError("no constant multiplier under the variance principle")
+
+
+def _v_pair_at_level(split, spec, utility, x):
+    p = split.p
+    w0 = utility.w0
+    st = split.triggered
+    su = split.untriggered
+    if spec.principle in (PremiumPrinciple.EXPECTED_VALUE, PremiumPrinciple.STD_DEV):
+        c = _premium_multiplier(spec, p)
+        if c >= 1.0:
+            raise PremiumDominatesError("premium dominates payout (c >= 1)")
+        v1 = p * (1.0 - c) * _wmean(st, utility.u_prime(w0 - st.values + (1.0 - c) * x))
+        v2 = (1.0 - p) * c * _wmean(su, utility.u_prime(w0 - su.values - c * x))
+        return v1, v2
+    # variance principle
+    big_r = p * (1.0 + spec.rho * (1.0 - p) * x)
+    small_r = p * (1.0 + 2.0 * spec.rho * (1.0 - p) * x)
+    v1 = p * (1.0 - small_r) * _wmean(st, utility.u_prime(w0 - st.values + (1.0 - big_r) * x))
+    v2 = (1.0 - p) * small_r * _wmean(su, utility.u_prime(w0 - su.values - big_r * x))
+    return v1, v2
+
+
+def _v_pair_index(sample, spec, utility, decomp, quants, k):
+    mask = spec.in_trigger(sample.indices)
+    w0 = utility.w0
+    s = sample.losses
+    h1_all, h3_all = decomp.eval_theta(sample.indices)
+    p, iq = quants.p_trigger, quants
+    if spec.principle is PremiumPrinciple.EXPECTED_VALUE:
+        d1 = h1_all - (1.0 + spec.rho) * iq.int_h1
+        d3 = h3_all - (1.0 + spec.rho) * iq.int_h3
+        wt = w0 - s + d1 * k + d3
+        v1 = float(np.mean(np.where(mask, d1, 0.0)
+                           * np.where(mask, utility.u_prime(np.where(mask, wt, w0)), 0.0)))
+        pi = iq.pi_e(k)
+        wu = w0 - s - pi
+        v2 = ((1.0 + spec.rho) * iq.int_h1
+              * float(np.mean(np.where(mask, 0.0,
+                                       utility.u_prime(np.where(mask, w0, wu))))))
+        return v1, v2
+    if spec.principle is PremiumPrinciple.VARIANCE:
+        r = iq.r_tilde(k)
+        pi = iq.pi_v(k)
+        wt = w0 - s + h1_all * k + h3_all - pi
+        v1 = float(np.mean(np.where(mask, h1_all - r, 0.0)
+                           * np.where(mask, utility.u_prime(np.where(mask, wt, w0)), 0.0)))
+        wu = w0 - s - pi
+        v2 = r * float(np.mean(np.where(mask, 0.0,
+                                        utility.u_prime(np.where(mask, w0, wu)))))
+        return v1, v2
+    raise UnsupportedPrincipleError(
+        "standard-deviation principle is not supported for index insurance")
+
+
+# ---------------------------------------------------------------------------
+# fixtures
+# ---------------------------------------------------------------------------
+
+def scan_points(k_lo, k_hi, interior=()):
+    """The boundary scan's points on [k_lo, k_hi], plus extra interior ones."""
+    ts = np.linspace(0.0, 9.0, 50)
+    ks = np.concatenate([[k_lo], k_hi - (k_hi - k_lo) * 10.0 ** (-ts), [k_hi],
+                         np.asarray(interior, dtype=float)])
+    return [float(k) for k in ks]
+
+
+def weighted_two_point():
+    return TriggeredSplit(EmpiricalSample([5.0, 10.0], [0.3, 0.7]),
+                          EmpiricalSample([0.0, 4.0], [0.6, 0.4]), 0.5)
+
+
+def smooth_40k():
+    r = rng(41)
+    return TriggeredSplit(EmpiricalSample(r.gamma(4.0, 5.0, 20_000) + 5.0),
+                          EmpiricalSample(r.gamma(2.0, 1.0, 20_000)), 0.3)
+
+
+PURE_CASES = [
+    ("two_point", weighted_two_point, UtilityContext.exponential(beta=0.1, w0=10.0)),
+    ("two_point_power", weighted_two_point, UtilityContext.power(eta=2.0, w0=30.0)),
+    ("smooth_40k", smooth_40k, UtilityContext.exponential(beta=0.1, w0=0.0)),
+    ("smooth_40k_power", smooth_40k, UtilityContext.power(eta=1.5, w0=200.0)),
+]
+PRINCIPLES = [(EV, 0.2), (SD, 0.15), (VAR, 0.005)]
+
+
+def assert_pairs_close(got, want):
+    assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
+    assert got[1] == pytest.approx(want[1], rel=1e-12, abs=0.0)
+
+
+def separable_decomposition():
+    surface = (2.0 * THETAS)[:, None] + np.outer(1.0 + THETAS ** 2, logit(GAMMAS))
+    return decompose(surface, GAMMAS, THETAS)
+
+
+def shifted_separable_sample():
+    """separable_sample() with the index mapped onto the decomposition's theta range."""
+    sample = separable_sample()
+    return LossIndexSample(sample.losses, 1.0 + 4.0 * (sample.indices - 60.0) / 80.0)
+
+
+# ---------------------------------------------------------------------------
+# oracle tests
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name,make_split,utility", PURE_CASES,
+                         ids=[c[0] for c in PURE_CASES])
+@pytest.mark.parametrize("principle,rho", PRINCIPLES, ids=["ev", "sd", "var"])
+def test_pure_system_matches_level_evaluator(name, make_split, utility, principle, rho):
+    split = make_split()
+    spec = ContractSpec(t_lo=83.0, rho=rho, principle=principle)
+    system = _pure_system(split, spec, utility)
+    st = split.triggered
+    interior = expectile_grid(st, np.linspace(0.01, 0.99, 9))
+    for k in scan_points(st.min, st.max, interior):
+        assert_pairs_close(system.v_pair(k), _v_pair_at_level(split, spec, utility, k))
+
+
+@pytest.mark.parametrize("principle,rho", [(EV, 0.1), (VAR, 0.002)], ids=["ev", "var"])
+@pytest.mark.parametrize("t_lo", [2.2, 3.5])
+def test_index_system_matches_index_evaluator(principle, rho, t_lo):
+    sample = shifted_separable_sample()
+    spec = ContractSpec(t_lo=t_lo, rho=rho, principle=principle)
+    utility = UtilityContext.exponential(beta=0.05, w0=0.0)
+    decomp = separable_decomposition()
+    quants = index_quantities(decomp, sample, spec)
+    system = _index_system(sample, spec, utility, decomp)
+    interior = [decomp.eval_h2(g) for g in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)]
+    for k in scan_points(decomp.h2_0, decomp.eval_h2(1.0 - 1e-9), interior):
+        assert_pairs_close(system.v_pair(k),
+                           _v_pair_index(sample, spec, utility, decomp, quants, k))
+
+
+# ---------------------------------------------------------------------------
+# moments
+# ---------------------------------------------------------------------------
+
+def test_index_quantities_equal_full_array_moments():
+    sample = shifted_separable_sample()
+    spec = ContractSpec(t_lo=2.2, rho=0.1)
+    decomp = separable_decomposition()
+    q = index_quantities(decomp, sample, spec)
+    mask = spec.in_trigger(sample.indices)
+    h1 = np.where(mask, np.interp(sample.indices, decomp.thetas, decomp.h1), 0.0)
+    h3 = np.where(mask, np.interp(sample.indices, decomp.thetas, decomp.h3), 0.0)
+    tight = {"rel": 1e-12, "abs": 0.0}
+    assert q.p_trigger == mask.mean()
+    assert q.int_h1 == pytest.approx(h1.mean(), **tight)
+    assert q.int_h3 == pytest.approx(h3.mean(), **tight)
+    assert q.v1 == pytest.approx(h1.var(), **tight)
+    assert q.v3 == pytest.approx(h3.var(), **tight)
+    assert q.v13 == pytest.approx(np.mean(h1 * h3) - h1.mean() * h3.mean(), **tight)
+    assert q.b_e == pytest.approx((1 + spec.rho) * (1 - q.p_trigger) / q.p_trigger
+                                  * h1.mean(), **tight)
+
+
+@pytest.mark.parametrize("x", [0.0, 5.0, 7.3, 10.0])
+def test_pure_moments_reproduce_pure_premiums(x):
+    split = weighted_two_point()
+    p, rho = split.p, 0.05
+    q = _pure_system(split, ContractSpec(t_lo=83.0, rho=rho, principle=VAR),
+                     UtilityContext.exponential(beta=0.1)).quants
+    assert (q.int_h1, q.int_h3, q.v1, q.v3, q.v13) == (p, 0.0, p * (1 - p), 0.0, 0.0)
+    assert q.r_tilde(x) == pytest.approx(p * (1 + 2 * rho * (1 - p) * x), rel=1e-15)
+    assert q.pi_v(x) == pytest.approx(p * (1 + rho * (1 - p) * x) * x, rel=1e-15)
+    assert (1 + rho) * q.int_h1 == _premium_multiplier(ContractSpec(t_lo=83.0, rho=rho), p)
+
+
+# ---------------------------------------------------------------------------
+# entry-point behaviour
+# ---------------------------------------------------------------------------
+
+def test_premium_dominates_on_pure_entry_points():
+    split = weighted_two_point()
+    split.p = 0.9
+    spec = ContractSpec(t_lo=83.0, rho=0.2)
+    util = UtilityContext.exponential(beta=0.1, w0=10.0)
+    for call in (lambda: check_bounds(split, spec, util),
+                 lambda: solve_gamma_star(split, spec, util)):
+        with pytest.raises(PremiumDominatesError):
+            call()
+
+
+def test_index_bounds_reject_std_dev():
+    sample = shifted_separable_sample()
+    spec = ContractSpec(t_lo=2.2, rho=0.15, principle=SD)
+    with pytest.raises(UnsupportedPrincipleError):
+        check_bounds_index(sample, spec, UtilityContext.exponential(beta=0.05),
+                           separable_decomposition(), None)
+
+
+# ---------------------------------------------------------------------------
+# work per solve
+# ---------------------------------------------------------------------------
+
+def counting(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def no_insurance_fixture():
+    r = rng(31)
+    idx = r.uniform(60.0, 140.0, 20_000)
+    losses = np.clip(0.4 * (idx - 60.0) + r.gamma(2.0, 2.0, idx.size), 0.0, None)
+    losses[r.random(idx.size) < 0.2] = 0.0
+    sample = LossIndexSample(losses, idx)
+    spec = ContractSpec(t_lo=83.0, rho=0.9)
+    return sample, spec, degenerate_decomposition(sample, spec)
+
+
+def test_index_solve_evaluates_theta_once(monkeypatch):
+    sample = independent_sample()
+    spec = ContractSpec(t_lo=116.0, rho=0.2)
+    util = UtilityContext.exponential(beta=0.1, w0=0.0)
+    decomp = degenerate_decomposition(sample, spec)
+    fallback = no_insurance_fixture()
+    calls = counting(monkeypatch, SeparableDecomposition, "eval_theta")
+    sol = solve_gamma_star_index(sample, spec, util, decomp)
+    assert sol.decision is Decision.INTERIOR_OPTIMUM
+    assert len(calls) == 1
+    calls.clear()
+    fb_sample, fb_spec, fb_decomp = fallback
+    sol = solve_gamma_star_index(fb_sample, fb_spec,
+                                 UtilityContext.exponential(beta=0.05), fb_decomp)
+    assert sol.decision is Decision.PREFER_NO_INSURANCE
+    assert len(calls) == 1
+
+
+def test_boundary_scan_runs_once_per_fallback_solve(monkeypatch):
+    fb_sample, fb_spec, fb_decomp = no_insurance_fixture()
+    calls = counting(monkeypatch, weighting_pure, "_boundary_scan")
+    sol = solve_gamma_star(weighted_two_point(), ContractSpec(t_lo=83.0, rho=0.3),
+                           UtilityContext.exponential(beta=0.1, w0=10.0))
+    assert sol.decision is Decision.PREFER_NO_INSURANCE
+    assert len(calls) == 1
+    calls.clear()
+    sol = solve_gamma_star_index(fb_sample, fb_spec,
+                                 UtilityContext.exponential(beta=0.05), fb_decomp)
+    assert sol.decision is Decision.PREFER_NO_INSURANCE
+    assert len(calls) == 1
