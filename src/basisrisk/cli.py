@@ -201,6 +201,22 @@ def _sample_from(cfg, seed) -> LossIndexSample:
     raise ConfigError("sample must provide 'csv' or 'synthetic'")
 
 
+def _tracks_from(path) -> TrackSet:
+    if not os.path.exists(path):
+        raise ConfigError(f"track file does not exist: {path}")
+    try:
+        return TrackSet.from_csv(path)
+    except ValueError as exc:
+        raise ConfigError(f"malformed track file {path}: {exc}") from exc
+
+
+def _grid_size(value, what: str) -> int:
+    """A level-grid size from the config: a positive integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{what} must be a positive integer, got {value!r:.40}")
+    return value
+
+
 def _site_from(s) -> Site:
     try:
         return Site(lat_deg=float(_require(s, "lat_deg")),
@@ -311,10 +327,8 @@ def cmd_fit_weighting(cfg, seed) -> dict[str, str]:
     spec = _contract_from(cfg)
     utility = _utility_from(cfg)
     family = cfg.get("payout_family", "pure")
-    grid_size = cfg.get("gamma_grid", 200)
-    if isinstance(grid_size, bool) or not isinstance(grid_size, int) or grid_size < 1:
-        raise ConfigError("fit-weighting gamma_grid must be a positive integer "
-                          f"(the trace size), got {grid_size!r:.40}")
+    grid_size = _grid_size(cfg.get("gamma_grid", 200),
+                           "fit-weighting gamma_grid (the trace size)")
     rho_i = cfg.get("rho_indemnity")
     rho_i = None if rho_i is None else float(rho_i)
 
@@ -367,10 +381,7 @@ def cmd_fit_weighting(cfg, seed) -> dict[str, str]:
 def _wind_values(cfg, seed) -> np.ndarray:
     w = _require(cfg, "wind", dict)
     if "tracks_csv" in w:
-        path = w["tracks_csv"]
-        if not os.path.exists(path):
-            raise ConfigError(f"track file does not exist: {path}")
-        tracks = TrackSet.from_csv(path)
+        tracks = _tracks_from(w["tracks_csv"])
         site = _site_from(_require(w, "site", dict))
         incident = incident_windspeeds(tracks, site)
         if incident.size == 0:
@@ -446,13 +457,15 @@ def cmd_dependence_report(cfg, seed) -> dict[str, str]:
         path = cfg["winds_csv"]
         if not os.path.exists(path):
             raise ConfigError(f"wind matrix file does not exist: {path}")
-        winds = np.genfromtxt(path, delimiter=",", skip_header=1)
-        winds = np.atleast_2d(winds)
+        try:
+            winds = np.atleast_2d(np.genfromtxt(path, delimiter=",", skip_header=1))
+        except ValueError as exc:
+            raise ConfigError(f"malformed wind matrix file {path}: {exc}") from exc
+        if not np.all(np.isfinite(winds)):
+            raise ConfigError(f"wind matrix file {path} has a non-numeric or "
+                              "non-finite cell")
     else:
-        path = _require(cfg, "tracks_csv")
-        if not os.path.exists(path):
-            raise ConfigError(f"track file does not exist: {path}")
-        tracks = TrackSet.from_csv(path)
+        tracks = _tracks_from(_require(cfg, "tracks_csv"))
         sites = [_site_from(s) for s in _require(cfg, "sites", list)]
         params = [_loss_params_from(cfg.get("loss_model", {}))] * len(sites)
         winds, _ = simulate_portfolio(tracks, sites, params, seed)
@@ -515,9 +528,14 @@ def cmd_utility_curve(cfg, seed) -> dict[str, str]:
     sample = _sample_from(cfg, seed)
     grid_cfg = cfg.get("gamma_grid", 99)
     if isinstance(grid_cfg, list):
+        if not grid_cfg or not all(
+                isinstance(g, (int, float)) and not isinstance(g, bool) and 0.0 < g < 1.0
+                for g in grid_cfg):
+            raise ConfigError("utility-curve gamma_grid list must hold levels strictly "
+                              f"inside (0, 1), got {grid_cfg!r:.40}")
         gammas = np.asarray([float(g) for g in grid_cfg])
     else:
-        n = int(grid_cfg)
+        n = _grid_size(grid_cfg, "utility-curve gamma_grid (a level count or list)")
         gammas = np.linspace(1.0 / (n + 1), n / (n + 1.0), n)
     conditioner = None
     if cfg.get("payout_family", "pure") == "index":

@@ -318,6 +318,27 @@ class PiecewiseLinearFit:
     used_grid_fallback: bool
 
 
+def _golden_section(f, a: float, b: float, tol: float) -> float:
+    """Minimiser of a unimodal f on [a, b]: midpoint of the final bracket.
+
+    Shared by the slope fit here and the Gumbel copula MLE in dependence.
+    """
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
 def _pwl_scheme(thetas, slope, attachment, cap):
     return np.minimum(np.maximum(0.0, slope * (thetas - attachment)), cap)
 
@@ -378,21 +399,7 @@ def fit_piecewise_linear(sample: LossIndexSample, spec: ContractSpec,
     else:
         lo = lams[max(best - 1, 0)] if best > 0 else 1e-12 * lam_max
         hi = lams[min(best + 1, n_coarse - 1)]
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc, fd = objective(c), objective(d)
-        while b - a > 1e-10 * lam_max:
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = objective(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = objective(d)
-        slope = 0.5 * (a + b)
+        slope = _golden_section(objective, lo, hi, 1e-10 * lam_max)
         obj = objective(slope)
     at_lower = slope <= 2.0 * lam_max / n_coarse
     if at_lower:

@@ -15,7 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import kendalltau, rankdata
 
+from .contracts import _golden_section
+
 logger = logging.getLogger(__name__)
+
+_ETA_MAX = 50.0  # upper end of the Gumbel parameter search
 
 __all__ = [
     "PairedObservations",
@@ -77,28 +81,32 @@ def conditional_probabilities(wind_matrix, threshold: float):
     w = np.asarray(wind_matrix, dtype=np.float64)
     if w.ndim != 2 or w.shape[1] < 2:
         raise ValueError("need a (rows x >=2 sites) wind matrix")
-    inc = w > 0.0
-    trig = w >= threshold
+    p_inc, n_inc = _conditional((w > 0.0).astype(np.int64))
+    p_trig, n_trig = _conditional((w >= threshold).astype(np.int64))
     n_sites = w.shape[1]
-    p_inc = np.full((n_sites, n_sites), np.nan)
-    p_trig = np.full((n_sites, n_sites), np.nan)
-    for j in range(n_sites):
-        for i in range(n_sites):
-            if i == j:
-                continue
-            denom_inc = inc[:, j].sum()
-            if denom_inc == 0:
-                logger.warning("no incidents at conditioning site %d; p_inc[%d,%d] absent",
-                               j, i, j)
-            else:
-                p_inc[i, j] = (inc[:, i] & inc[:, j]).sum() / denom_inc
-            denom_trig = trig[:, j].sum()
-            if denom_trig == 0:
-                logger.warning("no triggers at conditioning site %d; p_trig[%d,%d] absent",
-                               j, i, j)
-            else:
-                p_trig[i, j] = (trig[:, i] & trig[:, j]).sum() / denom_trig
+    empty = (n_inc == 0) | (n_trig == 0)  # conditioning sites with absent entries
+    for j, i in np.argwhere(empty[:, None] & ~np.eye(n_sites, dtype=bool)):
+        if n_inc[j] == 0:
+            logger.warning("no incidents at conditioning site %d; p_inc[%d,%d] absent",
+                           j, i, j)
+        if n_trig[j] == 0:
+            logger.warning("no triggers at conditioning site %d; p_trig[%d,%d] absent",
+                           j, i, j)
     return p_inc, p_trig
+
+
+def _conditional(hits):
+    """Column-conditional joint frequencies of an int64 indicator matrix.
+
+    Returns (p, counts): p[i, j] = #(i and j) / #j, NaN on the diagonal and
+    in columns with no hits, and counts = #j per column.
+    """
+    joint = hits.T @ hits
+    counts = np.diag(joint)
+    with np.errstate(invalid="ignore"):
+        p = joint / counts
+    np.fill_diagonal(p, np.nan)
+    return p, counts
 
 
 def kendall_tau(pairs: PairedObservations) -> float:
@@ -140,6 +148,17 @@ def _strict_ranks(values) -> np.ndarray:
     return ranks
 
 
+def _tail_counts(pairs: PairedObservations) -> np.ndarray:
+    """k * lambda_hat(k) for every k = 1 .. m-1, in one pass.
+
+    Both strict ranks exceed m - k exactly when m - min(rank_x, rank_y) < k,
+    so the count at k is the cumulative histogram of that gap at k - 1.
+    """
+    m = pairs.m
+    gap = m - np.minimum(_strict_ranks(pairs.x), _strict_ranks(pairs.y))
+    return np.cumsum(np.bincount(gap, minlength=m))[:m - 1]
+
+
 def tail_lambda(pairs: PairedObservations, k: int) -> float:
     """Nonparametric upper-tail-dependence estimator at tail fraction k.
 
@@ -149,13 +168,10 @@ def tail_lambda(pairs: PairedObservations, k: int) -> float:
     m = pairs.m
     if not (1 <= k < m):
         raise ValueError("k must satisfy 1 <= k < m")
-    rx = _strict_ranks(pairs.x)
-    ry = _strict_ranks(pairs.y)
-    return float(np.sum((rx > m - k) & (ry > m - k)) / k)
+    return float(_tail_counts(pairs)[k - 1] / k)
 
 
-def plateau_k(pairs: PairedObservations, bandwidth: int | None = None,
-              window: int | None = None, range_factor: float = 2.0) -> int:
+def plateau_k(pairs: PairedObservations, range_factor: float = 2.0) -> int:
     """Plateau-based choice of the tail fraction k.
 
     Smooths k -> lambda_hat(k) with a centered moving average of bandwidth
@@ -167,24 +183,15 @@ def plateau_k(pairs: PairedObservations, bandwidth: int | None = None,
     m = pairs.m
     if m < 30:
         raise ValueError("insufficient data for plateau selection")
-    b = max(1, m // 200) if bandwidth is None else bandwidth
-    rx = _strict_ranks(pairs.x)
-    ry = _strict_ranks(pairs.y)
-    ks = np.arange(1, m)
-    if m <= 4000:
-        joint = (rx[None, :] > m - ks[:, None]) & (ry[None, :] > m - ks[:, None])
-        lam = joint.sum(axis=1) / ks
-    else:  # avoid the m x m intermediate on large samples
-        lam = np.array([np.sum((rx > m - k) & (ry > m - k)) / k for k in ks])
+    b = max(1, m // 200)
+    lam = _tail_counts(pairs) / np.arange(1, m)
     kernel = np.ones(2 * b + 1) / (2 * b + 1)
     smooth = np.convolve(lam, kernel, mode="valid")  # indices k = b+1 .. m-1-b
-    w = int(math.isqrt(m - 2 * b)) if window is None else window
-    w = max(2, min(w, smooth.size))
-    sd = float(smooth.std())
-    for start in range(0, smooth.size - w + 1):
-        win = smooth[start:start + w]
-        if win.max() - win.min() <= range_factor * sd:
-            return start + w // 2 + b + 1
+    w = max(2, min(int(math.isqrt(m - 2 * b)), smooth.size))
+    ranges = np.ptp(np.lib.stride_tricks.sliding_window_view(smooth, w), axis=1)
+    flat = np.flatnonzero(ranges <= range_factor * float(smooth.std()))
+    if flat.size:
+        return int(flat[0]) + w // 2 + b + 1
     logger.warning("no plateau found; falling back to k = floor(sqrt(m))")
     return int(math.isqrt(m))
 
@@ -199,12 +206,12 @@ def _gumbel_log_density(u, v, eta):
             + (1.0 / eta - 2.0) * np.log(s) + np.log(s_pow + eta - 1.0))
 
 
-def gumbel_mle(pairs: PairedObservations, eta_max: float = 50.0) -> float:
+def gumbel_mle(pairs: PairedObservations) -> float:
     """MLE of the Gumbel--Hougaard copula parameter on pseudo-observations.
 
     Pseudo-observations u_j = rank_j/(m+1); golden-section maximization of
-    the copula log-likelihood over [1, eta_max]. A boundary solution at
-    eta_max logs a near-degenerate-dependence warning.
+    the copula log-likelihood over [1, 50]. A boundary solution at 50 logs a
+    near-degenerate-dependence warning.
     """
     m = pairs.m
     if m < 10:
@@ -215,22 +222,8 @@ def gumbel_mle(pairs: PairedObservations, eta_max: float = 50.0) -> float:
     def nll(eta):
         return -float(np.sum(_gumbel_log_density(u, v, eta)))
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 1.0, eta_max
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = nll(c), nll(d)
-    while b - a > 1e-8:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = nll(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = nll(d)
-    eta_hat = 0.5 * (a + b)
-    if eta_hat > eta_max - 1e-3:
+    eta_hat = _golden_section(nll, 1.0, _ETA_MAX, 1e-8)
+    if eta_hat > _ETA_MAX - 1e-3:
         logger.warning("near-degenerate dependence: MLE at the eta upper boundary")
     return float(eta_hat)
 

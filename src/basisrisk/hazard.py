@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,7 +83,6 @@ class TrackSet:
     def from_csv(cls, path):
         """Read `track_id,step,lat_deg,lon_deg,wind_kn` rows (steps increasing)."""
         by_id: dict[str, list] = {}
-        order: list[str] = []
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
             if header != "track_id,step,lat_deg,lon_deg,wind_kn":
@@ -93,13 +92,10 @@ class TrackSet:
                 if not line:
                     continue
                 tid, step, lat, lon, wind = line.split(",")
-                if tid not in by_id:
-                    by_id[tid] = []
-                    order.append(tid)
-                by_id[tid].append((int(step), float(lat), float(lon), float(wind)))
+                by_id.setdefault(tid, []).append(
+                    (int(step), float(lat), float(lon), float(wind)))
         tracks = []
-        for tid in order:
-            rows = by_id[tid]
+        for tid, rows in by_id.items():
             steps = [r[0] for r in rows]
             if any(b <= a for a, b in zip(steps, steps[1:])):
                 raise ValueError(f"steps must be strictly increasing in track {tid}")
@@ -159,22 +155,24 @@ def _unit_vectors(lat_deg, lon_deg):
     return (np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat))
 
 
-def _xtrack_min_distance(px, py, pz, vx, vy, vz) -> float:
-    """Angular distance from the unit vector p to the polyline through the v_i."""
+def _track_distances(px, py, pz, vx, vy, vz):
+    """Angular distances from the unit vector p to each point v_i (an array)
+    and to the polyline through them (a float): per geodesic segment, the
+    cross-track distance, or the nearer endpoint's when the perpendicular
+    foot falls outside. A one-point track is the segment (v_0, v_0).
+    """
+    point = np.arccos(np.clip(px * vx + py * vy + pz * vz, -1.0, 1.0))
     n = vx.shape[0]
-    if n == 1:
-        d = np.arccos(np.clip(px * vx[0] + py * vy[0] + pz * vz[0], -1.0, 1.0))
-        return float(d)
-    ax, ay, az = vx[:-1], vy[:-1], vz[:-1]
-    bx, by, bz = vx[1:], vy[1:], vz[1:]
+    sa = slice(0, max(n - 1, 1))  # segment starts
+    sb = slice(min(n - 1, 1), None)  # segment ends
+    ax, ay, az = vx[sa], vy[sa], vz[sa]
+    bx, by, bz = vx[sb], vy[sb], vz[sb]
     # segment great-circle normal a x b
     nx = ay * bz - az * by
     ny = az * bx - ax * bz
     nz = ax * by - ay * bx
     nn = np.sqrt(nx * nx + ny * ny + nz * nz)
-    dot_pa = np.clip(px * ax + py * ay + pz * az, -1.0, 1.0)
-    dot_pb = np.clip(px * bx + py * by + pz * bz, -1.0, 1.0)
-    end_dist = np.minimum(np.arccos(dot_pa), np.arccos(dot_pb))
+    end_dist = np.minimum(point[sa], point[sb])
     with np.errstate(invalid="ignore", divide="ignore"):
         sin_xt = np.clip((px * nx + py * ny + pz * nz) / nn, -1.0, 1.0)
         xtrack = np.abs(np.arcsin(sin_xt))
@@ -190,7 +188,7 @@ def _xtrack_min_distance(px, py, pz, vx, vy, vz) -> float:
     inside = (arc_af <= arc_ab + 1e-12) & (arc_bf <= arc_ab + 1e-12)
     degenerate = nn < 1e-15
     dist = np.where(inside & ~degenerate, xtrack, end_dist)
-    return float(np.min(dist))
+    return point, float(np.min(dist))
 
 
 def min_distance_km(track: Track, site: Site) -> float:
@@ -199,50 +197,48 @@ def min_distance_km(track: Track, site: Site) -> float:
     Cross-track distance per geodesic segment, clamped to the nearer endpoint
     when the perpendicular foot falls outside the segment; spherical earth.
     """
-    ang = _xtrack_min_distance(*_unit_vectors(site.lat_deg, site.lon_deg),
-                               *_unit_vectors(track.lat_deg, track.lon_deg))
+    _, ang = _track_distances(*_unit_vectors(site.lat_deg, site.lon_deg),
+                              *_unit_vectors(track.lat_deg, track.lon_deg))
     return ang * EARTH_RADIUS_KM
 
 
-def _incident_wind(track: Track, p, limit: float) -> float | None:
-    """Incident wind of one track at a trigger circle, None if it misses.
+def _incident_wind(track: Track, p, limit: float) -> float:
+    """Incident wind of one track at a trigger circle, NaN if it misses.
 
     ``p`` is the site's unit vector and ``limit`` the circle's angular
-    radius; see :func:`incident_windspeeds` for the wind rule.
+    radius. The anchor is the set of in-circle points or, for a track that
+    only passes within the radius between samples, its closest point; the
+    wind is the maximum over the anchor widened by one point on each side.
     """
-    px, py, pz = p
-    vx, vy, vz = _unit_vectors(track.lat_deg, track.lon_deg)
-    if _xtrack_min_distance(px, py, pz, vx, vy, vz) > limit:
-        return None
-    dots = np.clip(px * vx + py * vy + pz * vz, -1.0, 1.0)
-    inside = np.arccos(dots) <= limit
-    if not inside.any():
-        # passes within the radius between sampled points; use the two
-        # points bracketing the closest segment
-        seg = int(np.argmin(np.arccos(dots)))
-        sel = np.zeros(len(track), dtype=bool)
-        sel[max(seg - 1, 0):min(seg + 2, len(track))] = True
-    else:
-        sel = inside.copy()
-        idx = np.flatnonzero(inside)
-        before = idx - 1
-        after = idx + 1
-        sel[before[before >= 0]] = True
-        sel[after[after < len(track)]] = True
+    point, polyline = _track_distances(*p, *_unit_vectors(track.lat_deg, track.lon_deg))
+    if polyline > limit:
+        return math.nan
+    anchor = point <= limit
+    if not anchor.any():
+        anchor[np.argmin(point)] = True
+    sel = anchor.copy()
+    sel[1:] |= anchor[:-1]
+    sel[:-1] |= anchor[1:]
     return float(track.wind_kn[sel].max())
+
+
+def _site_winds(tracks: TrackSet, site: Site) -> np.ndarray:
+    """Incident wind of every track at the site's circle, NaN where it misses."""
+    p = _unit_vectors(site.lat_deg, site.lon_deg)
+    limit = site.radius_km / EARTH_RADIUS_KM
+    return np.array([_incident_wind(tr, p, limit) for tr in tracks], dtype=np.float64)
 
 
 def incident_windspeeds(tracks: TrackSet, site: Site) -> np.ndarray:
     """Per-incident maximum wind at the site's trigger circle.
 
     A track is an incident when its minimum distance is within the radius;
-    the recorded wind is the maximum over the in-circle points plus one
-    adjacent point on each side of every in-circle run.
+    the recorded wind is the maximum over the in-circle points (the closest
+    point, for a track that passes between samples) plus one adjacent point
+    on each side of every such run.
     """
-    p = _unit_vectors(site.lat_deg, site.lon_deg)
-    limit = site.radius_km / EARTH_RADIUS_KM
-    winds = (_incident_wind(tr, p, limit) for tr in tracks)
-    return np.asarray([w for w in winds if w is not None], dtype=np.float64)
+    winds = _site_winds(tracks, site)
+    return winds[~np.isnan(winds)]
 
 
 def storm_wind_convert(wind_10min_ms) -> np.ndarray | float:
@@ -325,13 +321,7 @@ def simulate_portfolio(tracks: TrackSet, sites, params_per_site, seed: int):
     winds = np.zeros((n_tracks, len(sites)))
     losses = np.zeros((n_tracks, len(sites)))
     for j, (site, params) in enumerate(zip(sites, params_per_site)):
-        p = _unit_vectors(site.lat_deg, site.lon_deg)
-        limit = site.radius_km / EARTH_RADIUS_KM
-        col = np.zeros(n_tracks)
-        for i, tr in enumerate(tracks):
-            w = _incident_wind(tr, p, limit)
-            if w is not None:
-                col[i] = w
+        col = np.nan_to_num(_site_winds(tracks, site), nan=0.0)
         winds[:, j] = col
         sample = simulate_losses(col, params, seed, site_key=j)
         losses[:, j] = np.where(col > 0.0, sample.losses, 0.0)
@@ -349,7 +339,6 @@ def storm_to_track_csv(storm_path, out_path):
     ValueError.
     """
     by_id: dict[str, list] = {}
-    order: list[str] = []
     with open(storm_path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -361,13 +350,10 @@ def storm_to_track_csv(storm_path, out_path):
             year, month, tc, step = parts[0], parts[1], parts[2], parts[3]
             lat, lon, wind_ms = float(parts[5]), float(parts[6]), float(parts[8])
             tid = f"{year}-{month}-{tc}"
-            if tid not in by_id:
-                by_id[tid] = []
-                order.append(tid)
-            by_id[tid].append((int(float(step)), lat, lon,
-                               storm_wind_convert(wind_ms)))
+            by_id.setdefault(tid, []).append(
+                (int(float(step)), lat, lon, storm_wind_convert(wind_ms)))
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         fh.write("track_id,step,lat_deg,lon_deg,wind_kn\n")
-        for tid in order:
-            for step, lat, lon, wind in sorted(by_id[tid]):
+        for tid, rows in by_id.items():
+            for step, lat, lon, wind in sorted(rows):
                 fh.write(f"{tid},{step},{lat!r},{lon!r},{wind!r}\n")

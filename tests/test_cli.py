@@ -154,6 +154,53 @@ class TestErrorPaths:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("row", ["A,0,18.2,-66.5,abc", "A,0,18.2,-66.5,90,1"],
+                             ids=["non_numeric", "six_fields"])
+    @pytest.mark.parametrize("command", ["simulate", "dependence-report"])
+    def test_malformed_track_csv_exits_2(self, tmp_path, command, row):
+        tracks = tmp_path / "tracks.csv"
+        tracks.write_text("track_id,step,lat_deg,lon_deg,wind_kn\n"
+                          "A,1,18.3,-66.4,95\n" + row + "\n")
+        site = {"lat_deg": 18.2, "lon_deg": -66.5}
+        if command == "simulate":
+            cfg_dict = {"seed": 1, "wind": {"tracks_csv": str(tracks), "site": site}}
+        else:
+            cfg_dict = {"seed": 1, "tracks_csv": str(tracks),
+                        "sites": [site, {"lat_deg": 18.4, "lon_deg": -66.3}]}
+        code, out = run(tmp_path, command, write_cfg(tmp_path, "c.yaml", cfg_dict))
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "s0,s1\n90,95\nabc,80\n85,0\n",     # non-numeric cell
+        "s0,s1\n90,95\n,80\n85,0\n",        # empty cell
+        "s0,s1\n90,95\ninf,80\n85,0\n",     # non-finite cell
+    ], ids=["non_numeric", "empty", "inf"])
+    def test_malformed_winds_csv_exits_2(self, tmp_path, text):
+        winds = tmp_path / "winds.csv"
+        winds.write_text(text)
+        cfg = write_cfg(tmp_path, "c.yaml", {"seed": 1, "winds_csv": str(winds)})
+        code, out = run(tmp_path, "dependence-report", cfg)
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", [0, -1, 2.5, True, "many", [], [0.5, 1.5],
+                                      [0.0, 0.5], [0.5, 1], ["0.5"], [True]],
+                             ids=["zero", "negative", "float", "bool", "string",
+                                  "empty_list", "level_above_1", "level_0", "level_1",
+                                  "string_level", "bool_level"])
+    def test_utility_curve_bad_gamma_grid_exits_2(self, tmp_path, grid):
+        cfg = write_cfg(tmp_path, "c.yaml", {
+            "seed": 5,
+            "contract": {"t_lo": 83.0, "rho": 0.2},
+            "utility": {"family": "exponential", "beta": 0.1},
+            "sample": {"synthetic": {"kind": "wind_beta", "n": 2000}},
+            "gamma_grid": grid,
+        })
+        code, out = run(tmp_path, "utility-curve", cfg)
+        assert code == 2
+        assert not out.exists()
+
     def test_unwritable_out_exits_3(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("x")
