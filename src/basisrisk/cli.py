@@ -482,6 +482,7 @@ def cmd_dependence_report(cfg, seed) -> dict[str, str]:
 
     tau = np.full((n_sites, n_sites), np.nan)
     xi = np.full((n_sites, n_sites), np.nan)
+    tau_error = {}  # kendall_tau's message per unordered pair (i < j) it raised on
     outputs = {}
     min_joint = int(cfg.get("min_joint", 30))
     for i in range(n_sites):
@@ -494,11 +495,16 @@ def cmd_dependence_report(cfg, seed) -> dict[str, str]:
                 logger.warning("pair (%d,%d): only %d joint incidents", i, j, m)
                 continue
             pairs = PairedObservations(winds[joint, i], winds[joint, j])
-            try:
-                tau[i, j] = kendall_tau(pairs)
+            if i < j:  # tau is symmetric: once per unordered pair
+                try:
+                    tau[i, j] = tau[j, i] = kendall_tau(pairs)
+                except ValueError as exc:
+                    tau_error[i, j] = str(exc)
+            error = tau_error.get((min(i, j), max(i, j)))
+            if error is None:  # m >= 3 and y not constant, so xi cannot raise
                 xi[i, j] = chatterjee_xi(pairs, seed=seed)
-            except ValueError as exc:
-                logger.warning("pair (%d,%d): %s", i, j, exc)
+            else:
+                logger.warning("pair (%d,%d): %s", i, j, error)
             if i < j:
                 outputs[f"ranks_{i}_{j}.csv"] = _csv_text(
                     ("x", "y"), zip(pairs.x, pairs.y))

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import kendalltau, rankdata
 
 from .contracts import _golden_section
 
@@ -109,12 +108,77 @@ def _conditional(hits):
     return p, counts
 
 
+def _tie_pairs(counts) -> int:
+    """Number of tied pairs, sum c(c - 1)/2 over the distinct values' counts."""
+    return int((counts * (counts - 1) // 2).sum())
+
+
+def _inversions(ranks, n_ranks: int) -> int:
+    """Number of pairs i < j with ranks[i] > ranks[j] (strict).
+
+    Bottom-up merge sort on integer ranks in [0, n_ranks): at block width
+    w = 2^level, each right block's elements count the greater elements of
+    the sorted left block beside it. Offsetting every element by its block
+    pair's index times n_ranks makes all left blocks one sorted array, so one
+    searchsorted per level counts them; a sort of the same keys then merges
+    each pair.
+    """
+    n = ranks.size
+    idx = np.arange(n)
+    merged = ranks.astype(np.int64)
+    inversions = 0
+    level = 0
+    while (1 << level) < n:
+        w = 1 << level
+        offset = (idx >> (level + 1)) * n_ranks
+        keys = merged + offset
+        right = ((idx >> level) & 1).astype(bool)
+        le = np.searchsorted(keys[~right], keys[right], side="right")
+        # a right element of pair p has (p + 1) * w left elements up to its pair
+        full, rest = divmod(n, 2 * w)
+        inversions += (w * w * full * (full + 1) // 2 + max(0, rest - w) * (full + 1) * w
+                       - int(le.sum()))
+        merged = np.sort(keys) - offset
+        level += 1
+    return inversions
+
+
 def kendall_tau(pairs: PairedObservations) -> float:
-    """Tie-corrected Kendall tau_b (scipy's O(m log m) implementation)."""
-    if np.all(pairs.x == pairs.x[0]) or np.all(pairs.y == pairs.y[0]):
+    """Tie-corrected Kendall tau_b, exact in O(m log m) (Knight 1966).
+
+    Discordant pairs are the strict inversions of y's dense ranks after
+    sorting by (x, y); the ties in x, in y and in (x, y) come from value
+    counts. All counts are integers, so only the final division rounds.
+    """
+    x, y = pairs.x, pairs.y
+    if np.all(x == x[0]) or np.all(y == y[0]):
         raise ValueError("zero variance ranks")
-    tau, _ = kendalltau(pairs.x, pairs.y)
-    return float(tau)
+    _, x_dense, x_counts = np.unique(x, return_inverse=True, return_counts=True)
+    _, y_dense, y_counts = np.unique(y, return_inverse=True, return_counts=True)
+    joint = x_dense * y_counts.size + y_dense  # (x, y) order as integers
+    dis = _inversions(y_dense[np.argsort(joint)], y_counts.size)
+    tot = pairs.m * (pairs.m - 1) // 2
+    xtie = _tie_pairs(x_counts)
+    ytie = _tie_pairs(y_counts)
+    ntie = _tie_pairs(np.unique(joint, return_counts=True)[1])
+    con_minus_dis = tot - xtie - ytie + ntie - 2 * dis
+    tau = con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
+    return float(np.minimum(1.0, max(-1.0, tau)))
+
+
+def _ranks(values, method: str) -> np.ndarray:
+    """Ranks 1..m with ties at their "max", "min" or "average" rank.
+
+    max and min are int64, average is float64 (half-integers, exact).
+    """
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    upper = np.cumsum(counts, dtype=np.int64)
+    if method == "max":
+        return upper[inverse]
+    lower = upper - counts + 1
+    if method == "min":
+        return lower[inverse]
+    return (lower + (counts - 1) / 2.0)[inverse]
 
 
 def chatterjee_xi(pairs: PairedObservations, seed: int = 0) -> float:
@@ -133,8 +197,8 @@ def chatterjee_xi(pairs: PairedObservations, seed: int = 0) -> float:
     jitter = rng.random(m)
     order = np.lexsort((jitter, pairs.x))
     y_sorted = pairs.y[order]
-    r = rankdata(y_sorted, method="max")
-    l = m - rankdata(y_sorted, method="min") + 1  # #{j: y_j >= y_(i)}
+    r = _ranks(y_sorted, "max")
+    l = m - _ranks(y_sorted, "min") + 1  # #{j: y_j >= y_(i)}
     num = m * np.abs(np.diff(r)).sum()
     den = 2.0 * np.sum(l * (m - l))
     return float(1.0 - num / den)
@@ -216,8 +280,8 @@ def gumbel_mle(pairs: PairedObservations) -> float:
     m = pairs.m
     if m < 10:
         raise ValueError("need m >= 10 for the copula MLE")
-    u = rankdata(pairs.x, method="average") / (m + 1)
-    v = rankdata(pairs.y, method="average") / (m + 1)
+    u = _ranks(pairs.x, "average") / (m + 1)
+    v = _ranks(pairs.y, "average") / (m + 1)
 
     def nll(eta):
         return -float(np.sum(_gumbel_log_density(u, v, eta)))

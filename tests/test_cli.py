@@ -1,10 +1,14 @@
 import json
+import logging
 import os
 
+import numpy as np
 import pytest
 import yaml
 
+from basisrisk import cli
 from basisrisk.cli import main
+from basisrisk.dependence import kendall_tau
 
 
 def run(tmp_path, command, cfg_path, out_name="out", seed=None):
@@ -309,6 +313,56 @@ class TestDependenceReport:
         p_trig = (out / "p_trig.csv").read_text().splitlines()
         row0 = p_trig[1].split(",")
         assert float(row0[2]) > 0.8  # P(trigger s0 | trigger s1)
+
+    @staticmethod
+    def constant_site_cfg(tmp_path):
+        """4 sites over 40 rows: s2 is constant (tau raises with s2), s3 has
+        only 2 incidents (too few joint rows with any site)."""
+        g = np.random.default_rng(5)
+        winds = np.c_[g.uniform(1.0, 120.0, (40, 2)), np.full(40, 90.0),
+                      np.r_[np.zeros(38), 50.0, 60.0]]
+        path = tmp_path / "winds.csv"
+        np.savetxt(path, winds, delimiter=",", header="s0,s1,s2,s3", comments="")
+        return write_cfg(tmp_path, "c.yaml", {"seed": 1, "winds_csv": str(path),
+                                              "threshold_kn": 80.0})
+
+    def test_tau_failure_warns_for_both_orders(self, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING, logger="basisrisk"):
+            code, out = run(tmp_path, "dependence-report", self.constant_site_cfg(tmp_path))
+        assert code == 0
+        pair_lines = [r.getMessage() for r in caplog.records
+                      if r.getMessage().startswith("pair")]
+        assert pair_lines == [
+            "pair (0,2): zero variance ranks",
+            "pair (0,3): only 2 joint incidents",
+            "pair (1,2): zero variance ranks",
+            "pair (1,3): only 2 joint incidents",
+            "pair (2,0): zero variance ranks",
+            "pair (2,1): zero variance ranks",
+            "pair (2,3): only 2 joint incidents",
+            "pair (3,0): only 2 joint incidents",
+            "pair (3,1): only 2 joint incidents",
+            "pair (3,2): only 2 joint incidents",
+        ]
+        tau = np.genfromtxt(out / "tau.csv", delimiter=",", skip_header=1)[:, 1:]
+        xi = np.genfromtxt(out / "xi.csv", delimiter=",", skip_header=1)[:, 1:]
+        assert tau[0, 1] == tau[1, 0] and np.isfinite(tau[0, 1])
+        assert np.isfinite(xi[0, 1]) and np.isfinite(xi[1, 0])
+        off = ~np.eye(4, dtype=bool)
+        off[0, 1] = off[1, 0] = False
+        assert np.all(np.isnan(tau[off])) and np.all(np.isnan(xi[off]))
+
+    def test_tau_once_per_unordered_pair(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(pairs):
+            calls.append(pairs.m)
+            return kendall_tau(pairs)
+
+        monkeypatch.setattr(cli, "kendall_tau", counting)
+        code, _ = run(tmp_path, "dependence-report", self.constant_site_cfg(tmp_path))
+        assert code == 0
+        assert len(calls) == 3  # (0,1), (0,2), (1,2); s3 pairs have too few rows
 
     def test_missing_tracks_csv_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.yaml", {
