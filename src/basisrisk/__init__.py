@@ -12,7 +12,6 @@ from .contracts import (
     EmpiricalBinConditioner,
     ExponentialConditioner,
     LossIndexSample,
-    PayoutFamily,
     PayoutVector,
     PremiumPrinciple,
     asymmetric_objective,

@@ -143,31 +143,45 @@ def _seed_from(cfg, override):
     return int(cfg["seed"])
 
 
-def _synthetic_sample(syn, seed) -> LossIndexSample:
-    kind = _require(syn, "kind")
+def _sample_size(syn) -> int:
     n = int(_require(syn, "n"))
     if n < 1:
         raise ConfigError("synthetic sample size must be >= 1")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    return n
+
+
+def _rng(seed) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def _beta_winds(syn, seed) -> np.ndarray:
+    """The Beta wind stand-in: n draws of lo + (hi - lo) * Beta(a, b), in knots."""
+    n = _sample_size(syn)
+    lo = float(syn.get("lo", 25.0))
+    hi = float(syn.get("hi", 135.0))
+    a = float(syn.get("a", 2.0))
+    b = float(syn.get("b", 2.8))
+    if hi <= lo or a <= 0 or b <= 0:
+        raise ConfigError("wind_beta needs lo < hi and positive shapes")
+    return lo + (hi - lo) * _rng(seed).beta(a, b, size=n)
+
+
+def _synthetic_sample(syn, seed) -> LossIndexSample:
+    kind = _require(syn, "kind")
     if kind == "wind_beta":
-        lo = float(syn.get("lo", 25.0))
-        hi = float(syn.get("hi", 135.0))
-        a = float(syn.get("a", 2.0))
-        b = float(syn.get("b", 2.8))
-        if hi <= lo or a <= 0 or b <= 0:
-            raise ConfigError("wind_beta needs lo < hi and positive shapes")
-        theta = lo + (hi - lo) * rng.beta(a, b, size=n)
-        params = _loss_params_from(syn.get("loss_model", {}))
-        return simulate_losses(theta, params, seed)
+        theta = _beta_winds(syn, seed)
+        return simulate_losses(theta, _loss_params_from(syn.get("loss_model", {})), seed)
     if kind == "gamma_regime":
         # Uniform index on (lo, hi) with a Gamma conditional loss whose shape
         # jumps at the regime switch point; the index is the Gamma scale, so
         # larger index values mean larger losses
+        n = _sample_size(syn)
         lo = float(syn.get("lo", 2.0))
         hi = float(syn.get("hi", 4.0))
         switch = float(syn.get("switch", 3.5))
         shape_lo = float(syn.get("shape_lo", 3.0))
         shape_hi = float(syn.get("shape_hi", 3.5))
+        rng = _rng(seed)
         theta = rng.uniform(lo, hi, size=n)
         shape = np.where(theta <= switch, shape_lo, shape_hi)
         losses = rng.gamma(shape, theta)
@@ -186,35 +200,39 @@ def _loss_params_from(lm) -> LossModelParams:
         raise ConfigError(f"invalid loss model: {exc}") from exc
 
 
+def _read(path, what: str, parse):
+    """parse(path); a missing file or a ValueError from parse is a config error."""
+    if not os.path.exists(path):
+        raise ConfigError(f"{what} file does not exist: {path}")
+    try:
+        return parse(path)
+    except ValueError as exc:
+        raise ConfigError(f"malformed {what} file {path}: {exc}") from exc
+
+
 def _sample_from(cfg, seed) -> LossIndexSample:
     s = _require(cfg, "sample", dict)
     if "csv" in s:
-        path = s["csv"]
-        if not os.path.exists(path):
-            raise ConfigError(f"sample file does not exist: {path}")
-        try:
-            return LossIndexSample.from_csv(path)
-        except ValueError as exc:
-            raise ConfigError(f"malformed sample file {path}: {exc}") from exc
+        return _read(s["csv"], "sample", LossIndexSample.from_csv)
     if "synthetic" in s:
         return _synthetic_sample(s["synthetic"], seed)
     raise ConfigError("sample must provide 'csv' or 'synthetic'")
 
 
-def _tracks_from(path) -> TrackSet:
-    if not os.path.exists(path):
-        raise ConfigError(f"track file does not exist: {path}")
-    try:
-        return TrackSet.from_csv(path)
-    except ValueError as exc:
-        raise ConfigError(f"malformed track file {path}: {exc}") from exc
-
-
-def _grid_size(value, what: str) -> int:
-    """A level-grid size from the config: a positive integer, not a bool."""
+def _positive_count(value, what: str) -> int:
+    """A positive count from the config: a positive integer, not a bool."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ConfigError(f"{what} must be a positive integer, got {value!r:.40}")
     return value
+
+
+def _conditioner_from(cfg, sample, spec) -> EmpiricalBinConditioner:
+    """The index payout's per-bin conditioner over the triggered rows."""
+    triggered, _ = split_by_trigger(sample, spec)
+    c = cfg.get("conditioner", {})
+    return EmpiricalBinConditioner(
+        triggered, n_bins=_positive_count(c.get("n_bins", 20), "conditioner n_bins"),
+        min_bin_count=int(c.get("min_bin_count", 200)))
 
 
 def _site_from(s) -> Site:
@@ -327,8 +345,8 @@ def cmd_fit_weighting(cfg, seed) -> dict[str, str]:
     spec = _contract_from(cfg)
     utility = _utility_from(cfg)
     family = cfg.get("payout_family", "pure")
-    grid_size = _grid_size(cfg.get("gamma_grid", 200),
-                           "fit-weighting gamma_grid (the trace size)")
+    grid_size = _positive_count(cfg.get("gamma_grid", 200),
+                                "fit-weighting gamma_grid (the trace size)")
     rho_i = cfg.get("rho_indemnity")
     rho_i = None if rho_i is None else float(rho_i)
 
@@ -352,11 +370,7 @@ def cmd_fit_weighting(cfg, seed) -> dict[str, str]:
             }
     elif family == "index":
         sample = _sample_from(cfg, seed)
-        triggered, _ = split_by_trigger(sample, spec)
-        cond_cfg = cfg.get("conditioner", {})
-        cond = EmpiricalBinConditioner(
-            triggered, n_bins=int(cond_cfg.get("n_bins", 20)),
-            min_bin_count=int(cond_cfg.get("min_bin_count", 200)))
+        cond = _conditioner_from(cfg, sample, spec)
         gammas = np.linspace(0.02, 0.98, 49)
         gammas[np.argmin(np.abs(gammas - 0.5))] = 0.5
         surface = build_surface(cond, cond.bin_centers, gammas)
@@ -381,34 +395,28 @@ def cmd_fit_weighting(cfg, seed) -> dict[str, str]:
 def _wind_values(cfg, seed) -> np.ndarray:
     w = _require(cfg, "wind", dict)
     if "tracks_csv" in w:
-        tracks = _tracks_from(w["tracks_csv"])
+        tracks = _read(w["tracks_csv"], "track", TrackSet.from_csv)
         site = _site_from(_require(w, "site", dict))
         incident = incident_windspeeds(tracks, site)
         if incident.size == 0:
             raise DegenerateTriggerError("no incident tracks at the site")
-        n = int(w.get("bootstrap_n", incident.size))
+        n = _positive_count(w.get("bootstrap_n", incident.size), "wind bootstrap_n")
         return bootstrap(incident, n, seed).values
     if "synthetic" in w:
-        s = w["synthetic"]
-        n = int(_require(s, "n"))
-        lo = float(s.get("lo", 25.0))
-        hi = float(s.get("hi", 135.0))
-        a = float(s.get("a", 2.0))
-        b = float(s.get("b", 2.8))
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        return lo + (hi - lo) * rng.beta(a, b, size=n)
+        return _beta_winds(w["synthetic"], seed)
     raise ConfigError("wind must provide 'tracks_csv' or 'synthetic'")
 
 
 def cmd_simulate(cfg, seed) -> dict[str, str]:
+    hist_bins = _positive_count(cfg.get("hist_bins", 50), "simulate hist_bins")
+    n_env = _positive_count(cfg.get("envelope_bins", 40), "simulate envelope_bins")
     theta = _wind_values(cfg, seed)
     params = _loss_params_from(cfg.get("loss_model", {}))
     sample = simulate_losses(theta, params, seed)
 
-    hist, edges = np.histogram(sample.indices, bins=int(cfg.get("hist_bins", 50)))
+    hist, edges = np.histogram(sample.indices, bins=hist_bins)
     hist_rows = [(edges[i], edges[i + 1], int(hist[i])) for i in range(hist.size)]
 
-    n_env = int(cfg.get("envelope_bins", 40))
     qedges = np.quantile(sample.indices, np.linspace(0, 1, n_env + 1))
     env_rows = []
     for i in range(n_env):
@@ -455,17 +463,13 @@ def cmd_dependence_report(cfg, seed) -> dict[str, str]:
     threshold = float(cfg.get("threshold_kn", 83.0))
     if "winds_csv" in cfg:
         path = cfg["winds_csv"]
-        if not os.path.exists(path):
-            raise ConfigError(f"wind matrix file does not exist: {path}")
-        try:
-            winds = np.atleast_2d(np.genfromtxt(path, delimiter=",", skip_header=1))
-        except ValueError as exc:
-            raise ConfigError(f"malformed wind matrix file {path}: {exc}") from exc
+        winds = _read(path, "wind matrix", lambda f: np.atleast_2d(
+            np.genfromtxt(f, delimiter=",", skip_header=1)))
         if not np.all(np.isfinite(winds)):
             raise ConfigError(f"wind matrix file {path} has a non-numeric or "
                               "non-finite cell")
     else:
-        tracks = _tracks_from(_require(cfg, "tracks_csv"))
+        tracks = _read(_require(cfg, "tracks_csv"), "track", TrackSet.from_csv)
         sites = [_site_from(s) for s in _require(cfg, "sites", list)]
         params = [_loss_params_from(cfg.get("loss_model", {}))] * len(sites)
         winds, _ = simulate_portfolio(tracks, sites, params, seed)
@@ -541,15 +545,11 @@ def cmd_utility_curve(cfg, seed) -> dict[str, str]:
                               f"inside (0, 1), got {grid_cfg!r:.40}")
         gammas = np.asarray([float(g) for g in grid_cfg])
     else:
-        n = _grid_size(grid_cfg, "utility-curve gamma_grid (a level count or list)")
+        n = _positive_count(grid_cfg, "utility-curve gamma_grid (a level count or list)")
         gammas = np.linspace(1.0 / (n + 1), n / (n + 1.0), n)
     conditioner = None
     if cfg.get("payout_family", "pure") == "index":
-        triggered, _ = split_by_trigger(sample, spec)
-        cond_cfg = cfg.get("conditioner", {})
-        conditioner = EmpiricalBinConditioner(
-            triggered, n_bins=int(cond_cfg.get("n_bins", 20)),
-            min_bin_count=int(cond_cfg.get("min_bin_count", 200)))
+        conditioner = _conditioner_from(cfg, sample, spec)
     curve = utility_curve(sample, spec, utility, gammas, conditioner=conditioner)
     return {"utility_curve.csv": _csv_text(("gamma", "u1", "u2", "u"), curve)}
 

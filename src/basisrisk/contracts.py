@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .expectile import (
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "PayoutFamily",
     "PremiumPrinciple",
     "ContractSpec",
     "PayoutVector",
@@ -53,12 +52,6 @@ class InsufficientConditionalDataError(ValueError):
     """A conditioning bin holds fewer observations than required."""
 
 
-class PayoutFamily(enum.Enum):
-    PURE_PARAMETRIC = "pure"
-    INDEX_PARAMETRIC = "index"
-    PIECEWISE_LINEAR = "piecewise_linear"
-
-
 class PremiumPrinciple(enum.Enum):
     EXPECTED_VALUE = "expected_value"
     STD_DEV = "std_dev"
@@ -67,7 +60,7 @@ class PremiumPrinciple(enum.Enum):
 
 @dataclass(frozen=True)
 class ContractSpec:
-    """Trigger interval, payout family, premium principle, and building value.
+    """Trigger interval, premium principle, and building value.
 
     The trigger is the half-open wind-speed interval [t_lo, t_hi); t_hi
     defaults to +inf. attachment/cap only matter for piecewise-linear
@@ -76,7 +69,6 @@ class ContractSpec:
 
     t_lo: float
     t_hi: float = math.inf
-    payout_family: PayoutFamily = PayoutFamily.PURE_PARAMETRIC
     principle: PremiumPrinciple = PremiumPrinciple.EXPECTED_VALUE
     rho: float = 0.2
     building_value: float = 100.0
@@ -307,7 +299,6 @@ class PureUtility:
     """Fit criterion: expected utility of terminal wealth, E-principle premium."""
 
     utility: object  # UtilityContext
-    w0: float | None = None
 
 
 @dataclass(frozen=True)
@@ -371,12 +362,11 @@ def fit_piecewise_linear(sample: LossIndexSample, spec: ContractSpec,
             return float(np.mean(g * pos ** 2 + (1.0 - g) * neg ** 2))
     elif isinstance(mode, PureUtility):
         util = mode.utility
-        w0 = util.w0 if mode.w0 is None else mode.w0
 
         def objective(lam):
             y = _pwl_scheme(thetas, lam, att, cap)
             pi = (1.0 + spec.rho) * y.mean()
-            return -float(np.mean(util.u(w0 - losses + y - pi)))
+            return -float(np.mean(util.u(util.w0 - losses + y - pi)))
     else:
         raise TypeError(f"unknown fit mode {mode!r}")
 

@@ -349,14 +349,13 @@ def tail_ci(lambda_hat: float, k: int, eta_hat: float, level: float = 0.95):
     return lambda_hat - half, lambda_hat + half
 
 
-def tail_estimate(pairs: PairedObservations, k: int | None = None,
-                  level: float = 0.95) -> TailEstimate:
-    """Full upper-tail summary: plateau k (unless given), MLE eta, CI."""
+def tail_estimate(pairs: PairedObservations, k: int | None = None) -> TailEstimate:
+    """Full upper-tail summary: plateau k (unless given), MLE eta, 95% CI."""
     k = plateau_k(pairs) if k is None else k
     lam = tail_lambda(pairs, k)
     eta = gumbel_mle(pairs)
     s2 = sigma_u_sq(eta)
-    low, high = tail_ci(lam, k, eta, level)
+    low, high = tail_ci(lam, k, eta)
     return TailEstimate(lambda_hat=lam, k=int(k), eta_hat=eta, sigma_u_sq=s2,
                         ci_low=low, ci_high=high, m=pairs.m)
 

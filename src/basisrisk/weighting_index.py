@@ -16,7 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contracts import ContractSpec, LossIndexSample, PremiumPrinciple
+from .contracts import (
+    ContractSpec,
+    DegenerateTriggerError,
+    LossIndexSample,
+    PremiumPrinciple,
+)
 from .expectile import Level
 from .weighting_pure import (
     Decision,
@@ -173,27 +178,26 @@ def decompose(surface, gammas, thetas, *, tolerance: float = 1e-2,
 
 
 def _index_system(sample: LossIndexSample, spec: ContractSpec, utility,
-                  decomp: SeparableDecomposition, quants: IndexQuantities | None = None):
+                  decomp: SeparableDecomposition):
     """The index first-order system: h1 and H3 evaluated once, at the triggered indices.
 
-    The moments are taken over the whole index sample unless ``quants``
-    supplies them; ``utility`` may be None when only they are wanted.
+    The moments are taken over the whole index sample; ``utility`` may be
+    None when only they are wanted.
     """
     mask = spec.in_trigger(sample.indices)
     n, n_t = mask.size, int(np.count_nonzero(mask))
     if not 0 < n_t < n:
-        raise ValueError("degenerate trigger")
+        raise DegenerateTriggerError("degenerate trigger")
     h1, h3 = decomp.eval_theta(sample.indices[mask])
-    if quants is None:
-        p = float(mask.mean())
-        h1_ind, h3_ind = np.zeros(n), np.zeros(n)
-        h1_ind[mask], h3_ind[mask] = h1, h3
-        int_h1 = float(h1_ind.mean())
-        int_h3 = float(h3_ind.mean())
-        quants = IndexQuantities(
-            p_trigger=p, int_h1=int_h1, int_h3=int_h3, v1=float(h1_ind.var()),
-            v3=float(h3_ind.var()), v13=float(np.mean(h1_ind * h3_ind) - int_h1 * int_h3),
-            b_e=(1.0 + spec.rho) * (1.0 - p) / p * int_h1, rho=spec.rho)
+    p = float(mask.mean())
+    h1_ind, h3_ind = np.zeros(n), np.zeros(n)
+    h1_ind[mask], h3_ind[mask] = h1, h3
+    int_h1 = float(h1_ind.mean())
+    int_h3 = float(h3_ind.mean())
+    quants = IndexQuantities(
+        p_trigger=p, int_h1=int_h1, int_h3=int_h3, v1=float(h1_ind.var()),
+        v3=float(h3_ind.var()), v13=float(np.mean(h1_ind * h3_ind) - int_h1 * int_h3),
+        b_e=(1.0 + spec.rho) * (1.0 - p) / p * int_h1, rho=spec.rho)
     return _FirstOrderSystem(spec, utility, quants, sample.losses[mask], 1.0 / n_t,
                              h1, h3, sample.losses[~mask], 1.0 / (n - n_t))
 
@@ -217,7 +221,7 @@ def _h2_range(decomp: SeparableDecomposition):
     return k0, float(decomp.h2_grid[-1]) if truncated else k1, truncated
 
 
-def check_bounds_index(sample, spec, utility, decomp, quants, n_scan: int = 50):
+def check_bounds_index(sample, spec, utility, decomp):
     """Boundary conditions of the index existence theorem, on the k scale.
 
     Lower bound at k = H2(0+); upper bound by scanning k over
@@ -227,7 +231,7 @@ def check_bounds_index(sample, spec, utility, decomp, quants, n_scan: int = 50):
     _reject_std_dev(spec)
     k0, k1, truncated = _h2_range(decomp)
     lower, upper, witnesses = _boundary_scan(
-        _index_system(sample, spec, utility, decomp, quants), k0, k1, n_scan)
+        _index_system(sample, spec, utility, decomp), k0, k1)
     witnesses["upper_scan_truncated"] = truncated
     return lower, upper, witnesses
 
@@ -235,9 +239,7 @@ def check_bounds_index(sample, spec, utility, decomp, quants, n_scan: int = 50):
 def solve_gamma_star_index(sample: LossIndexSample, spec: ContractSpec,
                            utility: UtilityContext, decomp: SeparableDecomposition,
                            *, grid_size: int = 200,
-                           rho_indemnity: float | None = None,
-                           tol_bracket: float = 1e-10,
-                           tol_residual: float = 1e-10) -> WeightingSolution:
+                           rho_indemnity: float | None = None) -> WeightingSolution:
     """Bisection on the index first-order system V1(H2(gamma)) = V2(H2(gamma)).
 
     Supported principles: expected value and variance. Monotonicity of the
@@ -253,25 +255,18 @@ def solve_gamma_star_index(sample: LossIndexSample, spec: ContractSpec,
         system, gammas, [decomp.eval_h2(float(g)) for g in gammas], decomp.eval_h2,
         (g_lo, g_hi), _h2_range(decomp)[:2],
         lambda lower, upper: (None, _fallback_decision_index(
-            sample, spec, decomp, rho_i, lower, upper)),
-        tol_bracket, tol_residual)
+            sample, spec, decomp, rho_i, lower, upper)))
 
 
-def _per_bin_extrema(sample: LossIndexSample, spec: ContractSpec,
-                     decomp: SeparableDecomposition):
-    """Per-bin min/max of triggered losses, bins = nearest decomposition center."""
-    mask = spec.in_trigger(sample.indices)
-    th = sample.indices[mask]
-    ls = sample.losses[mask]
-    edges = 0.5 * (decomp.thetas[:-1] + decomp.thetas[1:])
-    bins = np.searchsorted(edges, th, side="right")
-    mins = np.full(decomp.thetas.size, np.nan)
-    maxs = np.full(decomp.thetas.size, np.nan)
-    for b in range(decomp.thetas.size):
+def _per_bin_extrema(losses: np.ndarray, bins: np.ndarray, n_bins: int):
+    """Per-bin min/max of losses, NaN for an empty bin."""
+    mins = np.full(n_bins, np.nan)
+    maxs = np.full(n_bins, np.nan)
+    for b in range(n_bins):
         sel = bins == b
         if sel.any():
-            mins[b] = ls[sel].min()
-            maxs[b] = ls[sel].max()
+            mins[b] = losses[sel].min()
+            maxs[b] = losses[sel].max()
     return mins, maxs
 
 
@@ -288,7 +283,7 @@ def violated_boundary_decision_index(sample: LossIndexSample, spec: ContractSpec
     indemnity coverage with loading rho_indemnity, using per-bin empirical
     essential suprema (an unbounded H2(1) short-circuits to indemnity).
     """
-    lower, upper, _ = check_bounds_index(sample, spec, utility, decomp, None)
+    lower, upper, _ = check_bounds_index(sample, spec, utility, decomp)
     return _fallback_decision_index(sample, spec, decomp, rho_indemnity, lower, upper)
 
 
@@ -300,25 +295,25 @@ def _fallback_decision_index(sample: LossIndexSample, spec: ContractSpec,
         raise ValueError("both boundary conditions hold; no fallback needed")
     if not lower and not upper:
         raise RuntimeError("internal inconsistency: both bounds reported violated")
+    if lower and decomp.h2_unbounded:  # upper violated with H2(1) = +inf
+        return Decision.PREFER_INDEMNITY
+    # triggered losses binned by nearest decomposition center
     mask = spec.in_trigger(sample.indices)
-    p = float(mask.mean())
+    edges = 0.5 * (decomp.thetas[:-1] + decomp.thetas[1:])
+    bins = np.searchsorted(edges, sample.indices, side="right")
+    mins, maxs = _per_bin_extrema(sample.losses[mask], bins[mask], decomp.thetas.size)
     if not lower:
-        mins, _ = _per_bin_extrema(sample, spec, decomp)
         observed = mins[~np.isnan(mins)]
         tol = 1e-9 * max(float(sample.losses.max()), 1.0)
         if observed.size and np.all(observed <= tol):
             return Decision.PREFER_NO_INSURANCE
         return Decision.PREFER_SMALLEST_ALPHA
     # upper violated
-    if decomp.h2_unbounded:
-        return Decision.PREFER_INDEMNITY
-    _, maxs = _per_bin_extrema(sample, spec, decomp)
-    edges = 0.5 * (decomp.thetas[:-1] + decomp.thetas[1:])
-    bins_all = np.searchsorted(edges, sample.indices, side="right")
-    sup_all = maxs[bins_all]
+    sup_all = maxs[bins]
     sup_ind = np.where(mask & np.isfinite(sup_all), sup_all, 0.0)
     ratio = rho_indemnity / spec.rho
     if spec.principle is PremiumPrinciple.EXPECTED_VALUE:
+        p = float(mask.mean())
         e_sup_cond = float(sup_ind.mean()) / p
         prefers = e_sup_cond > ratio * float(sample.losses.mean()) / p
     else:

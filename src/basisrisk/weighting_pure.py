@@ -73,7 +73,6 @@ class UtilityContext:
     u_prime: object
     u_second: object
     w0: float
-    name: str = "custom"
 
     @classmethod
     def exponential(cls, beta: float, w0: float = 0.0):
@@ -84,7 +83,6 @@ class UtilityContext:
             u_prime=lambda x: beta * np.exp(-beta * np.asarray(x, dtype=np.float64)),
             u_second=lambda x: -beta * beta * np.exp(-beta * np.asarray(x, dtype=np.float64)),
             w0=w0,
-            name=f"exponential(beta={beta})",
         )
 
     @classmethod
@@ -103,12 +101,11 @@ class UtilityContext:
             u_prime=lambda x: _check(x) ** (-eta),
             u_second=lambda x: -eta * _check(x) ** (-eta - 1.0),
             w0=w0,
-            name=f"power(eta={eta})",
         )
 
     @classmethod
     def custom(cls, u, u_prime, u_second, w0: float):
-        return cls(u=u, u_prime=u_prime, u_second=u_second, w0=w0, name="custom")
+        return cls(u=u, u_prime=u_prime, u_second=u_second, w0=w0)
 
     def check_support(self, wealths) -> None:
         """Sample-based validation of u' > 0 and u'' <= 0 on realized wealths."""
@@ -268,14 +265,13 @@ def v1_v2(split: TriggeredSplit, spec: ContractSpec, utility: UtilityContext,
     return _pure_system(split, spec, utility).v_pair(expectile(split.triggered, gamma))
 
 
-def _boundary_scan(system: _FirstOrderSystem, k_lo: float, k_hi: float,
-                   n_scan: int = 50):
+def _boundary_scan(system: _FirstOrderSystem, k_lo: float, k_hi: float):
     """Existence boundary conditions on [k_lo, k_hi], as in check_bounds."""
     v1, v2 = system.v_pair(k_lo)
     lower = v1 > v2
     witnesses = {"lower_k": k_lo, "lower_v1": v1, "lower_v2": v2}
     # log-spaced toward k_hi: k_hi - (k_hi - k_lo)*10^-t
-    ts = np.linspace(0.0, 9.0, n_scan)
+    ts = np.linspace(0.0, 9.0, 50)
     ks = np.append(k_hi - (k_hi - k_lo) * 10.0 ** (-ts), k_hi)
     upper = False
     for k in ks:
@@ -287,20 +283,16 @@ def _boundary_scan(system: _FirstOrderSystem, k_lo: float, k_hi: float,
     return lower, upper, witnesses
 
 
-def check_bounds(split: TriggeredSplit, spec: ContractSpec, utility: UtilityContext,
-                 n_scan: int = 50, x_low: float | None = None,
-                 x_high: float | None = None):
+def check_bounds(split: TriggeredSplit, spec: ContractSpec, utility: UtilityContext):
     """Evaluate the two existence boundary conditions.
 
     The lower bound is checked at the empirical essential infimum of the
-    triggered losses (or at x_low when restricting to a subinterval of
-    levels). The upper bound holds if V1 < V2 for *some* k, scanned over a
-    log-spaced grid crowded toward the supremum, including the limit point.
-    Returns (lower_holds, upper_holds, witnesses).
+    triggered losses. The upper bound holds if V1 < V2 for *some* k, scanned
+    over a log-spaced grid crowded toward the supremum, including the limit
+    point. Returns (lower_holds, upper_holds, witnesses).
     """
-    lo = split.triggered.min if x_low is None else x_low
-    hi = split.triggered.max if x_high is None else x_high
-    return _boundary_scan(_pure_system(split, spec, utility), lo, hi, n_scan)
+    st = split.triggered
+    return _boundary_scan(_pure_system(split, spec, utility), st.min, st.max)
 
 
 def _check_monotone(v1, v2):
@@ -312,8 +304,11 @@ def _check_monotone(v1, v2):
             "(check utility concavity)")
 
 
+_BISECTION_TOL = 1e-10  # bisection stops at this gamma bracket or relative |V1 - V2|
+
+
 def _solve_system(system: _FirstOrderSystem, gammas, ks, k_of, bracket, k_bounds,
-                  fallback, tol_bracket: float, tol_residual: float) -> WeightingSolution:
+                  fallback) -> WeightingSolution:
     """Trace, boundary scan on k_bounds and, when both hold, bisection over gamma.
 
     ks are the payout scales at the levels gammas and k_of maps one level
@@ -334,10 +329,10 @@ def _solve_system(system: _FirstOrderSystem, gammas, ks, k_of, bracket, k_bounds
             lower_bound_holds=lower, upper_bound_holds=upper, decision=decision,
             trace=trace)
     a, b = bracket
-    while b - a > tol_bracket:
+    while b - a > _BISECTION_TOL:
         mid = 0.5 * (a + b)
         v1m, v2m = system.v_pair(k_of(mid))
-        if abs(v1m - v2m) <= tol_residual * (abs(v1m) + abs(v2m)):
+        if abs(v1m - v2m) <= _BISECTION_TOL * (abs(v1m) + abs(v2m)):
             a = b = mid
             break
         if v1m > v2m:
@@ -355,14 +350,12 @@ def _solve_system(system: _FirstOrderSystem, gammas, ks, k_of, bracket, k_bounds
 def solve_gamma_star(split: TriggeredSplit, spec: ContractSpec,
                      utility: UtilityContext, *, grid_size: int = 200,
                      restrict: tuple[float, float] | None = None,
-                     rho_indemnity: float | None = None,
-                     tol_bracket: float = 1e-10,
-                     tol_residual: float = 1e-10) -> WeightingSolution:
+                     rho_indemnity: float | None = None) -> WeightingSolution:
     """Boundary checks plus bisection on V1 - V2, end to end.
 
-    When both boundary conditions hold, bisection over gamma drives
-    |V1 - V2| below tol_residual*(V1+V2) or the gamma bracket below
-    tol_bracket, whichever binds last; alpha* follows from the exact
+    When both boundary conditions hold, bisection over gamma stops when
+    |V1 - V2| falls below 1e-10*(|V1| + |V2|) or the gamma bracket below
+    1e-10, whichever binds first; alpha* follows from the exact
     level-to-weighting inverse. A violated bound defers to
     violated_boundary_decision (or, under a restricted level interval, to
     the matching endpoint).
@@ -385,7 +378,7 @@ def solve_gamma_star(split: TriggeredSplit, spec: ContractSpec,
 
     return _solve_system(system, gammas, expectile_grid(st, gammas),
                          lambda g: expectile(st, Level(g)), (g_lo, g_hi), k_bounds,
-                         fallback, tol_bracket, tol_residual)
+                         fallback)
 
 
 def _constant_payout_premium(spec: ContractSpec, p: float, y: float) -> float:

@@ -205,6 +205,33 @@ class TestErrorPaths:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit-weighting", "utility-curve"])
+    def test_conditioner_n_bins_zero_exits_2(self, tmp_path, command):
+        cfg = write_cfg(tmp_path, "c.yaml", interior_fit_cfg(
+            payout_family="index", conditioner={"n_bins": 0, "min_bin_count": 10}))
+        code, out = run(tmp_path, command, cfg)
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"hist_bins": 0},
+        {"envelope_bins": 0},
+        {"wind": {"synthetic": {"n": 200, "lo": 135.0, "hi": 25.0}}},
+        {"wind": {"synthetic": {"n": 0}}},
+        {"wind": {"synthetic": {"n": 200, "a": -1.0}}},
+        {"wind": {"tracks_csv": "toy_tracks.csv", "bootstrap_n": 0,
+                  "site": {"lat_deg": 18.2, "lon_deg": -66.5}}},
+    ], ids=["hist_bins_0", "envelope_bins_0", "hi_below_lo", "n_0", "negative_shape",
+            "bootstrap_n_0"])
+    def test_bad_simulate_setting_exits_2(self, tmp_path, config_dir, overrides):
+        cfg_dict = {"seed": 7, "wind": {"synthetic": {"n": 200}}, **overrides}
+        wind = cfg_dict["wind"]
+        if "tracks_csv" in wind:
+            wind["tracks_csv"] = str(config_dir / "fixtures" / wind["tracks_csv"])
+        code, out = run(tmp_path, "simulate", write_cfg(tmp_path, "c.yaml", cfg_dict))
+        assert code == 2
+        assert not out.exists()
+
     def test_unwritable_out_exits_3(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("x")

@@ -248,7 +248,7 @@ def test_index_bounds_reject_std_dev():
     spec = ContractSpec(t_lo=2.2, rho=0.15, principle=SD)
     with pytest.raises(UnsupportedPrincipleError):
         check_bounds_index(sample, spec, UtilityContext.exponential(beta=0.05),
-                           separable_decomposition(), None)
+                           separable_decomposition())
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,48 @@
+"""Every module under src/basisrisk uses each name it imports.
+
+A name counts as used when the module's code refers to it or lists it in
+``__all__``; ``__init__`` imports only to re-export and is exempt.
+"""
+
+import ast
+
+import pytest
+
+from conftest import REPO_ROOT
+
+MODULES = sorted(p for p in (REPO_ROOT / "src" / "basisrisk").glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def _imported_names(tree):
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _used_names(tree):
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used_names(tree)
+    unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
+    assert not unused, f"{path.name}: imported but never used (name: line) {unused}"
+
+
+def test_finds_an_unused_import():
+    tree = ast.parse("import os\nfrom math import pi, tau\n__all__ = ['tau']\nprint(pi)\n")
+    assert {n for n in _imported_names(tree) if n not in _used_names(tree)} == {"os"}

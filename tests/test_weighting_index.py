@@ -4,6 +4,7 @@ import pytest
 from basisrisk.contracts import (
     AnalyticConditioner,
     ContractSpec,
+    DegenerateTriggerError,
     EmpiricalBinConditioner,
     ExponentialConditioner,
     LossIndexSample,
@@ -13,7 +14,9 @@ from basisrisk.expectile import EmpiricalSample, expectile
 from basisrisk.weighting_index import (
     Decision,
     SeparabilityError,
+    SeparableDecomposition,
     UnsupportedPrincipleError,
+    _fallback_decision_index,
     build_surface,
     decompose,
     index_quantities,
@@ -218,6 +221,14 @@ class TestSolveIndex:
         with pytest.raises(UnsupportedPrincipleError):
             solve_gamma_star_index(sample, spec, util, d)
 
+    def test_degenerate_trigger(self):
+        sample = independent_sample()
+        d = degenerate_decomposition(sample, ContractSpec(t_lo=116.0, rho=0.2))
+        util = UtilityContext.exponential(beta=0.1)
+        for t_lo in (0.0, 500.0):  # every row triggered, then none
+            with pytest.raises(DegenerateTriggerError):
+                solve_gamma_star_index(sample, ContractSpec(t_lo=t_lo, rho=0.2), util, d)
+
 
 class TestViolatedBoundaryIndex:
     def test_prefer_no_insurance_when_bin_minima_zero(self):
@@ -256,3 +267,71 @@ class TestViolatedBoundaryIndex:
         with pytest.raises(ValueError):
             violated_boundary_decision_index(sample, spec, util, d,
                                              rho_indemnity=spec.rho)
+
+
+# Hand fixture for the fallback rules: bin centers 1..4 (edges 1.5, 2.5, 3.5),
+# trigger at 2.0. Bin 0 holds one untriggered row only; the triggered rows'
+# per-bin loss maxima are 5, 4 and 9.
+FALLBACK_THETAS = np.array([1.0, 2.0, 3.0, 4.0])
+FALLBACK_INDICES = [1.2, 1.8, 2.1, 2.4, 2.7, 3.2, 3.6, 3.9, 4.4]
+FALLBACK_LOSSES = [0.5, 1.0, 2.0, 5.0, 3.0, 4.0, 6.0, 9.0, 7.0]
+FALLBACK_SPEC = dict(t_lo=2.0, rho=0.2)
+
+
+def fallback_decomposition(h2_unbounded=False):
+    n = FALLBACK_THETAS.size
+    return SeparableDecomposition(
+        thetas=FALLBACK_THETAS, h1=np.ones(n), h3=np.zeros(n), gammas=GAMMAS,
+        h2_grid=logit(GAMMAS), residual=0.0, ref_index=0, h2_unbounded=h2_unbounded)
+
+
+def bin_sup_oracle(indices, losses, t_lo):
+    """Per row: the largest triggered loss of its nearest center's bin, 0 off trigger."""
+    def nearest(x):
+        return min(range(FALLBACK_THETAS.size), key=lambda b: abs(x - FALLBACK_THETAS[b]))
+
+    sup = {}
+    for x, s in zip(indices, losses):
+        if x >= t_lo:
+            b = nearest(x)
+            sup[b] = max(sup.get(b, s), s)
+    return [sup[nearest(x)] if x >= t_lo else 0.0 for x in indices]
+
+
+class TestFallbackDecisionIndexThresholds:
+    """_fallback_decision_index on both sides of each threshold, with explicit flags."""
+
+    @pytest.mark.parametrize("principle", [PremiumPrinciple.EXPECTED_VALUE,
+                                           PremiumPrinciple.VARIANCE])
+    def test_upper_violated(self, principle):
+        sample = LossIndexSample(FALLBACK_LOSSES, FALLBACK_INDICES)
+        spec = ContractSpec(principle=principle, **FALLBACK_SPEC)
+        sup = np.array(bin_sup_oracle(FALLBACK_INDICES, FALLBACK_LOSSES, spec.t_lo))
+        assert list(sup) == [0.0, 0.0, 5.0, 5.0, 4.0, 4.0, 9.0, 9.0, 9.0]
+        losses = np.array(FALLBACK_LOSSES)
+        # the loading ratio rho_indemnity / rho above which indemnity is not preferred
+        if principle is PremiumPrinciple.EXPECTED_VALUE:
+            ratio_star = sup.mean() / losses.mean()
+        else:
+            ratio_star = sup.var() / losses.var()
+        for scale, expected in ((0.99, Decision.PREFER_INDEMNITY),
+                                (1.01, Decision.PREFER_LARGEST_ALPHA)):
+            rho_indemnity = scale * ratio_star * spec.rho
+            assert _fallback_decision_index(sample, spec, fallback_decomposition(),
+                                            rho_indemnity, True, False) is expected
+            # an unbounded H2(1) prefers indemnity whatever the loading
+            assert _fallback_decision_index(
+                sample, spec, fallback_decomposition(h2_unbounded=True),
+                rho_indemnity, True, False) is Decision.PREFER_INDEMNITY
+
+    def test_lower_violated(self):
+        spec = ContractSpec(**FALLBACK_SPEC)
+        tol = 1e-9 * max(FALLBACK_LOSSES)
+        # rows 2.1, 2.7 and 3.6 hold the smallest triggered loss of their bins
+        for low, expected in ((0.5 * tol, Decision.PREFER_NO_INSURANCE),
+                              (2.0 * tol, Decision.PREFER_SMALLEST_ALPHA)):
+            losses = list(FALLBACK_LOSSES)
+            losses[2] = losses[4] = losses[6] = low
+            sample = LossIndexSample(losses, FALLBACK_INDICES)
+            assert _fallback_decision_index(sample, spec, fallback_decomposition(),
+                                            spec.rho, False, True) is expected

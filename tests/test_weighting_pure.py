@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from basisrisk.weighting_pure import (
     TriggeredSplit,
     UtilityContext,
     UtilityDomainError,
+    _fallback_decision,
     check_bounds,
     closed_form_exponential,
     expected_utility_constant_payout,
@@ -214,6 +217,91 @@ class TestViolatedBoundaryDecisions:
         util = UtilityContext.exponential(beta=0.1)
         with pytest.raises(ValueError):
             violated_boundary_decision(split, spec, util, rho_indemnity=0.2)
+
+
+def _mean(xs):
+    return sum(xs) / len(xs)
+
+
+def _lower_threshold(principle, rho, p):
+    """v0 at or below which no insurance is preferred, by hand."""
+    if principle is PremiumPrinciple.VARIANCE:
+        return 1.0
+    if principle is PremiumPrinciple.EXPECTED_VALUE:
+        c = (1.0 + rho) * p
+    else:
+        c = p + rho * math.sqrt(p * (1.0 - p))
+    return (1.0 - p) * c / (p * (1.0 - c))
+
+
+def _lower_violated_oracle(t, u, p, principle, rho, beta, w0):
+    """The lower-violated decision under exponential utility, in plain floats.
+
+    v0 = E_T[u'(w0 - S)] / E_U[u'(w0 - S)]; above the threshold, compare
+    the expected utility of the payout min(t) on trigger against none.
+    """
+    v0 = _mean([math.exp(beta * s) for s in t]) / _mean([math.exp(beta * s) for s in u])
+    if v0 <= _lower_threshold(principle, rho, p):
+        return Decision.PREFER_NO_INSURANCE
+
+    def util(x):
+        return 1.0 - math.exp(-beta * x)
+
+    def expected_utility(y):
+        if principle is PremiumPrinciple.EXPECTED_VALUE:
+            pi = (1.0 + rho) * p * y
+        elif principle is PremiumPrinciple.STD_DEV:
+            pi = p * y + rho * y * math.sqrt(p * (1.0 - p))
+        else:
+            pi = p * y + rho * y * y * p * (1.0 - p)
+        return (p * _mean([util(w0 - s + y - pi) for s in t])
+                + (1.0 - p) * _mean([util(w0 - s - pi) for s in u]))
+
+    return (Decision.PREFER_SMALLEST_ALPHA if expected_utility(min(t)) > expected_utility(0.0)
+            else Decision.PREFER_NO_INSURANCE)
+
+
+class TestFallbackDecisionThresholds:
+    """_fallback_decision on both sides of each threshold, with explicit flags."""
+
+    @pytest.mark.parametrize("principle", list(PremiumPrinciple))
+    def test_lower_violated(self, principle):
+        beta, w0, p, rho = 0.1, 10.0, 0.4, 0.1
+        t = [0.05, 6.0]
+        spec = ContractSpec(t_lo=83.0, rho=rho, principle=principle)
+        util = UtilityContext.exponential(beta=beta, w0=w0)
+        # untriggered losses (0, a) put v0 on the threshold at a = a_star
+        thr = _lower_threshold(principle, rho, p)
+        a_star = math.log(2.0 * _mean([math.exp(beta * s) for s in t]) / thr - 1.0) / beta
+        for a, expected in ((a_star - 0.5, Decision.PREFER_SMALLEST_ALPHA),
+                            (a_star + 0.5, Decision.PREFER_NO_INSURANCE)):
+            u = [0.0, a]
+            split = TriggeredSplit(EmpiricalSample(t), EmpiricalSample(u), p)
+            got = _fallback_decision(split, spec, util, rho, False, True)
+            assert got is expected
+            assert got is _lower_violated_oracle(t, u, p, principle, rho, beta, w0)
+
+    @pytest.mark.parametrize("principle", list(PremiumPrinciple))
+    def test_upper_violated(self, principle):
+        t, u, p, rho = [4.0, 9.0], [0.0, 2.0], 0.3, 0.2
+        split = TriggeredSplit(EmpiricalSample(t), EmpiricalSample(u), p)
+        spec = ContractSpec(t_lo=83.0, rho=rho, principle=principle)
+        util = UtilityContext.exponential(beta=0.1)
+        mean = p * _mean(t) + (1.0 - p) * _mean(u)
+        var = (p * _mean([s * s for s in t]) + (1.0 - p) * _mean([s * s for s in u])
+               - mean * mean)
+        sup = max(t)
+        # the loading ratio rho_indemnity / rho above which indemnity is not preferred
+        ratio_star = {
+            PremiumPrinciple.EXPECTED_VALUE: sup * p / mean,
+            PremiumPrinciple.STD_DEV: math.sqrt(sup * p * (1.0 - p) / var),
+            PremiumPrinciple.VARIANCE: sup * sup * p * (1.0 - p) / var,
+        }[principle]
+        for scale, expected in ((0.99, Decision.PREFER_INDEMNITY),
+                                (1.01, Decision.PREFER_LARGEST_ALPHA)):
+            rho_indemnity = scale * ratio_star * rho
+            assert _fallback_decision(split, spec, util, rho_indemnity,
+                                      True, False) is expected
 
 
 class TestClosedFormExponential:
