@@ -135,16 +135,24 @@ def _utility_from(cfg) -> UtilityContext:
     raise ConfigError(f"unknown utility family: {family}")
 
 
+def _config_int(value, what: str) -> int:
+    """int(value) for a config setting; a value int() rejects is a config error."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} must be an integer, got {value!r:.40}") from exc
+
+
 def _seed_from(cfg, override):
     if override is not None:
         return int(override)
     if "seed" not in cfg:
         raise ConfigError("config must set a seed (no wall-clock seeding)")
-    return int(cfg["seed"])
+    return _config_int(cfg["seed"], "seed")
 
 
 def _sample_size(syn) -> int:
-    n = int(_require(syn, "n"))
+    n = _config_int(_require(syn, "n"), "synthetic sample size n")
     if n < 1:
         raise ConfigError("synthetic sample size must be >= 1")
     return n
@@ -232,7 +240,7 @@ def _conditioner_from(cfg, sample, spec) -> EmpiricalBinConditioner:
     c = cfg.get("conditioner", {})
     return EmpiricalBinConditioner(
         triggered, n_bins=_positive_count(c.get("n_bins", 20), "conditioner n_bins"),
-        min_bin_count=int(c.get("min_bin_count", 200)))
+        min_bin_count=_config_int(c.get("min_bin_count", 200), "conditioner min_bin_count"))
 
 
 def _site_from(s) -> Site:
@@ -440,10 +448,15 @@ def cmd_simulate(cfg, seed) -> dict[str, str]:
 
     sweep = cfg.get("alpha_sweep")
     if sweep:
+        qs = sweep.get("qs", [1.0, 3.0, 5.0]) if isinstance(sweep, dict) else None
+        if not isinstance(qs, list) or not qs or not all(
+                isinstance(q, (int, float)) and not isinstance(q, bool) for q in qs):
+            raise ConfigError("alpha_sweep must be a mapping whose qs is a non-empty "
+                              f"list of numbers, got {sweep!r:.60}")
         spec = _contract_from(cfg)
         utility = _utility_from(cfg)
         rows = []
-        for q in sweep.get("qs", [1.0, 3.0, 5.0]):
+        for q in qs:
             params_q = LossModelParams(v=params.v, p=params.p, q=float(q),
                                        rate=params.rate, offset=params.offset,
                                        steepness=params.steepness)
@@ -463,8 +476,8 @@ def cmd_dependence_report(cfg, seed) -> dict[str, str]:
     threshold = float(cfg.get("threshold_kn", 83.0))
     if "winds_csv" in cfg:
         path = cfg["winds_csv"]
-        winds = _read(path, "wind matrix", lambda f: np.atleast_2d(
-            np.genfromtxt(f, delimiter=",", skip_header=1)))
+        winds = _read(path, "wind matrix", lambda f: np.loadtxt(
+            f, delimiter=",", skiprows=1, ndmin=2))
         if not np.all(np.isfinite(winds)):
             raise ConfigError(f"wind matrix file {path} has a non-numeric or "
                               "non-finite cell")
@@ -488,7 +501,7 @@ def cmd_dependence_report(cfg, seed) -> dict[str, str]:
     xi = np.full((n_sites, n_sites), np.nan)
     tau_error = {}  # kendall_tau's message per unordered pair (i < j) it raised on
     outputs = {}
-    min_joint = int(cfg.get("min_joint", 30))
+    min_joint = _config_int(cfg.get("min_joint", 30), "dependence-report min_joint")
     for i in range(n_sites):
         for j in range(n_sites):
             if i == j:

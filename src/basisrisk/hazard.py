@@ -4,12 +4,20 @@ Track ingestion, great-circle trigger geometry, incident wind-speed
 extraction, nonparametric bootstrap, and the S-shaped synthetic loss model
 with scaled-Beta errors. Multi-site joint simulation uses counter-based RNG
 substreams so results are reproducible and independent of evaluation order.
+
+A ``TrackSet`` is flat: the points of all its tracks sit in one array per
+column, grouped by track and delimited by offsets, and their unit vectors
+are computed once per set. The track CSV is parsed into that layout in one
+streaming pass. One cross-track kernel, ``_winds``, measures every track
+against a site over fixed chunks of whole tracks; single-track calls
+(``min_distance_km``, ``_incident_wind``) run the same kernel on one track.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
-import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,61 +61,139 @@ class Track:
         wind = np.asarray(self.wind_kn, dtype=np.float64)
         if not (lat.size == lon.size == wind.size) or lat.size == 0:
             raise ValueError("track needs >= 1 aligned (lat, lon, wind) point")
-        if np.any(np.abs(lat) > 90.0) or np.any(np.abs(lon) > 180.0):
-            raise ValueError("coordinates out of range")
-        if not np.all(np.isfinite(wind)) or np.any(wind < 0):
-            raise ValueError("winds must be finite and non-negative")
+        _check_points(lat, lon, wind)
         for a in (lat, lon, wind):
             a.setflags(write=False)
         object.__setattr__(self, "lat_deg", lat)
         object.__setattr__(self, "lon_deg", lon)
         object.__setattr__(self, "wind_kn", wind)
 
+    @classmethod
+    def _view(cls, track_id, lat, lon, wind):
+        """A track over arrays a TrackSet has already checked; no new checks."""
+        track = object.__new__(cls)
+        for name, value in zip(("track_id", "lat_deg", "lon_deg", "wind_kn"),
+                               (track_id, lat, lon, wind)):
+            object.__setattr__(track, name, value)
+        return track
+
     def __len__(self):
         return self.lat_deg.size
 
 
+def _check_points(lat, lon, wind):
+    if np.any(np.abs(lat) > 90.0) or np.any(np.abs(lon) > 180.0):
+        raise ValueError("coordinates out of range")
+    if not np.all(np.isfinite(wind)) or np.any(wind < 0):
+        raise ValueError("winds must be finite and non-negative")
+
+
+_CSV_HEADER = "track_id,step,lat_deg,lon_deg,wind_kn"
+_CSV_DTYPE = np.dtype([("step", np.int64), ("lat", np.float64),
+                       ("lon", np.float64), ("wind", np.float64)])
+
+
+def _csv_rows(lines, codes: array, ids: dict):
+    """The rows of a track CSV body, each checked for 5 fields; blank and
+    whitespace-only lines are skipped.
+
+    Appends each row's track number (its id's rank of first appearance,
+    registered in ``ids``) to ``codes`` as the row is yielded.
+    """
+    for lineno, line in enumerate(lines, start=2):
+        commas = line.count(",")
+        if commas != 4:
+            if not line.strip():
+                continue
+            raise ValueError(f"line {lineno} has {commas + 1} fields; a track row needs 5")
+        codes.append(ids.setdefault(line[:line.index(",")].lstrip(), len(ids)))
+        yield line
+
+
 class TrackSet:
-    """Ordered collection of hurricane tracks."""
+    """Ordered collection of hurricane tracks, stored flat.
+
+    The points of all tracks sit in one lat/lon/wind array each, grouped by
+    track: track ``i`` is named ``_ids[i]`` and holds points
+    ``_offsets[i]:_offsets[i + 1]``. The points' unit vectors are computed
+    once here and serve every site the kernel measures. ``tracks`` and
+    iteration give read-only :class:`Track` views over these arrays, built
+    when asked for and not validated again. ``TrackSet([Track, ...])``
+    copies the given tracks into this layout.
+    """
 
     def __init__(self, tracks):
-        self.tracks = list(tracks)
+        tracks = list(tracks)
+        lengths = [len(t) for t in tracks]
+
+        def flat(name):
+            return np.concatenate([getattr(t, name) for t in tracks] or [np.empty(0)])
+
+        self._store([t.track_id for t in tracks], flat("lat_deg"), flat("lon_deg"),
+                    flat("wind_kn"), np.cumsum([0] + lengths, dtype=np.int64))
+
+    def _store(self, ids, lat, lon, wind, offsets):
+        for a in (lat, lon, wind):
+            a.setflags(write=False)
+        self._ids = ids
+        self._offsets = offsets
+        self._lat, self._lon, self._wind = lat, lon, wind
+        self._unit = _unit_vectors(lat, lon)
 
     def __len__(self):
-        return len(self.tracks)
+        return len(self._ids)
+
+    @property
+    def tracks(self) -> list[Track]:
+        bounds = self._offsets.tolist()
+        return [Track._view(tid, self._lat[a:b], self._lon[a:b], self._wind[a:b])
+                for tid, a, b in zip(self._ids, bounds[:-1], bounds[1:])]
 
     def __iter__(self):
         return iter(self.tracks)
 
     @classmethod
     def from_csv(cls, path):
-        """Read `track_id,step,lat_deg,lon_deg,wind_kn` rows (steps increasing)."""
-        by_id: dict[str, list] = {}
+        """Read `track_id,step,lat_deg,lon_deg,wind_kn` rows.
+
+        Steps must strictly increase within a track; a track's rows need not
+        be contiguous, and tracks keep the order of their first row. The file
+        is streamed once: ``_csv_rows`` checks and numbers the rows as
+        ``np.loadtxt`` parses their numeric fields.
+        """
+        codes, ids = array("q"), {}
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
-            if header != "track_id,step,lat_deg,lon_deg,wind_kn":
+            if header != _CSV_HEADER:
                 raise ValueError(f"unexpected track CSV header: {header!r}")
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                tid, step, lat, lon, wind = line.split(",")
-                by_id.setdefault(tid, []).append(
-                    (int(step), float(lat), float(lon), float(wind)))
-        tracks = []
-        for tid, rows in by_id.items():
-            steps = [r[0] for r in rows]
-            if any(b <= a for a, b in zip(steps, steps[1:])):
-                raise ValueError(f"steps must be strictly increasing in track {tid}")
-            tracks.append(Track(tid,
-                                np.array([r[1] for r in rows]),
-                                np.array([r[2] for r in rows]),
-                                np.array([r[3] for r in rows])))
-        return cls(tracks)
+            rows = _csv_rows(fh, codes, ids)
+            first = next(rows, None)
+            if first is None:
+                return cls([])
+            data = np.loadtxt(itertools.chain([first], rows), dtype=_CSV_DTYPE,
+                              delimiter=",", comments=None, usecols=(1, 2, 3, 4),
+                              ndmin=1)
+        code = np.frombuffer(codes, dtype=np.int64)
+        order = np.argsort(code, kind="stable")
+        offsets = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(code, minlength=len(ids)), out=offsets[1:])
+        step = data["step"][order]
+        # compared, not differenced, so extreme int64 steps cannot wrap
+        falls = step[1:] <= step[:-1]
+        falls[offsets[1:-1] - 1] = False  # pairs across two tracks
+        if falls.any():
+            track = int(np.searchsorted(offsets, np.argmax(falls), side="right")) - 1
+            raise ValueError("steps must be strictly increasing in track "
+                             f"{list(ids)[track]}")
+        lat, lon, wind = (data[name][order] for name in ("lat", "lon", "wind"))
+        _check_points(lat, lon, wind)
+        tracks = cls.__new__(cls)
+        tracks._store(list(ids), lat, lon, wind, offsets)
+        return tracks
 
     def to_csv(self, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("track_id,step,lat_deg,lon_deg,wind_kn\n")
+            fh.write(_CSV_HEADER + "\n")
             for tr in self.tracks:
                 for i in range(len(tr)):
                     fh.write(f"{tr.track_id},{i},{float(tr.lat_deg[i])!r},"
@@ -155,24 +241,35 @@ def _unit_vectors(lat_deg, lon_deg):
     return (np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat))
 
 
-def _track_distances(px, py, pz, vx, vy, vz):
-    """Angular distances from the unit vector p to each point v_i (an array)
-    and to the polyline through them (a float): per geodesic segment, the
+# Points per chunk of whole tracks in the cross-track kernel: long enough
+# that numpy's per-call cost vanishes, short enough that the kernel's few
+# dozen temporaries of this length stay a few MB.
+_CHUNK_POINTS = 1 << 13
+
+_ONE_TRACK = np.zeros(1, dtype=np.int64)  # ``starts`` of a single track
+
+
+def _distances(p, v, starts):
+    """Angular distances from the unit vector p to each point (an array) and
+    to each track's polyline (an array, one per track).
+
+    ``v`` holds the unit vectors of tracks stored flat, track ``i`` starting
+    at point ``starts[i]``. Per geodesic segment, the distance is the
     cross-track distance, or the nearer endpoint's when the perpendicular
     foot falls outside. A one-point track is the segment (v_0, v_0).
     """
+    px, py, pz = p
+    vx, vy, vz = v
     point = np.arccos(np.clip(px * vx + py * vy + pz * vz, -1.0, 1.0))
-    n = vx.shape[0]
-    sa = slice(0, max(n - 1, 1))  # segment starts
-    sb = slice(min(n - 1, 1), None)  # segment ends
-    ax, ay, az = vx[sa], vy[sa], vz[sa]
-    bx, by, bz = vx[sb], vy[sb], vz[sb]
+    # segment i joins points i and i + 1
+    ax, ay, az = vx[:-1], vy[:-1], vz[:-1]
+    bx, by, bz = vx[1:], vy[1:], vz[1:]
     # segment great-circle normal a x b
     nx = ay * bz - az * by
     ny = az * bx - ax * bz
     nz = ax * by - ay * bx
     nn = np.sqrt(nx * nx + ny * ny + nz * nz)
-    end_dist = np.minimum(point[sa], point[sb])
+    end_dist = np.minimum(point[:-1], point[1:])
     with np.errstate(invalid="ignore", divide="ignore"):
         sin_xt = np.clip((px * nx + py * ny + pz * nz) / nn, -1.0, 1.0)
         xtrack = np.abs(np.arcsin(sin_xt))
@@ -187,8 +284,20 @@ def _track_distances(px, py, pz, vx, vy, vz):
         arc_bf = np.arccos(np.clip(bx * fx + by * fy + bz * fz, -1.0, 1.0))
     inside = (arc_af <= arc_ab + 1e-12) & (arc_bf <= arc_ab + 1e-12)
     degenerate = nn < 1e-15
-    dist = np.where(inside & ~degenerate, xtrack, end_dist)
-    return point, float(np.min(dist))
+    seg = np.empty_like(point)
+    seg[:-1] = np.where(inside & ~degenerate, xtrack, end_dist)
+    # The segment from a track's last point leads into the next track and
+    # does not count, except for a one-point track: its segment (v_0, v_0)
+    # has a zero normal, so it is degenerate and measures point[v_0].
+    last = np.append(starts[1:], point.size) - 1
+    seg[last] = np.where(last == starts, point[last], np.inf)
+    return point, np.minimum.reduceat(seg, starts)
+
+
+def _track_distances(px, py, pz, vx, vy, vz):
+    """``_distances`` for one track: point distances and the polyline's."""
+    point, polyline = _distances((px, py, pz), (vx, vy, vz), _ONE_TRACK)
+    return point, float(polyline[0])
 
 
 def min_distance_km(track: Track, site: Site) -> float:
@@ -202,31 +311,62 @@ def min_distance_km(track: Track, site: Site) -> float:
     return ang * EARTH_RADIUS_KM
 
 
-def _incident_wind(track: Track, p, limit: float) -> float:
-    """Incident wind of one track at a trigger circle, NaN if it misses.
+def _winds(p, limit: float, v, wind, starts) -> np.ndarray:
+    """Incident wind of each track at a trigger circle, NaN where it misses.
 
-    ``p`` is the site's unit vector and ``limit`` the circle's angular
-    radius. The anchor is the set of in-circle points or, for a track that
-    only passes within the radius between samples, its closest point; the
-    wind is the maximum over the anchor widened by one point on each side.
+    ``p`` is the site's unit vector, ``limit`` the circle's angular radius,
+    and ``v``, ``wind`` and ``starts`` tracks stored flat as in
+    ``_distances``. A track hits when its polyline comes within the radius.
+    Its anchor is its in-circle points or, for a track that only passes
+    within the radius between samples, its first closest point (where
+    ``argmin`` would stop); the wind is the maximum over the anchor widened
+    by one point on each side, within the track.
     """
-    point, polyline = _track_distances(*p, *_unit_vectors(track.lat_deg, track.lon_deg))
-    if polyline > limit:
-        return math.nan
+    point, polyline = _distances(p, v, starts)
+    hit = ~(polyline > limit)
     anchor = point <= limit
-    if not anchor.any():
-        anchor[np.argmin(point)] = True
+    closest_only = hit & ~np.logical_or.reduceat(anchor, starts)
+    if closest_only.any():
+        n = point.size
+        lengths = np.diff(np.append(starts, n))
+        nearest = np.repeat(np.minimum.reduceat(point, starts), lengths)
+        is_min = (point == nearest) | np.isnan(point)  # argmin takes the first NaN
+        first_min = np.minimum.reduceat(np.where(is_min, np.arange(n), n), starts)
+        anchor[first_min[closest_only]] = True
+    inner = np.ones(point.size - 1, dtype=bool)  # pairs (i, i + 1) of one track
+    inner[starts[1:] - 1] = False
     sel = anchor.copy()
-    sel[1:] |= anchor[:-1]
-    sel[:-1] |= anchor[1:]
-    return float(track.wind_kn[sel].max())
+    sel[1:] |= anchor[:-1] & inner
+    sel[:-1] |= anchor[1:] & inner
+    top = np.maximum.reduceat(np.where(sel, wind, -np.inf), starts)
+    return np.where(hit, top, np.nan)
+
+
+def _incident_wind(track: Track, p, limit: float) -> float:
+    """``_winds`` for one track: its incident wind, NaN if it misses."""
+    v = _unit_vectors(track.lat_deg, track.lon_deg)
+    return float(_winds(p, limit, v, track.wind_kn, _ONE_TRACK)[0])
 
 
 def _site_winds(tracks: TrackSet, site: Site) -> np.ndarray:
-    """Incident wind of every track at the site's circle, NaN where it misses."""
+    """Incident wind of every track at the site's circle, NaN where it misses.
+
+    Runs ``_winds`` over chunks of whole tracks of about ``_CHUNK_POINTS``
+    points each (a longer track is a chunk of its own).
+    """
     p = _unit_vectors(site.lat_deg, site.lon_deg)
     limit = site.radius_km / EARTH_RADIUS_KM
-    return np.array([_incident_wind(tr, p, limit) for tr in tracks], dtype=np.float64)
+    offsets = tracks._offsets
+    out = np.empty(len(tracks))
+    lo = 0
+    while lo < len(tracks):
+        hi = max(int(np.searchsorted(offsets, offsets[lo] + _CHUNK_POINTS,
+                                     side="right")) - 1, lo + 1)
+        a, b = offsets[lo], offsets[hi]
+        out[lo:hi] = _winds(p, limit, tuple(c[a:b] for c in tracks._unit),
+                            tracks._wind[a:b], offsets[lo:hi] - a)
+        lo = hi
+    return out
 
 
 def incident_windspeeds(tracks: TrackSet, site: Site) -> np.ndarray:
@@ -353,7 +493,7 @@ def storm_to_track_csv(storm_path, out_path):
             by_id.setdefault(tid, []).append(
                 (int(float(step)), lat, lon, storm_wind_convert(wind_ms)))
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("track_id,step,lat_deg,lon_deg,wind_kn\n")
+        fh.write(_CSV_HEADER + "\n")
         for tid, rows in by_id.items():
             for step, lat, lon, wind in sorted(rows):
                 fh.write(f"{tid},{step},{lat!r},{lon!r},{wind!r}\n")

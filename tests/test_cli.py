@@ -232,6 +232,65 @@ class TestErrorPaths:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,cfg_dict", [
+        ("simulate", {"seed": 7, "wind": {"synthetic": {"n": "abc"}}}),
+        ("simulate", {"seed": 7, "wind": {"synthetic": {"n": [200]}}}),
+        ("simulate", {"seed": 7, "wind": {"synthetic": {"n": float("inf")}}}),
+        ("simulate", {"seed": "abc", "wind": {"synthetic": {"n": 200}}}),
+        ("utility-curve", interior_fit_cfg(payout_family="index",
+                                           conditioner={"min_bin_count": "many"})),
+        ("fit-weighting", interior_fit_cfg(payout_family="index",
+                                           conditioner={"min_bin_count": "many"})),
+    ], ids=["n_string", "n_list", "n_inf", "seed_string", "min_bin_count_utility_curve",
+            "min_bin_count_fit_weighting"])
+    def test_non_integer_count_exits_2(self, tmp_path, command, cfg_dict):
+        code, out = run(tmp_path, command, write_cfg(tmp_path, "c.yaml", cfg_dict))
+        assert code == 2
+        assert not out.exists()
+
+    def test_non_integer_min_joint_exits_2(self, tmp_path):
+        winds = tmp_path / "winds.csv"
+        winds.write_text("s0,s1\n90,95\n80,85\n85,90\n")
+        cfg = write_cfg(tmp_path, "c.yaml", {"seed": 1, "winds_csv": str(winds),
+                                             "min_joint": "many"})
+        code, out = run(tmp_path, "dependence-report", cfg)
+        assert code == 2
+        assert not out.exists()
+
+    def test_integer_like_counts_stay_accepted(self, tmp_path):
+        code, out = run(tmp_path, "simulate", write_cfg(tmp_path, "s.yaml", {
+            "seed": 7, "wind": {"synthetic": {"n": 1000.0}}}), out_name="s")
+        assert code == 0
+        assert len((out / "sample.csv").read_text().splitlines()) == 1001
+        code, out = run(tmp_path, "utility-curve", write_cfg(tmp_path, "u.yaml", interior_fit_cfg(
+            payout_family="index", conditioner={"min_bin_count": 0},
+            gamma_grid=[0.3, 0.5])), out_name="u")
+        assert code == 0
+        assert len((out / "utility_curve.csv").read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("sweep", [[1.0, 3.0], {"qs": []}, {"qs": [True]},
+                                       {"qs": "13"}, {"qs": ["1.0"]}, {"qs": 3.0}],
+                             ids=["list", "empty_qs", "bool_q", "string_qs",
+                                  "string_q", "scalar_qs"])
+    def test_bad_alpha_sweep_exits_2(self, tmp_path, sweep):
+        cfg = write_cfg(tmp_path, "c.yaml", {
+            "seed": 7, "wind": {"synthetic": {"n": 200}},
+            "contract": {"t_lo": 83.0, "rho": 0.2},
+            "utility": {"family": "exponential", "beta": 0.15},
+            "alpha_sweep": sweep})
+        code, out = run(tmp_path, "simulate", cfg)
+        assert code == 2
+        assert not out.exists()
+
+    def test_one_column_winds_csv_is_degenerate(self, tmp_path):
+        # one site over three rows, not three sites over one row
+        winds = tmp_path / "winds.csv"
+        winds.write_text("s0\n90\n80\n85\n")
+        cfg = write_cfg(tmp_path, "c.yaml", {"seed": 1, "winds_csv": str(winds)})
+        code, out = run(tmp_path, "dependence-report", cfg)
+        assert code == 5
+        assert not out.exists()
+
     def test_unwritable_out_exits_3(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("x")

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from basisrisk import hazard
 from basisrisk.hazard import (
     EARTH_RADIUS_KM,
     LossModelParams,
@@ -67,6 +69,178 @@ class TestTrackValidation:
             TrackSet.from_csv(path)
 
 
+def _ref_from_csv(path):
+    """Row-by-row track CSV parse (the layout before tracks were stored flat),
+    kept as the reference for ``TrackSet.from_csv``."""
+    by_id: dict[str, list] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != "track_id,step,lat_deg,lon_deg,wind_kn":
+            raise ValueError(f"unexpected track CSV header: {header!r}")
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            tid, step, lat, lon, wind = line.split(",")
+            by_id.setdefault(tid, []).append(
+                (int(step), float(lat), float(lon), float(wind)))
+    tracks = []
+    for tid, rows in by_id.items():
+        steps = [r[0] for r in rows]
+        if any(b <= a for a, b in zip(steps, steps[1:])):
+            raise ValueError(f"steps must be strictly increasing in track {tid}")
+        tracks.append(Track(tid,
+                            np.array([r[1] for r in rows]),
+                            np.array([r[2] for r in rows]),
+                            np.array([r[3] for r in rows])))
+    return tracks
+
+
+def _write_messy_tracks(path, seed, n_tracks=60):
+    """A track CSV whose tracks interleave row by row, with whitespace-only
+    lines, padded rows and fields, one-point tracks, long ids and mixed
+    number forms."""
+    rng = np.random.default_rng(seed)
+    pending = []
+    for t in range(n_tracks):
+        tid = f"T{t}" if t % 7 else f"storm-{t}-" + "x" * int(rng.integers(50, 300))
+        if t % 11 == 3:
+            tid = f"two words {t}"
+        n = 1 if t % 5 == 0 else int(rng.integers(2, 25))
+        steps = np.cumsum(rng.integers(1, 4, n)) - int(rng.integers(0, 5))
+        lat = rng.uniform(-90.0, 90.0, n)
+        lon = rng.uniform(-180.0, 180.0, n)
+        wind = rng.uniform(0.0, 170.0, n)
+        wind[rng.random(n) < 0.1] = 0.0
+        rows = []
+        for i in range(n):
+            form = int(rng.integers(0, 3))
+            la = (repr(float(lat[i])), f"{lat[i]:.1f}", f" {lat[i]:.4f} ")[form]
+            lo = (repr(float(lon[i])), f"{lon[i]:.2f}", f"{lon[i]:.6e}")[form]
+            wi = (repr(float(wind[i])), f"{round(wind[i])}", f"{wind[i]:.3f}  ")[form]
+            pad = ("", "", "", "  ", "\t")[int(rng.integers(0, 5))]
+            rows.append(f"{pad}{tid},{steps[i]},{la},{lo},{wi}{pad}")
+        pending.append(rows)
+    lines = ["track_id,step,lat_deg,lon_deg,wind_kn"]
+    while pending:
+        k = int(rng.integers(0, len(pending)))  # the next row of a random track
+        lines.append(pending[k].pop(0))
+        if not pending[k]:
+            pending.pop(k)
+        if rng.random() < 0.05:
+            lines.append(("", "   ", "\t", " \t ")[int(rng.integers(0, 4))])
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestTrackCsvParse:
+    HEADER = "track_id,step,lat_deg,lon_deg,wind_kn\n"
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_row_by_row_reference(self, tmp_path, seed):
+        path = tmp_path / "tracks.csv"
+        _write_messy_tracks(path, seed)
+        ref = _ref_from_csv(path)
+        got = TrackSet.from_csv(path)
+        assert len(got) == len(ref)
+        views = got.tracks
+        assert [t.track_id for t in views] == [t.track_id for t in ref]
+        assert [len(t) for t in views] == [len(t) for t in ref]
+        assert min(len(t) for t in ref) == 1 and max(len(t.track_id) for t in ref) > 50
+        for g, r in zip(views, ref):
+            for name in ("lat_deg", "lon_deg", "wind_kn"):
+                a, b = getattr(g, name), getattr(r, name)
+                assert a.dtype == b.dtype == np.float64
+                assert a.tobytes() == b.tobytes(), (g.track_id, name)
+
+    def test_rows_of_a_track_need_not_be_contiguous(self, tmp_path):
+        path = tmp_path / "tracks.csv"
+        path.write_text(self.HEADER + "b,0,1,1,10\na,5,2,2,20\n  \nb,1,3,3,30\n"
+                        "a,6,4,4,40\n\t\nc,0,5,5,50\n")
+        tracks = TrackSet.from_csv(path).tracks
+        assert [t.track_id for t in tracks] == ["b", "a", "c"]
+        assert [t.wind_kn.tolist() for t in tracks] == [[10.0, 30.0], [20.0, 40.0], [50.0]]
+
+    @pytest.mark.parametrize("rows,match", [
+        ("a,0,1.0,2.0\n", "line 3 has 4 fields"),
+        ("a,1,1.0,2.0,3.0,4.0\n", "line 3 has 6 fields"),
+        ("a,1.5,1.0,2.0,3.0\n", "1.5"),
+        ("b,0,1,1,1\na,1,1,1,1\nb,0,1,1,1\n", "increasing in track b$"),
+        ("a,1,1,1,1\nb,3,1,1,1\nb,2,1,1,1\n", "increasing in track b$"),
+        # both fall; the track that appeared first is named, as row order had it
+        ("b,0,1,1,1\nb,0,1,1,1\na,0,1,1,1\n", "increasing in track a$"),
+        ("a,1,90.5,0.0,10.0\n", "coordinates"),
+        ("a,1,0.0,-180.5,10.0\n", "coordinates"),
+        ("a,1,0.0,0.0,-1.0\n", "winds"),
+        ("a,1,0.0,0.0,inf\n", "winds"),
+    ], ids=["four_fields", "six_fields", "fractional_step", "repeated_step",
+            "falling_step", "first_track_named", "lat_range", "lon_range", "negative_wind", "infinite_wind"])
+    def test_malformed_rows_raise(self, tmp_path, rows, match):
+        path = tmp_path / "tracks.csv"
+        path.write_text(self.HEADER + "a,0,0.0,0.0,10.0\n" + rows)
+        with pytest.raises(ValueError, match=match):
+            TrackSet.from_csv(path)
+        with pytest.raises(ValueError):
+            _ref_from_csv(path)
+
+    @pytest.mark.parametrize("body", ["", "\n  \n\t\n"], ids=["header_only", "blank_lines"])
+    def test_header_only_gives_no_tracks_and_no_warning(self, tmp_path, body):
+        path = tmp_path / "tracks.csv"
+        path.write_text(self.HEADER + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tracks = TrackSet.from_csv(path)
+        assert len(tracks) == 0 and tracks.tracks == []
+        assert incident_windspeeds(tracks, Site(0.0, 0.0)).size == 0
+
+    def test_views_are_read_only(self, tmp_path):
+        path = tmp_path / "tracks.csv"
+        path.write_text(self.HEADER + "a,0,1,1,10\na,1,2,2,20\n")
+        (view,) = TrackSet.from_csv(path)
+        with pytest.raises(ValueError):
+            view.wind_kn[0] = 1.0
+
+
+class TestFlatKernel:
+    def test_unit_vectors_once_per_trackset_and_site(self, tmp_path, monkeypatch):
+        path = tmp_path / "tracks.csv"
+        _write_messy_tracks(path, seed=4)
+        calls = []
+        real = hazard._unit_vectors
+
+        def counting(lat_deg, lon_deg):
+            calls.append(np.size(lat_deg))
+            return real(lat_deg, lon_deg)
+
+        monkeypatch.setattr(hazard, "_unit_vectors", counting)
+        tracks = TrackSet.from_csv(path)
+        assert calls == [sum(len(t) for t in tracks)]
+        sites = [Site(0.0, 0.0), Site(10.0, 20.0), Site(-30.0, 40.0), Site(45.0, -60.0)]
+        simulate_portfolio(tracks, sites, [LossModelParams()] * 4, seed=3)
+        assert calls[1:] == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 64])
+    def test_chunks_match_one_track_calls(self, monkeypatch, chunk):
+        # tracks near the site, some longer than a chunk, one-point ones and
+        # tracks passing the circle between samples
+        rng = np.random.default_rng(chunk)
+        site = Site(18.2, -66.5, radius_km=60.0)
+        tracks = []
+        for t in range(120):
+            n = 1 if t % 6 == 0 else int(rng.integers(2, 20))
+            s = np.sort(rng.uniform(-2.0, 2.0, n))
+            lat = site.lat_deg + rng.uniform(-0.8, 0.8) + 0.3 * s
+            lon = site.lon_deg + s
+            tracks.append(Track(f"t{t}", lat, lon, rng.uniform(20.0, 150.0, n)))
+        tracks = TrackSet(tracks)
+        p = hazard._unit_vectors(site.lat_deg, site.lon_deg)
+        limit = site.radius_km / EARTH_RADIUS_KM
+        one = np.array([hazard._incident_wind(t, p, limit) for t in tracks])
+        monkeypatch.setattr(hazard, "_CHUNK_POINTS", chunk)
+        got = hazard._site_winds(tracks, site)
+        assert got.tobytes() == one.tobytes()
+        assert 0 < np.isnan(got).sum() < len(tracks)
+
+
 class TestMinDistance:
     def test_zero_on_track_point(self):
         tr = equator_track([-3.0, 0.0, 3.0])
@@ -120,6 +294,24 @@ class TestIncidentWindspeeds:
         tr = equator_track([-5.0, 5.0], [33.0, 44.0])
         out = incident_windspeeds(TrackSet([tr]), Site(0.0, 0.0, radius_km=50.0))
         assert out.tolist() == [44.0]
+
+
+    def test_closest_point_tie_takes_the_first(self):
+        # the segment from lon -3 to lon 1 crosses the site, but no point is
+        # in the circle; the closest point (lon 1) is sampled twice, and the
+        # first copy anchors the widening: points 0..2, not 1..3
+        tr = equator_track([-3.0, 1.0, 1.0, 5.0], [10.0, 20.0, 30.0, 40.0])
+        out = incident_windspeeds(TrackSet([tr]), Site(0.0, 0.0, radius_km=50.0))
+        assert out.tolist() == [30.0]
+
+    def test_nan_point_is_closest_as_argmin_has_it(self):
+        # a NaN latitude passes the range check; no point is in the circle
+        # but the NaN polyline distance does not miss, so the closest point
+        # is the first NaN one, as np.argmin picks it
+        tr = Track("n", np.array([np.nan, 5.0, 6.0]), np.zeros(3),
+                   np.array([40.0, 50.0, 60.0]))
+        out = incident_windspeeds(TrackSet([tr]), Site(0.0, 0.0, radius_km=50.0))
+        assert out.tolist() == [50.0]
 
 
 class TestWindConversion:
