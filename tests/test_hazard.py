@@ -152,14 +152,6 @@ class TestTrackCsvParse:
                 assert a.dtype == b.dtype == np.float64
                 assert a.tobytes() == b.tobytes(), (g.track_id, name)
 
-    def test_rows_of_a_track_need_not_be_contiguous(self, tmp_path):
-        path = tmp_path / "tracks.csv"
-        path.write_text(self.HEADER + "b,0,1,1,10\na,5,2,2,20\n  \nb,1,3,3,30\n"
-                        "a,6,4,4,40\n\t\nc,0,5,5,50\n")
-        tracks = TrackSet.from_csv(path).tracks
-        assert [t.track_id for t in tracks] == ["b", "a", "c"]
-        assert [t.wind_kn.tolist() for t in tracks] == [[10.0, 30.0], [20.0, 40.0], [50.0]]
-
     @pytest.mark.parametrize("rows,match", [
         ("a,0,1.0,2.0\n", "line 3 has 4 fields"),
         ("a,1,1.0,2.0,3.0,4.0\n", "line 3 has 6 fields"),
