@@ -124,12 +124,14 @@ def _contract_from(cfg) -> ContractSpec:
 def _utility_from(cfg) -> UtilityContext:
     u = _require(cfg, "utility", dict)
     family = _require(u, "family")
-    w0 = float(u.get("w0", 0.0))
+    w0 = _config_float(u.get("w0", 0.0), "utility w0")
     try:
         if family == "exponential":
-            return UtilityContext.exponential(beta=float(_require(u, "beta")), w0=w0)
+            return UtilityContext.exponential(
+                beta=_config_float(_require(u, "beta"), "utility beta"), w0=w0)
         if family == "power":
-            return UtilityContext.power(eta=float(_require(u, "eta")), w0=w0)
+            return UtilityContext.power(
+                eta=_config_float(_require(u, "eta"), "utility eta"), w0=w0)
     except ValueError as exc:
         raise ConfigError(f"invalid utility: {exc}") from exc
     raise ConfigError(f"unknown utility family: {family}")
@@ -141,6 +143,14 @@ def _config_int(value, what: str) -> int:
         return int(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{what} must be an integer, got {value!r:.40}") from exc
+
+
+def _config_float(value, what: str) -> float:
+    """float(value) for a config setting; a value float() rejects is a config error."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} must be a number, got {value!r:.40}") from exc
 
 
 def _seed_from(cfg, override):
@@ -165,10 +175,10 @@ def _rng(seed) -> np.random.Generator:
 def _beta_winds(syn, seed) -> np.ndarray:
     """The Beta wind stand-in: n draws of lo + (hi - lo) * Beta(a, b), in knots."""
     n = _sample_size(syn)
-    lo = float(syn.get("lo", 25.0))
-    hi = float(syn.get("hi", 135.0))
-    a = float(syn.get("a", 2.0))
-    b = float(syn.get("b", 2.8))
+    lo = _config_float(syn.get("lo", 25.0), "wind_beta lo")
+    hi = _config_float(syn.get("hi", 135.0), "wind_beta hi")
+    a = _config_float(syn.get("a", 2.0), "wind_beta a")
+    b = _config_float(syn.get("b", 2.8), "wind_beta b")
     if hi <= lo or a <= 0 or b <= 0:
         raise ConfigError("wind_beta needs lo < hi and positive shapes")
     return lo + (hi - lo) * _rng(seed).beta(a, b, size=n)
@@ -184,11 +194,11 @@ def _synthetic_sample(syn, seed) -> LossIndexSample:
         # jumps at the regime switch point; the index is the Gamma scale, so
         # larger index values mean larger losses
         n = _sample_size(syn)
-        lo = float(syn.get("lo", 2.0))
-        hi = float(syn.get("hi", 4.0))
-        switch = float(syn.get("switch", 3.5))
-        shape_lo = float(syn.get("shape_lo", 3.0))
-        shape_hi = float(syn.get("shape_hi", 3.5))
+        lo = _config_float(syn.get("lo", 2.0), "gamma_regime lo")
+        hi = _config_float(syn.get("hi", 4.0), "gamma_regime hi")
+        switch = _config_float(syn.get("switch", 3.5), "gamma_regime switch")
+        shape_lo = _config_float(syn.get("shape_lo", 3.0), "gamma_regime shape_lo")
+        shape_hi = _config_float(syn.get("shape_hi", 3.5), "gamma_regime shape_hi")
         rng = _rng(seed)
         theta = rng.uniform(lo, hi, size=n)
         shape = np.where(theta <= switch, shape_lo, shape_hi)
@@ -342,7 +352,7 @@ def _split_from(cfg, spec, seed):
                                 tp.get("triggered_weights")),
                 EmpiricalSample(tp["untriggered_values"],
                                 tp.get("untriggered_weights")),
-                float(tp["p_trigger"])), None
+                _config_float(tp["p_trigger"], "two_point p_trigger")), None
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"invalid two_point sample: {exc}") from exc
     sample = _sample_from(cfg, seed)
@@ -356,12 +366,16 @@ def cmd_fit_weighting(cfg, seed) -> dict[str, str]:
     grid_size = _positive_count(cfg.get("gamma_grid", 200),
                                 "fit-weighting gamma_grid (the trace size)")
     rho_i = cfg.get("rho_indemnity")
-    rho_i = None if rho_i is None else float(rho_i)
+    rho_i = None if rho_i is None else _config_float(rho_i, "rho_indemnity")
 
     if family == "pure":
         split, _ = _split_from(cfg, spec, seed)
         restrict = cfg.get("restrict")
-        restrict = None if restrict is None else (float(restrict[0]), float(restrict[1]))
+        if restrict is not None:
+            if not isinstance(restrict, list) or len(restrict) != 2:
+                raise ConfigError("restrict must be a list of two levels, got "
+                                  f"{restrict!r:.40}")
+            restrict = tuple(_config_float(g, "restrict level") for g in restrict)
         sol = solve_gamma_star(split, spec, utility, grid_size=grid_size,
                                restrict=restrict, rho_indemnity=rho_i)
         record = _solution_record(sol)
@@ -382,8 +396,10 @@ def cmd_fit_weighting(cfg, seed) -> dict[str, str]:
         gammas = np.linspace(0.02, 0.98, 49)
         gammas[np.argmin(np.abs(gammas - 0.5))] = 0.5
         surface = build_surface(cond, cond.bin_centers, gammas)
+        tolerance = _config_float(cfg.get("separability_tolerance", 1e-2),
+                                  "separability_tolerance")
         decomp = decompose(surface, gammas, cond.bin_centers, conditioner=cond,
-                           tolerance=float(cfg.get("separability_tolerance", 1e-2)))
+                           tolerance=tolerance)
         sol = solve_gamma_star_index(sample, spec, utility, decomp,
                                      grid_size=grid_size, rho_indemnity=rho_i)
         record = _solution_record(sol)
@@ -450,9 +466,10 @@ def cmd_simulate(cfg, seed) -> dict[str, str]:
     if sweep:
         qs = sweep.get("qs", [1.0, 3.0, 5.0]) if isinstance(sweep, dict) else None
         if not isinstance(qs, list) or not qs or not all(
-                isinstance(q, (int, float)) and not isinstance(q, bool) for q in qs):
+                isinstance(q, (int, float)) and not isinstance(q, bool) and q > 0
+                for q in qs):
             raise ConfigError("alpha_sweep must be a mapping whose qs is a non-empty "
-                              f"list of numbers, got {sweep!r:.60}")
+                              f"list of positive numbers, got {sweep!r:.60}")
         spec = _contract_from(cfg)
         utility = _utility_from(cfg)
         rows = []
@@ -473,7 +490,7 @@ def cmd_simulate(cfg, seed) -> dict[str, str]:
 
 
 def cmd_dependence_report(cfg, seed) -> dict[str, str]:
-    threshold = float(cfg.get("threshold_kn", 83.0))
+    threshold = _config_float(cfg.get("threshold_kn", 83.0), "threshold_kn")
     if "winds_csv" in cfg:
         path = cfg["winds_csv"]
         winds = _read(path, "wind matrix", lambda f: np.loadtxt(

@@ -21,6 +21,7 @@ from .expectile import (
     Level,
     expectile,
     expectile_exponential,
+    expectile_grid,
 )
 
 logger = logging.getLogger(__name__)
@@ -145,15 +146,24 @@ class PayoutVector:
         object.__setattr__(self, "payments", p)
 
 
-def split_by_trigger(sample: LossIndexSample, spec: ContractSpec):
-    """Partition observations into triggered / untriggered parts.
+def _trigger_mask(sample: LossIndexSample, spec: ContractSpec) -> np.ndarray:
+    """The rows in the trigger.
 
-    Raises DegenerateTriggerError when either part is empty (the empirical
-    trigger probability must lie strictly inside (0,1)).
+    Raises DegenerateTriggerError when the trigger fires on all rows or on
+    none (the empirical trigger probability must lie strictly inside (0,1)).
     """
     mask = spec.in_trigger(sample.indices)
     if mask.all() or not mask.any():
         raise DegenerateTriggerError("degenerate trigger")
+    return mask
+
+
+def split_by_trigger(sample: LossIndexSample, spec: ContractSpec):
+    """Partition observations into triggered / untriggered parts.
+
+    Raises DegenerateTriggerError when either part is empty.
+    """
+    mask = _trigger_mask(sample, spec)
     triggered = LossIndexSample(sample.losses[mask], sample.indices[mask])
     untriggered = LossIndexSample(sample.losses[~mask], sample.indices[~mask])
     return triggered, untriggered
@@ -162,9 +172,8 @@ def split_by_trigger(sample: LossIndexSample, spec: ContractSpec):
 def pure_parametric_payout(sample: LossIndexSample, spec: ContractSpec,
                            gamma: Level | float) -> PayoutVector:
     """Constant payout e_gamma(S | trigger) on triggered rows, 0 elsewhere."""
-    triggered, _ = split_by_trigger(sample, spec)
-    level = expectile(EmpiricalSample(triggered.losses), gamma)
-    mask = spec.in_trigger(sample.indices)
+    mask = _trigger_mask(sample, spec)
+    level = expectile(EmpiricalSample(sample.losses[mask]), gamma)
     return PayoutVector(np.where(mask, level, 0.0))
 
 
@@ -203,6 +212,10 @@ class EmpiricalBinConditioner:
     Bins the triggered index values into n_bins equal-frequency bins (each
     with at least min_bin_count observations) and uses the within-bin
     empirical expectile as a piecewise-constant conditional model.
+    ``expectile_table`` solves every bin over a level grid at once, one
+    ``expectile_grid`` per bin; ``conditional_expectile`` solves one level
+    in the bins its thetas fall in only. Both run the scalar solve's
+    arithmetic, so they agree bit for bit.
     """
 
     def __init__(self, triggered: LossIndexSample, n_bins: int = 20,
@@ -235,23 +248,50 @@ class EmpiricalBinConditioner:
         return np.searchsorted(self.inner_edges, np.asarray(thetas, dtype=np.float64),
                                side="right")
 
+    def expectile_table(self, gammas) -> np.ndarray:
+        """Per-bin expectiles, shape (n_bins, len(gammas))."""
+        return np.array([expectile_grid(s, gammas) for s in self.bin_samples])
+
     def conditional_expectile(self, thetas, gamma):
         g = gamma.gamma if isinstance(gamma, Level) else Level(gamma).gamma
         bins = self.assign(thetas)
-        per_bin = np.array([expectile(s, g) for s in self.bin_samples])
+        per_bin = np.empty(self.n_bins)
+        # bincount, not np.unique, which imports numpy.ma (about 1 MB) on first use
+        used = np.bincount(bins.ravel(), minlength=self.n_bins) > 0
+        for b in np.flatnonzero(used).tolist():
+            per_bin[b] = expectile(self.bin_samples[b], g)
         return per_bin[bins]
+
+
+def _expectile_columns(conditioner, thetas, gammas):
+    """Conditional expectiles at thetas, one array per level in gammas.
+
+    The binned conditioner assigns the thetas to bins once and reads its
+    per-bin table; any other conditioner is asked level by level.
+    """
+    if isinstance(conditioner, EmpiricalBinConditioner):
+        bins = conditioner.assign(thetas)
+        table = conditioner.expectile_table(gammas)
+        for j in range(table.shape[1]):
+            yield table[bins, j]
+    else:
+        for g in gammas:
+            yield conditioner.conditional_expectile(thetas, Level(float(g)))
+
+
+def _masked_payout(mask: np.ndarray, values) -> PayoutVector:
+    """max(values, 0) on the rows in mask, 0 elsewhere."""
+    payments = np.zeros(mask.size)
+    payments[mask] = np.maximum(values, 0.0)
+    return PayoutVector(payments)
 
 
 def index_payout(sample: LossIndexSample, spec: ContractSpec,
                  gamma: Level | float, conditioner) -> PayoutVector:
     """Payout e_gamma(S | theta_i) on triggered rows, 0 elsewhere."""
-    mask = spec.in_trigger(sample.indices)
-    if mask.all() or not mask.any():
-        raise DegenerateTriggerError("degenerate trigger")
-    payments = np.zeros(len(sample))
-    payments[mask] = np.maximum(
-        conditioner.conditional_expectile(sample.indices[mask], gamma), 0.0)
-    return PayoutVector(payments)
+    mask = _trigger_mask(sample, spec)
+    return _masked_payout(
+        mask, conditioner.conditional_expectile(sample.indices[mask], gamma))
 
 
 def premium(payout: PayoutVector, spec: ContractSpec) -> float:

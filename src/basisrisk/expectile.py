@@ -65,11 +65,13 @@ class EmpiricalSample:
     Weights default to uniform, must be non-negative and sum to 1 within
     1e-12. The cached arrays back the exact expectile solve: ``knot_ratio``
     holds r_i = E[(x_i - X)+] / E[|X - x_i|] at each sorted value x_i, which
-    never decreases along the sample (0 where all mass sits on x_i).
+    never decreases along the sample (0 where all mass sits on x_i). It is
+    built on first use, since a sample that is never solved (such as the
+    untriggered side of a split) does not need it.
     """
 
     __slots__ = ("values", "weights", "sorted_values", "cum_weights", "cum_weighted",
-                 "knot_ratio")
+                 "_knot_ratio")
 
     def __init__(self, values, weights=None):
         values = np.asarray(values, dtype=np.float64)
@@ -93,25 +95,34 @@ class EmpiricalSample:
         cw = np.cumsum(scratch)
         scratch *= xs
         cxw = np.cumsum(scratch)
-        # knot ratio, built in place to bound peak memory on large samples
-        lower = xs * cw
-        lower -= cxw                                  # E[(x_i - X)+]
-        np.subtract(1.0, cw, out=scratch)
-        scratch *= xs
-        mad = cxw[-1] - cxw
-        mad -= scratch                                # E[(X - x_i)+]
-        mad += lower                                  # E[|X - x_i|]
-        scratch.fill(0.0)
-        np.divide(lower, mad, out=scratch, where=mad > 0.0)
+        del scratch
         self.values = values
         self.weights = weights
         self.sorted_values = xs
         self.cum_weights = cw
         self.cum_weighted = cxw
-        self.knot_ratio = scratch
+        self._knot_ratio = None
         for arr in (self.values, self.weights, self.sorted_values,
-                    self.cum_weights, self.cum_weighted, self.knot_ratio):
+                    self.cum_weights, self.cum_weighted):
             arr.setflags(write=False)
+
+    @property
+    def knot_ratio(self) -> np.ndarray:
+        if self._knot_ratio is None:
+            xs, cw, cxw = self.sorted_values, self.cum_weights, self.cum_weighted
+            # built in place to bound peak memory on large samples
+            lower = xs * cw
+            lower -= cxw                              # E[(x_i - X)+]
+            scratch = np.subtract(1.0, cw)
+            scratch *= xs
+            mad = cxw[-1] - cxw
+            mad -= scratch                            # E[(X - x_i)+]
+            mad += lower                              # E[|X - x_i|]
+            scratch.fill(0.0)
+            np.divide(lower, mad, out=scratch, where=mad > 0.0)
+            scratch.setflags(write=False)
+            self._knot_ratio = scratch
+        return self._knot_ratio
 
     def __len__(self):
         return self.values.size
@@ -213,7 +224,7 @@ def expectile(sample: EmpiricalSample, gamma: Level | float) -> float:
 def expectile_grid(sample: EmpiricalSample, gammas) -> np.ndarray:
     """Vectorized :func:`expectile` over a gamma grid."""
     gs = np.atleast_1d(np.asarray(gammas, dtype=np.float64))
-    if np.any((gs <= 0.0) | (gs >= 1.0)):
+    if not np.all((gs > 0.0) & (gs < 1.0)):  # NaN fails too
         raise ValueError("gamma grid must lie strictly inside (0,1)")
     if sample.is_constant():
         return np.full(gs.shape, sample.min)

@@ -82,7 +82,8 @@ class Track:
 
 
 def _check_points(lat, lon, wind):
-    if np.any(np.abs(lat) > 90.0) or np.any(np.abs(lon) > 180.0):
+    # written so that NaN fails the range checks
+    if not (np.all(np.abs(lat) <= 90.0) and np.all(np.abs(lon) <= 180.0)):
         raise ValueError("coordinates out of range")
     if not np.all(np.isfinite(wind)) or np.any(wind < 0):
         raise ValueError("winds must be finite and non-negative")
@@ -210,7 +211,10 @@ class Site:
     trigger_threshold_kn: float = 83.0
 
     def __post_init__(self):
-        if self.radius_km <= 0 or self.trigger_threshold_kn <= 0:
+        # written so that NaN fails every check
+        if not (abs(self.lat_deg) <= 90.0 and abs(self.lon_deg) <= 180.0):
+            raise ValueError("site coordinates out of range")
+        if not (self.radius_km > 0 and self.trigger_threshold_kn > 0):
             raise ValueError("radius and threshold must be positive")
 
 
@@ -231,7 +235,7 @@ class LossModelParams:
     steepness: float = 150.0
 
     def __post_init__(self):
-        if min(self.v, self.p, self.q) <= 0:
+        if not (self.v > 0 and self.p > 0 and self.q > 0):  # NaN fails too
             raise ValueError("v, p, q must be positive")
 
 

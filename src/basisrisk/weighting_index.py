@@ -21,6 +21,7 @@ from .contracts import (
     DegenerateTriggerError,
     LossIndexSample,
     PremiumPrinciple,
+    _expectile_columns,
 )
 from .expectile import Level
 from .weighting_pure import (
@@ -103,12 +104,16 @@ class SeparableDecomposition:
 
 
 def build_surface(conditioner, thetas, gammas) -> np.ndarray:
-    """Conditional-expectile surface, shape (len(thetas), len(gammas))."""
+    """Conditional-expectile surface, shape (len(thetas), len(gammas)).
+
+    A binned conditioner fills it from its per-bin table (one grid solve per
+    bin); other conditioners are evaluated level by level.
+    """
     thetas = np.asarray(thetas, dtype=np.float64)
     gammas = np.asarray(gammas, dtype=np.float64)
     out = np.empty((thetas.size, gammas.size))
-    for j, g in enumerate(gammas):
-        out[:, j] = conditioner.conditional_expectile(thetas, Level(float(g)))
+    for j, column in enumerate(_expectile_columns(conditioner, thetas, gammas)):
+        out[:, j] = column
     return out
 
 

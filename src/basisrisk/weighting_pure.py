@@ -26,7 +26,9 @@ from .contracts import (
     LossIndexSample,
     PayoutVector,
     PremiumPrinciple,
-    index_payout,
+    _expectile_columns,
+    _masked_payout,
+    _trigger_mask,
     premium,
     split_by_trigger,
 )
@@ -493,19 +495,20 @@ def utility_curve(sample: LossIndexSample, spec: ContractSpec,
     Returns an array with columns (gamma, U1, U2, U) where U1/U2 average the
     utility of terminal wealth over triggered/untriggered scenarios and
     U = U1 + U2. Pure parametric payouts by default; passing a conditioner
-    switches to the index-conditional scheme.
+    switches to the index-conditional scheme. The trigger mask is built
+    once, and a binned conditioner assigns the triggered rows to bins once
+    and solves each bin over the whole grid at once.
     """
     gammas = np.asarray(gamma_grid, dtype=np.float64)
-    if np.any((gammas <= 0) | (gammas >= 1)):
+    if not np.all((gammas > 0) & (gammas < 1)):
         raise ValueError("gamma grid must lie strictly inside (0,1)")
-    mask = spec.in_trigger(sample.indices)
+    mask = _trigger_mask(sample, spec)
     if conditioner is None:
-        triggered, _ = split_by_trigger(sample, spec)
-        levels = expectile_grid(EmpiricalSample(triggered.losses), gammas)
+        levels = expectile_grid(EmpiricalSample(sample.losses[mask]), gammas)
         payouts = (PayoutVector(np.where(mask, y, 0.0)) for y in levels)
     else:
-        payouts = (index_payout(sample, spec, Level(float(g)), conditioner)
-                   for g in gammas)
+        payouts = (_masked_payout(mask, column) for column in
+                   _expectile_columns(conditioner, sample.indices[mask], gammas))
     w0 = utility.w0
     out = np.empty((gammas.size, 4))
     for i, (g, payout) in enumerate(zip(gammas, payouts)):

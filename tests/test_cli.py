@@ -158,8 +158,9 @@ class TestErrorPaths:
         assert code == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("row", ["A,0,18.2,-66.5,abc", "A,0,18.2,-66.5,90,1"],
-                             ids=["non_numeric", "six_fields"])
+    @pytest.mark.parametrize("row", ["A,0,18.2,-66.5,abc", "A,0,18.2,-66.5,90,1",
+                                     "A,2,nan,-66.5,90", "A,2,18.2,nan,90"],
+                             ids=["non_numeric", "six_fields", "nan_lat", "nan_lon"])
     @pytest.mark.parametrize("command", ["simulate", "dependence-report"])
     def test_malformed_track_csv_exits_2(self, tmp_path, command, row):
         tracks = tmp_path / "tracks.csv"
@@ -269,9 +270,11 @@ class TestErrorPaths:
         assert len((out / "utility_curve.csv").read_text().splitlines()) == 3
 
     @pytest.mark.parametrize("sweep", [[1.0, 3.0], {"qs": []}, {"qs": [True]},
-                                       {"qs": "13"}, {"qs": ["1.0"]}, {"qs": 3.0}],
+                                       {"qs": "13"}, {"qs": ["1.0"]}, {"qs": 3.0},
+                                       {"qs": [1.0, 0.0]}, {"qs": [-2]},
+                                       {"qs": [float("nan")]}],
                              ids=["list", "empty_qs", "bool_q", "string_qs",
-                                  "string_q", "scalar_qs"])
+                                  "string_q", "scalar_qs", "zero_q", "negative_q", "nan_q"])
     def test_bad_alpha_sweep_exits_2(self, tmp_path, sweep):
         cfg = write_cfg(tmp_path, "c.yaml", {
             "seed": 7, "wind": {"synthetic": {"n": 200}},
@@ -279,6 +282,86 @@ class TestErrorPaths:
             "utility": {"family": "exponential", "beta": 0.15},
             "alpha_sweep": sweep})
         code, out = run(tmp_path, "simulate", cfg)
+        assert code == 2
+        assert not out.exists()
+
+    @staticmethod
+    def _float_setting_cfg(config_dir, command, setting, value):
+        """A small config of ``command`` with one float setting set to ``value``."""
+        if command == "dependence-report":
+            cfg = yaml.safe_load((config_dir / "dependence_toy.yaml").read_text())
+            cfg["tracks_csv"] = str(config_dir / "fixtures" / "toy_tracks.csv")
+        elif command == "simulate":
+            cfg = {"seed": 7, "wind": {"synthetic": {"n": 200}}}
+        elif setting.startswith("gamma_regime"):
+            cfg = yaml.safe_load((config_dir / "regime_k1.yaml").read_text())
+            cfg["sample"]["synthetic"]["n"] = 8000
+        elif setting == "separability_tolerance":
+            cfg = interior_fit_cfg(payout_family="index",
+                                   conditioner={"min_bin_count": 50})
+        elif setting == "p_trigger":
+            cfg = yaml.safe_load((config_dir / "two_point_case1.yaml").read_text())
+        else:
+            cfg = interior_fit_cfg()
+        keys = {
+            "threshold_kn": ["threshold_kn"],
+            "site_lat": ["sites", 2, "lat_deg"],
+            "site_lon": ["sites", 0, "lon_deg"],
+            "site_radius": ["sites", 1, "radius_km"],
+            "site_threshold": ["sites", 1, "threshold_kn"],
+            "wind_beta_lo": ["sample", "synthetic", "lo"],
+            "wind_beta_hi": ["sample", "synthetic", "hi"],
+            "wind_beta_a": ["sample", "synthetic", "a"],
+            "wind_beta_b": ["sample", "synthetic", "b"],
+            "simulate_wind_lo": ["wind", "synthetic", "lo"],
+            "gamma_regime_lo": ["sample", "synthetic", "lo"],
+            "gamma_regime_switch": ["sample", "synthetic", "switch"],
+            "gamma_regime_shape_hi": ["sample", "synthetic", "shape_hi"],
+            "separability_tolerance": ["separability_tolerance"],
+            "rho_indemnity": ["rho_indemnity"],
+            "restrict": ["restrict"],
+            "w0": ["utility", "w0"],
+            "beta": ["utility", "beta"],
+            "p_trigger": ["sample", "two_point", "p_trigger"],
+        }[setting]
+        target = cfg
+        for k in keys[:-1]:
+            target = target[k]
+        target[keys[-1]] = value
+        return cfg
+
+    @pytest.mark.parametrize("command,setting,value", [
+        ("dependence-report", "threshold_kn", "abc"),
+        ("dependence-report", "site_lat", float("nan")),
+        ("dependence-report", "site_lon", float("nan")),
+        ("dependence-report", "site_radius", float("nan")),
+        ("dependence-report", "site_threshold", float("nan")),
+        ("dependence-report", "site_lat", 91.0),
+        ("fit-weighting", "wind_beta_lo", "abc"),
+        ("fit-weighting", "wind_beta_hi", [135.0]),
+        ("fit-weighting", "wind_beta_a", "two"),
+        ("fit-weighting", "wind_beta_b", None),
+        ("simulate", "simulate_wind_lo", "abc"),
+        ("utility-curve", "gamma_regime_lo", "abc"),
+        ("utility-curve", "gamma_regime_switch", {"at": 3.5}),
+        ("utility-curve", "gamma_regime_shape_hi", "3,5"),
+        ("fit-weighting", "separability_tolerance", "loose"),
+        ("fit-weighting", "rho_indemnity", "abc"),
+        ("fit-weighting", "restrict", ["abc", 0.9]),
+        ("fit-weighting", "restrict", 0.5),
+        ("fit-weighting", "restrict", [0.1, 0.5, 0.9]),
+        ("fit-weighting", "w0", "abc"),
+        ("fit-weighting", "beta", [0.15]),
+        ("fit-weighting", "p_trigger", "half"),
+    ], ids=["threshold_kn", "site_lat_nan", "site_lon_nan", "site_radius_nan",
+            "site_threshold_nan", "site_lat_range", "wind_beta_lo", "wind_beta_hi_list",
+            "wind_beta_a", "wind_beta_b_null", "simulate_wind_lo", "gamma_regime_lo",
+            "gamma_regime_switch_mapping", "gamma_regime_shape_hi", "separability_tolerance",
+            "rho_indemnity", "restrict_string_level", "restrict_scalar",
+            "restrict_three_levels", "w0", "beta_list", "p_trigger"])
+    def test_bad_float_setting_exits_2(self, tmp_path, config_dir, command, setting, value):
+        cfg = self._float_setting_cfg(config_dir, command, setting, value)
+        code, out = run(tmp_path, command, write_cfg(tmp_path, "c.yaml", cfg))
         assert code == 2
         assert not out.exists()
 

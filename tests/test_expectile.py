@@ -69,6 +69,46 @@ class TestEmpiricalSample:
                 assert s.is_constant()
                 assert expectile_grid(s, [0.1, 0.5, 0.9]).tolist() == [vals[0]] * 3
 
+    @staticmethod
+    def _eager_knot_ratio(xs, cw, cxw):
+        # the knot ratio as the constructor built it before it became lazy
+        scratch = np.empty_like(xs)
+        lower = xs * cw
+        lower -= cxw
+        np.subtract(1.0, cw, out=scratch)
+        scratch *= xs
+        mad = cxw[-1] - cxw
+        mad -= scratch
+        mad += lower
+        scratch.fill(0.0)
+        np.divide(lower, mad, out=scratch, where=mad > 0.0)
+        return scratch
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_knot_ratio_built_on_first_use(self, seed):
+        r = rng(seed)
+        values = np.round(r.gamma(2.0, 3.0, size=500), 1)
+        weights = r.random(500)
+        for s in (EmpiricalSample(values), EmpiricalSample(values, weights / weights.sum())):
+            assert s._knot_ratio is None
+            assert s.mean == float(s.cum_weighted[-1])
+            ratio = s.knot_ratio
+            assert ratio is s.knot_ratio
+            want = self._eager_knot_ratio(s.sorted_values, s.cum_weights, s.cum_weighted)
+            assert ratio.tobytes() == want.tobytes()
+            assert not ratio.flags.writeable
+            with pytest.raises(AttributeError):
+                s.knot_ratio = want
+
+    def test_knot_ratio_of_constant_sample_is_silent_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert EmpiricalSample([4.0, 4.0, 4.0]).knot_ratio.tolist() == [0.0] * 3
+
+    def test_grid_rejects_nan_level(self):
+        with pytest.raises(ValueError):
+            expectile_grid(EmpiricalSample([1.0, 2.0]), [0.5, np.nan])
+
     def test_weighted_matches_expanded(self):
         weighted = EmpiricalSample([1.0, 5.0], [0.25, 0.75])
         expanded = EmpiricalSample([1.0, 5.0, 5.0, 5.0])

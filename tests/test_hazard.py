@@ -164,8 +164,12 @@ class TestTrackCsvParse:
         ("a,1,0.0,-180.5,10.0\n", "coordinates"),
         ("a,1,0.0,0.0,-1.0\n", "winds"),
         ("a,1,0.0,0.0,inf\n", "winds"),
+        ("a,1,nan,0.0,10.0\n", "coordinates"),
+        ("a,1,0.0,nan,10.0\n", "coordinates"),
+        ("a,1,0.0,0.0,nan\n", "winds"),
     ], ids=["four_fields", "six_fields", "fractional_step", "repeated_step",
-            "falling_step", "first_track_named", "lat_range", "lon_range", "negative_wind", "infinite_wind"])
+            "falling_step", "first_track_named", "lat_range", "lon_range", "negative_wind",
+            "infinite_wind", "nan_lat", "nan_lon", "nan_wind"])
     def test_malformed_rows_raise(self, tmp_path, rows, match):
         path = tmp_path / "tracks.csv"
         path.write_text(self.HEADER + "a,0,0.0,0.0,10.0\n" + rows)
@@ -297,13 +301,42 @@ class TestIncidentWindspeeds:
         assert out.tolist() == [30.0]
 
     def test_nan_point_is_closest_as_argmin_has_it(self):
-        # a NaN latitude passes the range check; no point is in the circle
-        # but the NaN polyline distance does not miss, so the closest point
-        # is the first NaN one, as np.argmin picks it
-        tr = Track("n", np.array([np.nan, 5.0, 6.0]), np.zeros(3),
-                   np.array([40.0, 50.0, 60.0]))
+        # Track rejects a NaN latitude, so the unchecked view feeds one to
+        # the kernel: no point is in the circle but the NaN polyline
+        # distance does not miss, so the closest point is the first NaN
+        # one, as np.argmin picks it
+        tr = Track._view("n", np.array([np.nan, 5.0, 6.0]), np.zeros(3),
+                         np.array([40.0, 50.0, 60.0]))
         out = incident_windspeeds(TrackSet([tr]), Site(0.0, 0.0, radius_km=50.0))
         assert out.tolist() == [50.0]
+
+
+class TestNanRejected:
+    @pytest.mark.parametrize("kwargs", [
+        {"lat_deg": np.nan}, {"lon_deg": np.nan}, {"radius_km": np.nan},
+        {"trigger_threshold_kn": np.nan}, {"lat_deg": 90.5}, {"lon_deg": -181.0},
+        {"lat_deg": np.inf}, {"radius_km": 0.0}, {"trigger_threshold_kn": -1.0},
+    ], ids=["lat_nan", "lon_nan", "radius_nan", "threshold_nan", "lat_range",
+            "lon_range", "lat_inf", "radius_0", "threshold_negative"])
+    def test_site_rejects(self, kwargs):
+        with pytest.raises(ValueError):
+            Site(**{"lat_deg": 18.2, "lon_deg": -66.5, **kwargs})
+
+    def test_site_accepts_the_boundary(self):
+        Site(90.0, -180.0)
+        Site(-90.0, 180.0)
+
+    @pytest.mark.parametrize("column", ["lat", "lon"])
+    def test_track_rejects_nan_coordinate(self, column):
+        lat, lon = np.array([10.0, 11.0]), np.array([-60.0, -61.0])
+        (lat if column == "lat" else lon)[1] = np.nan
+        with pytest.raises(ValueError, match="out of range"):
+            Track("t", lat, lon, np.array([80.0, 90.0]))
+
+    @pytest.mark.parametrize("field", ["v", "p", "q"])
+    def test_loss_params_reject_nan(self, field):
+        with pytest.raises(ValueError):
+            LossModelParams(**{field: np.nan})
 
 
 class TestWindConversion:

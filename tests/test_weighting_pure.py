@@ -69,6 +69,14 @@ class TestTriggeredSplit:
         assert split.mean_loss() == pytest.approx(np.mean([1, 2, 10, 20]))
         assert split.var_loss() == pytest.approx(np.var([1, 2, 10, 20]))
 
+    def test_untriggered_side_never_builds_knot_ratio(self):
+        split = smooth_split()
+        sol = solve_gamma_star(split, ContractSpec(t_lo=83.0, rho=0.2),
+                               UtilityContext.exponential(beta=0.1))
+        assert sol.gamma_star is not None
+        assert split.triggered._knot_ratio is not None
+        assert split.untriggered._knot_ratio is None
+
 
 class TestV1V2:
     def test_signs_and_monotonicity(self):
