@@ -153,6 +153,14 @@ def _config_float(value, what: str) -> float:
         raise ConfigError(f"{what} must be a number, got {value!r:.40}") from exc
 
 
+def _positive_float(value, what: str) -> float:
+    """_config_float(value, what) that must be positive; NaN is a config error too."""
+    x = _config_float(value, what)
+    if not x > 0:
+        raise ConfigError(f"{what} must be positive, got {x!r}")
+    return x
+
+
 def _seed_from(cfg, override):
     if override is not None:
         return int(override)
@@ -179,7 +187,7 @@ def _beta_winds(syn, seed) -> np.ndarray:
     hi = _config_float(syn.get("hi", 135.0), "wind_beta hi")
     a = _config_float(syn.get("a", 2.0), "wind_beta a")
     b = _config_float(syn.get("b", 2.8), "wind_beta b")
-    if hi <= lo or a <= 0 or b <= 0:
+    if not (lo < hi and a > 0 and b > 0):  # NaN fails too
         raise ConfigError("wind_beta needs lo < hi and positive shapes")
     return lo + (hi - lo) * _rng(seed).beta(a, b, size=n)
 
@@ -199,6 +207,8 @@ def _synthetic_sample(syn, seed) -> LossIndexSample:
         switch = _config_float(syn.get("switch", 3.5), "gamma_regime switch")
         shape_lo = _config_float(syn.get("shape_lo", 3.0), "gamma_regime shape_lo")
         shape_hi = _config_float(syn.get("shape_hi", 3.5), "gamma_regime shape_hi")
+        if not (0 <= lo < hi and shape_lo > 0 and shape_hi > 0):  # NaN fails too
+            raise ConfigError("gamma_regime needs 0 <= lo < hi and positive shapes")
         rng = _rng(seed)
         theta = rng.uniform(lo, hi, size=n)
         shape = np.where(theta <= switch, shape_lo, shape_hi)
@@ -353,7 +363,9 @@ def _split_from(cfg, spec, seed):
                 EmpiricalSample(tp["untriggered_values"],
                                 tp.get("untriggered_weights")),
                 _config_float(tp["p_trigger"], "two_point p_trigger")), None
-        except (KeyError, TypeError) as exc:
+        except ConfigError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid two_point sample: {exc}") from exc
     sample = _sample_from(cfg, seed)
     return TriggeredSplit.from_sample(sample, spec), sample
@@ -366,7 +378,7 @@ def cmd_fit_weighting(cfg, seed) -> dict[str, str]:
     grid_size = _positive_count(cfg.get("gamma_grid", 200),
                                 "fit-weighting gamma_grid (the trace size)")
     rho_i = cfg.get("rho_indemnity")
-    rho_i = None if rho_i is None else _config_float(rho_i, "rho_indemnity")
+    rho_i = None if rho_i is None else _positive_float(rho_i, "rho_indemnity")
 
     if family == "pure":
         split, _ = _split_from(cfg, spec, seed)
@@ -376,6 +388,8 @@ def cmd_fit_weighting(cfg, seed) -> dict[str, str]:
                 raise ConfigError("restrict must be a list of two levels, got "
                                   f"{restrict!r:.40}")
             restrict = tuple(_config_float(g, "restrict level") for g in restrict)
+            if not 0.0 < restrict[0] < restrict[1] < 1.0:  # NaN fails too
+                raise ConfigError(f"restrict must satisfy 0 < lo < hi < 1, got {restrict!r}")
         sol = solve_gamma_star(split, spec, utility, grid_size=grid_size,
                                restrict=restrict, rho_indemnity=rho_i)
         record = _solution_record(sol)
@@ -396,8 +410,8 @@ def cmd_fit_weighting(cfg, seed) -> dict[str, str]:
         gammas = np.linspace(0.02, 0.98, 49)
         gammas[np.argmin(np.abs(gammas - 0.5))] = 0.5
         surface = build_surface(cond, cond.bin_centers, gammas)
-        tolerance = _config_float(cfg.get("separability_tolerance", 1e-2),
-                                  "separability_tolerance")
+        tolerance = _positive_float(cfg.get("separability_tolerance", 1e-2),
+                                    "separability_tolerance")
         decomp = decompose(surface, gammas, cond.bin_centers, conditioner=cond,
                            tolerance=tolerance)
         sol = solve_gamma_star_index(sample, spec, utility, decomp,
@@ -490,7 +504,7 @@ def cmd_simulate(cfg, seed) -> dict[str, str]:
 
 
 def cmd_dependence_report(cfg, seed) -> dict[str, str]:
-    threshold = _config_float(cfg.get("threshold_kn", 83.0), "threshold_kn")
+    threshold = _positive_float(cfg.get("threshold_kn", 83.0), "threshold_kn")
     if "winds_csv" in cfg:
         path = cfg["winds_csv"]
         winds = _read(path, "wind matrix", lambda f: np.loadtxt(

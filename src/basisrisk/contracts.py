@@ -77,15 +77,16 @@ class ContractSpec:
     cap: float | None = None
 
     def __post_init__(self):
-        if self.rho <= 0:
+        # written so that NaN fails every check
+        if not self.rho > 0:
             raise ValueError("loading rho must be positive")
-        if self.building_value <= 0:
+        if not self.building_value > 0:
             raise ValueError("building value must be positive")
-        if self.t_lo >= self.t_hi:
+        if not self.t_lo < self.t_hi:
             raise ValueError("trigger interval must be non-empty")
         att = self.t_lo if self.attachment is None else self.attachment
         cap = self.building_value if self.cap is None else self.cap
-        if cap <= 0:
+        if not cap > 0:
             raise ValueError("cap must be a positive payout level")
         object.__setattr__(self, "attachment", att)
         object.__setattr__(self, "cap", cap)

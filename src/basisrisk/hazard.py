@@ -9,8 +9,8 @@ A ``TrackSet`` is flat: the points of all its tracks sit in one array per
 column, grouped by track and delimited by offsets, and their unit vectors
 are computed once per set. The track CSV is parsed into that layout in one
 streaming pass. One cross-track kernel, ``_winds``, measures every track
-against a site over fixed chunks of whole tracks; single-track calls
-(``min_distance_km``, ``_incident_wind``) run the same kernel on one track.
+against a site over fixed chunks of whole tracks; ``min_distance_km`` runs
+the same distance kernel on one track.
 """
 
 from __future__ import annotations
@@ -237,6 +237,8 @@ class LossModelParams:
     def __post_init__(self):
         if not (self.v > 0 and self.p > 0 and self.q > 0):  # NaN fails too
             raise ValueError("v, p, q must be positive")
+        if not np.all(np.isfinite([self.rate, self.offset, self.steepness])):
+            raise ValueError("rate, offset, steepness must be finite")
 
 
 def _unit_vectors(lat_deg, lon_deg):
@@ -344,12 +346,6 @@ def _winds(p, limit: float, v, wind, starts) -> np.ndarray:
     sel[:-1] |= anchor[1:] & inner
     top = np.maximum.reduceat(np.where(sel, wind, -np.inf), starts)
     return np.where(hit, top, np.nan)
-
-
-def _incident_wind(track: Track, p, limit: float) -> float:
-    """``_winds`` for one track: its incident wind, NaN if it misses."""
-    v = _unit_vectors(track.lat_deg, track.lon_deg)
-    return float(_winds(p, limit, v, track.wind_kn, _ONE_TRACK)[0])
 
 
 def _site_winds(tracks: TrackSet, site: Site) -> np.ndarray:

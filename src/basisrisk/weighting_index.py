@@ -18,10 +18,10 @@ import numpy as np
 
 from .contracts import (
     ContractSpec,
-    DegenerateTriggerError,
     LossIndexSample,
     PremiumPrinciple,
     _expectile_columns,
+    _trigger_mask,
 )
 from .expectile import Level
 from .weighting_pure import (
@@ -187,12 +187,15 @@ def _index_system(sample: LossIndexSample, spec: ContractSpec, utility,
     """The index first-order system: h1 and H3 evaluated once, at the triggered indices.
 
     The moments are taken over the whole index sample; ``utility`` may be
-    None when only they are wanted.
+    None when only they are wanted. The standard-deviation principle is
+    rejected here: its premium rule in IndexQuantities holds only for a pure
+    contract.
     """
-    mask = spec.in_trigger(sample.indices)
+    if spec.principle is PremiumPrinciple.STD_DEV:
+        raise UnsupportedPrincipleError(
+            "standard-deviation principle is not supported for index insurance")
+    mask = _trigger_mask(sample, spec)
     n, n_t = mask.size, int(np.count_nonzero(mask))
-    if not 0 < n_t < n:
-        raise DegenerateTriggerError("degenerate trigger")
     h1, h3 = decomp.eval_theta(sample.indices[mask])
     p = float(mask.mean())
     h1_ind, h3_ind = np.zeros(n), np.zeros(n)
@@ -202,8 +205,8 @@ def _index_system(sample: LossIndexSample, spec: ContractSpec, utility,
     quants = IndexQuantities(
         p_trigger=p, int_h1=int_h1, int_h3=int_h3, v1=float(h1_ind.var()),
         v3=float(h3_ind.var()), v13=float(np.mean(h1_ind * h3_ind) - int_h1 * int_h3),
-        b_e=(1.0 + spec.rho) * (1.0 - p) / p * int_h1, rho=spec.rho)
-    return _FirstOrderSystem(spec, utility, quants, sample.losses[mask], 1.0 / n_t,
+        rho=spec.rho, principle=spec.principle)
+    return _FirstOrderSystem(utility, quants, sample.losses[mask], 1.0 / n_t,
                              h1, h3, sample.losses[~mask], 1.0 / (n - n_t))
 
 
@@ -211,12 +214,6 @@ def index_quantities(decomp: SeparableDecomposition, sample: LossIndexSample,
                      spec: ContractSpec) -> IndexQuantities:
     """Empirical moments of h1(tau)1_T and H3(tau)1_T over the index sample."""
     return _index_system(sample, spec, None, decomp).quants
-
-
-def _reject_std_dev(spec: ContractSpec) -> None:
-    if spec.principle is PremiumPrinciple.STD_DEV:
-        raise UnsupportedPrincipleError(
-            "standard-deviation principle is not supported for index insurance")
 
 
 def _h2_range(decomp: SeparableDecomposition):
@@ -233,7 +230,6 @@ def check_bounds_index(sample, spec, utility, decomp):
     (H2(0), H2(1)) with log spacing toward the supremum. An unbounded H2(1)
     truncates the scan at the largest grid value (reported in witnesses).
     """
-    _reject_std_dev(spec)
     k0, k1, truncated = _h2_range(decomp)
     lower, upper, witnesses = _boundary_scan(
         _index_system(sample, spec, utility, decomp), k0, k1)
@@ -251,7 +247,6 @@ def solve_gamma_star_index(sample: LossIndexSample, spec: ContractSpec,
     traces is asserted on a gamma grid before solving; violated bounds defer
     to violated_boundary_decision_index.
     """
-    _reject_std_dev(spec)
     system = _index_system(sample, spec, utility, decomp)
     g_lo, g_hi = 1e-9, 1.0 - 1e-9
     gammas = np.linspace(g_lo, g_hi, grid_size)
@@ -261,18 +256,6 @@ def solve_gamma_star_index(sample: LossIndexSample, spec: ContractSpec,
         (g_lo, g_hi), _h2_range(decomp)[:2],
         lambda lower, upper: (None, _fallback_decision_index(
             sample, spec, decomp, rho_i, lower, upper)))
-
-
-def _per_bin_extrema(losses: np.ndarray, bins: np.ndarray, n_bins: int):
-    """Per-bin min/max of losses, NaN for an empty bin."""
-    mins = np.full(n_bins, np.nan)
-    maxs = np.full(n_bins, np.nan)
-    for b in range(n_bins):
-        sel = bins == b
-        if sel.any():
-            mins[b] = losses[sel].min()
-            maxs[b] = losses[sel].max()
-    return mins, maxs
 
 
 def violated_boundary_decision_index(sample: LossIndexSample, spec: ContractSpec,
@@ -303,12 +286,15 @@ def _fallback_decision_index(sample: LossIndexSample, spec: ContractSpec,
     if lower and decomp.h2_unbounded:  # upper violated with H2(1) = +inf
         return Decision.PREFER_INDEMNITY
     # triggered losses binned by nearest decomposition center
-    mask = spec.in_trigger(sample.indices)
+    mask = _trigger_mask(sample, spec)
     edges = 0.5 * (decomp.thetas[:-1] + decomp.thetas[1:])
     bins = np.searchsorted(edges, sample.indices, side="right")
-    mins, maxs = _per_bin_extrema(sample.losses[mask], bins[mask], decomp.thetas.size)
+    # per-bin extrema of the triggered losses; an empty bin keeps its +-inf
+    mins, maxs = np.full(decomp.thetas.size, np.inf), np.full(decomp.thetas.size, -np.inf)
+    np.minimum.at(mins, bins[mask], sample.losses[mask])
+    np.maximum.at(maxs, bins[mask], sample.losses[mask])
     if not lower:
-        observed = mins[~np.isnan(mins)]
+        observed = mins[np.isfinite(mins)]
         tol = 1e-9 * max(float(sample.losses.max()), 1.0)
         if observed.size and np.all(observed <= tol):
             return Decision.PREFER_NO_INSURANCE

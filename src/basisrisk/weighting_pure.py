@@ -30,7 +30,6 @@ from .contracts import (
     _masked_payout,
     _trigger_mask,
     premium,
-    split_by_trigger,
 )
 from .expectile import (
     EmpiricalSample,
@@ -78,7 +77,7 @@ class UtilityContext:
 
     @classmethod
     def exponential(cls, beta: float, w0: float = 0.0):
-        if beta <= 0:
+        if not beta > 0:  # NaN fails too
             raise ValueError("beta must be positive")
         return cls(
             u=lambda x: 1.0 - np.exp(-beta * np.asarray(x, dtype=np.float64)),
@@ -89,7 +88,7 @@ class UtilityContext:
 
     @classmethod
     def power(cls, eta: float, w0: float):
-        if eta <= 0 or eta == 1.0:
+        if not eta > 0 or eta == 1.0:  # NaN fails too
             raise ValueError("eta must be positive and != 1")
 
         def _check(x):
@@ -137,9 +136,10 @@ class TriggeredSplit:
 
     @classmethod
     def from_sample(cls, sample: LossIndexSample, spec: ContractSpec):
-        trig, untrig = split_by_trigger(sample, spec)
-        return cls(EmpiricalSample(trig.losses), EmpiricalSample(untrig.losses),
-                   len(trig) / len(sample))
+        mask = _trigger_mask(sample, spec)
+        losses = sample.losses
+        return cls(EmpiricalSample(losses[mask]), EmpiricalSample(losses[~mask]),
+                   int(np.count_nonzero(mask)) / mask.size)
 
     def mean_loss(self) -> float:
         return self.p * self.triggered.mean + (1.0 - self.p) * self.untriggered.mean
@@ -176,20 +176,16 @@ def _wmean(sample: EmpiricalSample, values: np.ndarray) -> float:
     return float(np.sum(sample.weights * values))
 
 
-def _premium_multiplier(spec: ContractSpec, p: float) -> float:
-    """c such that the E/SD premium of a constant payout y on trigger is c*y."""
-    if spec.principle is PremiumPrinciple.EXPECTED_VALUE:
-        return (1.0 + spec.rho) * p
-    if spec.principle is PremiumPrinciple.STD_DEV:
-        return p + spec.rho * math.sqrt(p * (1.0 - p))
-    raise ValueError("no constant multiplier under the variance principle")
-
-
 @dataclass(frozen=True)
 class IndexQuantities:
-    """Moment functionals of the separable decomposition over the index law.
+    """The payout h1(tau) k + H3(tau) on trigger: its moments and its premium.
 
-    A pure contract (h1 = 1, H3 = 0) has int_h1 = p, v1 = p(1 - p), and zeros.
+    The moments are taken over the index law. A pure contract (h1 = 1,
+    H3 = 0) has int_h1 = p, v1 = p(1 - p), and zeros. ``premium(k)`` prices
+    the payout under the contract's principle and ``slope(k)`` is its
+    derivative in k. The standard-deviation premium c k, with
+    c = int_h1 + rho sqrt(v1), holds only when v13 = v3 = 0, as for a pure
+    contract; the index system rejects that principle.
     """
 
     p_trigger: float
@@ -198,18 +194,23 @@ class IndexQuantities:
     v1: float              # Var(h1(tau) 1_T)
     v3: float              # Var(H3(tau) 1_T)
     v13: float             # Cov(h1(tau) 1_T, H3(tau) 1_T)
-    b_e: float             # expected-value boundary threshold
     rho: float
+    principle: PremiumPrinciple
 
-    def r_tilde(self, k: float) -> float:
-        return 2.0 * self.rho * k * self.v1 + 2.0 * self.rho * self.v13 + self.int_h1
+    def premium(self, k: float) -> float:
+        if self.principle is PremiumPrinciple.EXPECTED_VALUE:
+            return (1.0 + self.rho) * (self.int_h1 * k + self.int_h3)
+        if self.principle is PremiumPrinciple.VARIANCE:
+            return (self.int_h1 * k + self.int_h3
+                    + self.rho * (k * k * self.v1 + 2.0 * k * self.v13 + self.v3))
+        return self.slope(k) * k
 
-    def pi_v(self, k: float) -> float:
-        return (self.int_h1 * k + self.int_h3
-                + self.rho * (k * k * self.v1 + 2.0 * k * self.v13 + self.v3))
-
-    def pi_e(self, k: float) -> float:
-        return (1.0 + self.rho) * (self.int_h1 * k + self.int_h3)
+    def slope(self, k: float) -> float:
+        if self.principle is PremiumPrinciple.EXPECTED_VALUE:
+            return (1.0 + self.rho) * self.int_h1
+        if self.principle is PremiumPrinciple.VARIANCE:
+            return 2.0 * self.rho * k * self.v1 + 2.0 * self.rho * self.v13 + self.int_h1
+        return self.int_h1 + self.rho * math.sqrt(self.v1)
 
 
 class _FirstOrderSystem:
@@ -218,27 +219,22 @@ class _FirstOrderSystem:
     Holds everything that does not depend on k: the triggered losses with
     their weights and h1, H3 there (the scalars 1 and 0 for a pure contract,
     where k is the payout level), the untriggered losses with their weights,
-    and the moments. With r the premium's slope in k and pi its value,
+    and the moments, which price the payout. With r = quants.slope(k) and
+    pi = quants.premium(k),
 
         V1 = p * sum_T w (h1 - r) u'(w0 - S + h1 k + H3 - pi),
         V2 = (1 - p) * r * sum_U w u'(w0 - S - pi).
     """
 
-    def __init__(self, spec, utility, quants, s_t, w_t, h1, h3, s_u, w_u):
-        self.spec, self.utility, self.quants = spec, utility, quants
+    def __init__(self, utility, quants, s_t, w_t, h1, h3, s_u, w_u):
+        self.utility, self.quants = utility, quants
         self.s_t, self.w_t, self.h1, self.h3 = s_t, w_t, h1, h3
         self.s_u, self.w_u = s_u, w_u
 
     def v_pair(self, k: float):
         """(V1, V2) at payout scale k."""
         q = self.quants
-        if self.spec.principle is PremiumPrinciple.EXPECTED_VALUE:
-            r, pi = (1.0 + q.rho) * q.int_h1, q.pi_e(k)
-        elif self.spec.principle is PremiumPrinciple.VARIANCE:
-            r, pi = q.r_tilde(k), q.pi_v(k)
-        else:  # standard deviation: pure contracts only, constant multiplier
-            r = _premium_multiplier(self.spec, q.p_trigger)
-            pi = r * k
+        r, pi = q.slope(k), q.premium(k)
         p, w0, u_prime = q.p_trigger, self.utility.w0, self.utility.u_prime
         v1 = p * float(np.sum(self.w_t * (self.h1 - r)
                               * u_prime(w0 - self.s_t + self.h1 * k + self.h3 - pi)))
@@ -246,18 +242,22 @@ class _FirstOrderSystem:
         return v1, v2
 
 
+def _pure_quantities(split: TriggeredSplit, spec: ContractSpec) -> IndexQuantities:
+    """The pure contract's moments: the index contract with h1 = 1 and H3 = 0."""
+    p = split.p
+    return IndexQuantities(p_trigger=p, int_h1=p, int_h3=0.0, v1=p * (1.0 - p), v3=0.0,
+                           v13=0.0, rho=spec.rho, principle=spec.principle)
+
+
 def _pure_system(split: TriggeredSplit, spec: ContractSpec,
                  utility: UtilityContext) -> _FirstOrderSystem:
     """The pure contract's system; k is the payout level x = e_gamma(S | trigger)."""
-    p = split.p
-    if (spec.principle is not PremiumPrinciple.VARIANCE
-            and _premium_multiplier(spec, p) >= 1.0):
+    quants = _pure_quantities(split, spec)
+    # under EV and SD the slope is the constant c of the premium c*k
+    if spec.principle is not PremiumPrinciple.VARIANCE and quants.slope(0.0) >= 1.0:
         raise PremiumDominatesError("premium dominates payout (c >= 1)")
-    quants = IndexQuantities(p_trigger=p, int_h1=p, int_h3=0.0, v1=p * (1.0 - p),
-                             v3=0.0, v13=0.0, b_e=(1.0 + spec.rho) * (1.0 - p),
-                             rho=spec.rho)
     st, su = split.triggered, split.untriggered
-    return _FirstOrderSystem(spec, utility, quants, st.values, st.weights, 1.0, 0.0,
+    return _FirstOrderSystem(utility, quants, st.values, st.weights, 1.0, 0.0,
                              su.values, su.weights)
 
 
@@ -383,19 +383,10 @@ def solve_gamma_star(split: TriggeredSplit, spec: ContractSpec,
                          fallback)
 
 
-def _constant_payout_premium(spec: ContractSpec, p: float, y: float) -> float:
-    """Premium of the payout y*1_trigger under the spec's principle."""
-    if spec.principle is PremiumPrinciple.EXPECTED_VALUE:
-        return (1.0 + spec.rho) * p * y
-    if spec.principle is PremiumPrinciple.STD_DEV:
-        return p * y + spec.rho * abs(y) * math.sqrt(p * (1.0 - p))
-    return p * y + spec.rho * y * y * p * (1.0 - p)
-
-
 def expected_utility_constant_payout(split: TriggeredSplit, spec: ContractSpec,
                                      utility: UtilityContext, y: float) -> float:
     """E[u(w0 - S + y*1_T - pi_y)] for a constant-on-trigger payout y."""
-    pi = _constant_payout_premium(spec, split.p, y)
+    pi = _pure_quantities(split, spec).premium(y)
     w0 = utility.w0
     ut = _wmean(split.triggered, utility.u(w0 - split.triggered.values + y - pi))
     uu = _wmean(split.untriggered, utility.u(w0 - split.untriggered.values - pi))
@@ -431,12 +422,10 @@ def _fallback_decision(split: TriggeredSplit, spec: ContractSpec,
         v0_num = _wmean(split.triggered, utility.u_prime(w0 - split.triggered.values))
         v0_den = _wmean(split.untriggered, utility.u_prime(w0 - split.untriggered.values))
         v0 = v0_num / v0_den
-        if spec.principle is PremiumPrinciple.VARIANCE:
-            threshold = 1.0
-        else:
-            c = _premium_multiplier(spec, split.p)
-            threshold = (1.0 - split.p) * c / (split.p * (1.0 - c))
-        if v0 <= threshold:
+        # V1(0) <= V2(0), with c the premium's slope at k = 0 (p under variance,
+        # which makes the threshold exactly 1)
+        c = _pure_quantities(split, spec).slope(0.0)
+        if v0 <= (1.0 - split.p) * c / (split.p * (1.0 - c)):
             return Decision.PREFER_NO_INSURANCE
         u_limit = expected_utility_constant_payout(split, spec, utility,
                                                    split.triggered.min)
@@ -467,10 +456,10 @@ def closed_form_exponential(split: TriggeredSplit, spec: ContractSpec, beta: flo
     """
     if spec.principle is not PremiumPrinciple.EXPECTED_VALUE:
         raise ValueError("closed form requires the expected-value principle")
-    if beta <= 0:
+    if not beta > 0:  # NaN fails too
         raise ValueError("beta must be positive")
     p = split.p
-    c = (1.0 + spec.rho) * p
+    c = _pure_quantities(split, spec).slope(0.0)
     if c >= 1.0:
         raise PremiumDominatesError("premium dominates payout (c >= 1)")
     mgf_t = _wmean(split.triggered, np.exp(beta * split.triggered.values))

@@ -3,6 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from basisrisk import hazard
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
 
@@ -19,3 +21,12 @@ def config_dir():
 
 def rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def incident_wind(track, p, limit: float) -> float:
+    """The cross-track kernel ``hazard._winds`` on one track: its incident
+    wind at the circle of angular radius ``limit`` around the unit vector
+    ``p``, NaN if it misses."""
+    v = hazard._unit_vectors(track.lat_deg, track.lon_deg)
+    starts = np.zeros(1, dtype=np.int64)
+    return float(hazard._winds(p, limit, v, track.wind_kn, starts)[0])

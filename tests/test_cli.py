@@ -299,7 +299,7 @@ class TestErrorPaths:
         elif setting == "separability_tolerance":
             cfg = interior_fit_cfg(payout_family="index",
                                    conditioner={"min_bin_count": 50})
-        elif setting == "p_trigger":
+        elif setting == "p_trigger" or setting.startswith("two_point_"):
             cfg = yaml.safe_load((config_dir / "two_point_case1.yaml").read_text())
         else:
             cfg = interior_fit_cfg()
@@ -313,6 +313,7 @@ class TestErrorPaths:
             "wind_beta_hi": ["sample", "synthetic", "hi"],
             "wind_beta_a": ["sample", "synthetic", "a"],
             "wind_beta_b": ["sample", "synthetic", "b"],
+            "wind_beta_loss_model": ["sample", "synthetic", "loss_model"],
             "simulate_wind_lo": ["wind", "synthetic", "lo"],
             "gamma_regime_lo": ["sample", "synthetic", "lo"],
             "gamma_regime_switch": ["sample", "synthetic", "switch"],
@@ -323,6 +324,10 @@ class TestErrorPaths:
             "w0": ["utility", "w0"],
             "beta": ["utility", "beta"],
             "p_trigger": ["sample", "two_point", "p_trigger"],
+            "building_value": ["contract", "building_value"],
+            "two_point_rho": ["contract", "rho"],
+            "two_point_t_lo": ["contract", "t_lo"],
+            "two_point_utility": ["utility"],
         }[setting]
         target = cfg
         for k in keys[:-1]:
@@ -353,12 +358,47 @@ class TestErrorPaths:
         ("fit-weighting", "w0", "abc"),
         ("fit-weighting", "beta", [0.15]),
         ("fit-weighting", "p_trigger", "half"),
+        ("fit-weighting", "restrict", [0.0, 0.5]),
+        ("fit-weighting", "restrict", [0.5, float("nan")]),
+        ("fit-weighting", "restrict", [0.6, 0.4]),
+        ("fit-weighting", "separability_tolerance", float("nan")),
+        ("fit-weighting", "separability_tolerance", -1.0),
+        ("dependence-report", "threshold_kn", float("nan")),
+        ("dependence-report", "threshold_kn", 0.0),
+        ("fit-weighting", "rho_indemnity", float("nan")),
+        ("fit-weighting", "rho_indemnity", -1.0),
+        ("fit-weighting", "two_point_rho", float("nan")),
+        ("fit-weighting", "two_point_t_lo", float("nan")),
+        ("fit-weighting", "two_point_utility",
+         {"family": "exponential", "beta": float("nan"), "w0": 10.0}),
+        ("fit-weighting", "two_point_utility",
+         {"family": "power", "eta": float("nan"), "w0": 10.0}),
+        ("fit-weighting", "building_value", float("nan")),
+        ("fit-weighting", "wind_beta_lo", float("nan")),
+        ("fit-weighting", "wind_beta_a", float("nan")),
+        ("fit-weighting", "wind_beta_loss_model", {"rate": float("nan")}),
+        ("fit-weighting", "wind_beta_loss_model", {"offset": float("inf")}),
+        ("fit-weighting", "wind_beta_loss_model", {"steepness": float("nan")}),
+        ("utility-curve", "gamma_regime_lo", float("nan")),
+        ("utility-curve", "gamma_regime_lo", 5.0),
+        ("utility-curve", "gamma_regime_lo", -1.0),
+        ("utility-curve", "gamma_regime_shape_hi", -1.0),
+        ("fit-weighting", "p_trigger", 1.5),
     ], ids=["threshold_kn", "site_lat_nan", "site_lon_nan", "site_radius_nan",
             "site_threshold_nan", "site_lat_range", "wind_beta_lo", "wind_beta_hi_list",
             "wind_beta_a", "wind_beta_b_null", "simulate_wind_lo", "gamma_regime_lo",
             "gamma_regime_switch_mapping", "gamma_regime_shape_hi", "separability_tolerance",
             "rho_indemnity", "restrict_string_level", "restrict_scalar",
-            "restrict_three_levels", "w0", "beta_list", "p_trigger"])
+            "restrict_three_levels", "w0", "beta_list", "p_trigger",
+            "restrict_zero_level", "restrict_nan_level", "restrict_reversed",
+            "separability_tolerance_nan", "separability_tolerance_negative",
+            "threshold_kn_nan", "threshold_kn_zero", "rho_indemnity_nan",
+            "rho_indemnity_negative", "two_point_rho_nan", "two_point_t_lo_nan",
+            "two_point_beta_nan", "two_point_eta_nan", "building_value_nan",
+            "wind_beta_lo_nan", "wind_beta_a_nan", "loss_model_rate_nan",
+            "loss_model_offset_inf", "loss_model_steepness_nan", "gamma_regime_lo_nan",
+            "gamma_regime_lo_above_hi", "gamma_regime_lo_negative",
+            "gamma_regime_shape_negative", "p_trigger_above_1"])
     def test_bad_float_setting_exits_2(self, tmp_path, config_dir, command, setting, value):
         cfg = self._float_setting_cfg(config_dir, command, setting, value)
         code, out = run(tmp_path, command, write_cfg(tmp_path, "c.yaml", cfg))

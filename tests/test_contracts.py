@@ -41,6 +41,11 @@ class TestContractSpec:
         with pytest.raises(ValueError):
             ContractSpec(t_lo=90.0, t_hi=90.0)
 
+    @pytest.mark.parametrize("field", ["rho", "building_value", "t_lo", "t_hi", "cap"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(ValueError):
+            ContractSpec(**{"t_lo": 83.0, field: np.nan})
+
     def test_trigger_interval_half_open(self):
         spec = ContractSpec(t_lo=83.0, t_hi=120.0)
         mask = spec.in_trigger(np.array([82.9, 83.0, 119.9, 120.0]))

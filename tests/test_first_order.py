@@ -1,7 +1,8 @@
 """The one first-order system shared by pure and index contracts.
 
 ``_v_pair_at_level`` and ``_v_pair_index`` below are the two evaluators the
-system replaced; their bodies are kept verbatim as reference implementations.
+system replaced; their bodies are kept verbatim as reference implementations,
+except that ``_v_pair_index`` writes the premium and its slope out inline.
 """
 
 import math
@@ -10,7 +11,13 @@ import numpy as np
 import pytest
 
 from basisrisk import weighting_pure
-from basisrisk.contracts import ContractSpec, LossIndexSample, PremiumPrinciple
+from basisrisk.contracts import (
+    ContractSpec,
+    LossIndexSample,
+    PayoutVector,
+    PremiumPrinciple,
+    premium,
+)
 from basisrisk.expectile import EmpiricalSample, expectile_grid
 from basisrisk.weighting_index import (
     SeparableDecomposition,
@@ -93,15 +100,16 @@ def _v_pair_index(sample, spec, utility, decomp, quants, k):
         wt = w0 - s + d1 * k + d3
         v1 = float(np.mean(np.where(mask, d1, 0.0)
                            * np.where(mask, utility.u_prime(np.where(mask, wt, w0)), 0.0)))
-        pi = iq.pi_e(k)
+        pi = (1.0 + iq.rho) * (iq.int_h1 * k + iq.int_h3)
         wu = w0 - s - pi
         v2 = ((1.0 + spec.rho) * iq.int_h1
               * float(np.mean(np.where(mask, 0.0,
                                        utility.u_prime(np.where(mask, w0, wu))))))
         return v1, v2
     if spec.principle is PremiumPrinciple.VARIANCE:
-        r = iq.r_tilde(k)
-        pi = iq.pi_v(k)
+        r = 2.0 * iq.rho * k * iq.v1 + 2.0 * iq.rho * iq.v13 + iq.int_h1
+        pi = (iq.int_h1 * k + iq.int_h3
+              + iq.rho * (k * k * iq.v1 + 2.0 * k * iq.v13 + iq.v3))
         wt = w0 - s + h1_all * k + h3_all - pi
         v1 = float(np.mean(np.where(mask, h1_all - r, 0.0)
                            * np.where(mask, utility.u_prime(np.where(mask, wt, w0)), 0.0)))
@@ -212,8 +220,6 @@ def test_index_quantities_equal_full_array_moments():
     assert q.v1 == pytest.approx(h1.var(), **tight)
     assert q.v3 == pytest.approx(h3.var(), **tight)
     assert q.v13 == pytest.approx(np.mean(h1 * h3) - h1.mean() * h3.mean(), **tight)
-    assert q.b_e == pytest.approx((1 + spec.rho) * (1 - q.p_trigger) / q.p_trigger
-                                  * h1.mean(), **tight)
 
 
 @pytest.mark.parametrize("x", [0.0, 5.0, 7.3, 10.0])
@@ -223,14 +229,71 @@ def test_pure_moments_reproduce_pure_premiums(x):
     q = _pure_system(split, ContractSpec(t_lo=83.0, rho=rho, principle=VAR),
                      UtilityContext.exponential(beta=0.1)).quants
     assert (q.int_h1, q.int_h3, q.v1, q.v3, q.v13) == (p, 0.0, p * (1 - p), 0.0, 0.0)
-    assert q.r_tilde(x) == pytest.approx(p * (1 + 2 * rho * (1 - p) * x), rel=1e-15)
-    assert q.pi_v(x) == pytest.approx(p * (1 + rho * (1 - p) * x) * x, rel=1e-15)
+    assert q.slope(x) == pytest.approx(p * (1 + 2 * rho * (1 - p) * x), rel=1e-15)
+    assert q.premium(x) == pytest.approx(p * (1 + rho * (1 - p) * x) * x, rel=1e-15)
     assert (1 + rho) * q.int_h1 == _premium_multiplier(ContractSpec(t_lo=83.0, rho=rho), p)
+
+
+def _rule_cases():
+    """(quantities, payout at k) pairs: index EV and variance, pure under all three."""
+    sample = shifted_separable_sample()
+    decomp = separable_decomposition()
+    cases = []
+    for principle, rho in [(EV, 0.1), (VAR, 0.002)]:
+        spec = ContractSpec(t_lo=2.2, rho=rho, principle=principle)
+        mask = spec.in_trigger(sample.indices)
+        h1, h3 = decomp.eval_theta(sample.indices)
+        cases.append((index_quantities(decomp, sample, spec),
+                      lambda k, h1=h1, h3=h3, mask=mask: np.where(mask, h1 * k + h3, 0.0)))
+    mask = ContractSpec(t_lo=2.2).in_trigger(sample.indices)
+    split = TriggeredSplit.from_sample(sample, ContractSpec(t_lo=2.2))
+    for principle, rho in PRINCIPLES:
+        spec = ContractSpec(t_lo=2.2, rho=rho, principle=principle)
+        cases.append((_pure_system(split, spec, UtilityContext.exponential(beta=0.1)).quants,
+                      lambda k, mask=mask: np.where(mask, k, 0.0)))
+    return cases
+
+
+RULE_IDS = ["index_ev", "index_var", "pure_ev", "pure_sd", "pure_var"]
+
+
+@pytest.mark.parametrize("case", range(len(RULE_IDS)), ids=RULE_IDS)
+def test_premium_prices_the_explicit_payout(case):
+    q, payout = _rule_cases()[case]
+    spec = ContractSpec(t_lo=2.2, rho=q.rho, principle=q.principle)
+    for k in (0.0, 0.5, 3.0, 12.5):
+        want = premium(PayoutVector(payout(k)), spec)
+        assert q.premium(k) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("case", range(len(RULE_IDS)), ids=RULE_IDS)
+def test_slope_is_the_premium_derivative(case):
+    q, _ = _rule_cases()[case]
+    h = 1e-4
+    for k in (0.5, 3.0, 12.5):
+        central = (q.premium(k + h) - q.premium(k - h)) / (2.0 * h)
+        assert q.slope(k) == pytest.approx(central, rel=1e-8)
+
+
+def test_index_quantities_reject_std_dev():
+    with pytest.raises(UnsupportedPrincipleError):
+        index_quantities(separable_decomposition(), shifted_separable_sample(),
+                         ContractSpec(t_lo=2.2, rho=0.15, principle=SD))
 
 
 # ---------------------------------------------------------------------------
 # entry-point behaviour
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make_split,rho", [(smooth_40k, 0.2), (weighted_two_point, 0.05)],
+                         ids=["smooth_40k", "two_point"])
+def test_gamma_star_does_not_depend_on_the_trace_size(make_split, rho):
+    # bisection runs on the level bracket, not on the trace's first and last level
+    spec = ContractSpec(t_lo=83.0, rho=rho)
+    util = UtilityContext.exponential(beta=0.1, w0=0.0)
+    sols = [solve_gamma_star(make_split(), spec, util, grid_size=n) for n in (1, 2, 200)]
+    assert sols[0].decision is Decision.INTERIOR_OPTIMUM
+    assert sols[0].gamma_star == sols[1].gamma_star == sols[2].gamma_star
 
 def test_premium_dominates_on_pure_entry_points():
     split = weighted_two_point()

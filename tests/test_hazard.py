@@ -21,6 +21,7 @@ from basisrisk.hazard import (
     storm_to_track_csv,
     storm_wind_convert,
 )
+from conftest import incident_wind
 
 
 def equator_track(lons, winds=None, tid="t0"):
@@ -230,7 +231,7 @@ class TestFlatKernel:
         tracks = TrackSet(tracks)
         p = hazard._unit_vectors(site.lat_deg, site.lon_deg)
         limit = site.radius_km / EARTH_RADIUS_KM
-        one = np.array([hazard._incident_wind(t, p, limit) for t in tracks])
+        one = np.array([incident_wind(t, p, limit) for t in tracks])
         monkeypatch.setattr(hazard, "_CHUNK_POINTS", chunk)
         got = hazard._site_winds(tracks, site)
         assert got.tobytes() == one.tobytes()
@@ -333,7 +334,7 @@ class TestNanRejected:
         with pytest.raises(ValueError, match="out of range"):
             Track("t", lat, lon, np.array([80.0, 90.0]))
 
-    @pytest.mark.parametrize("field", ["v", "p", "q"])
+    @pytest.mark.parametrize("field", ["v", "p", "q", "rate", "offset", "steepness"])
     def test_loss_params_reject_nan(self, field):
         with pytest.raises(ValueError):
             LossModelParams(**{field: np.nan})

@@ -32,13 +32,13 @@ from basisrisk.hazard import (
     Site,
     Track,
     TrackSet,
-    _incident_wind,
     _track_distances,
     _unit_vectors,
     incident_windspeeds,
     simulate_losses,
     simulate_portfolio,
 )
+from conftest import incident_wind
 from scipy.stats import rankdata
 
 ref_logger = logging.getLogger("basisrisk.dependence")
@@ -354,7 +354,7 @@ def test_cross_track_and_incident_match_reference():
         point, polyline = _track_distances(*p, *v)
         assert _same_bits(polyline, _ref_xtrack_min_distance(*p, *v))
         ref = _ref_incident_wind(tr, p, limit)
-        got = _incident_wind(tr, p, limit)
+        got = incident_wind(tr, p, limit)
         if ref is None:
             assert math.isnan(got)
             seen["miss"] += 1

@@ -134,12 +134,12 @@ class TestIndexQuantities:
         assert q.v1 == pytest.approx(h1.var())
         assert q.v3 == pytest.approx(h3.var())
         assert q.v13 == pytest.approx(np.cov(h1, h3, bias=True)[0, 1], abs=1e-12)
-        assert q.b_e == pytest.approx(
-            (1 + spec.rho) * (1 - q.p_trigger) / q.p_trigger * q.int_h1)
         # premium functionals at a point
         k = 1.7
-        assert q.pi_e(k) == pytest.approx((1 + spec.rho) * (q.int_h1 * k + q.int_h3))
-        assert q.pi_v(k) == pytest.approx(
+        assert q.premium(k) == pytest.approx((1 + spec.rho) * (q.int_h1 * k + q.int_h3))
+        q_var = index_quantities(d, sample, ContractSpec(t_lo=83.0, rho=0.1,
+                                                         principle=PremiumPrinciple.VARIANCE))
+        assert q_var.premium(k) == pytest.approx(
             q.int_h1 * k + q.int_h3
             + spec.rho * (k * k * q.v1 + 2 * k * q.v13 + q.v3))
 
@@ -335,3 +335,26 @@ class TestFallbackDecisionIndexThresholds:
             sample = LossIndexSample(losses, FALLBACK_INDICES)
             assert _fallback_decision_index(sample, spec, fallback_decomposition(),
                                             spec.rho, False, True) is expected
+
+    def test_empty_bin_is_ignored(self):
+        # a center at 6.0 that no triggered row is nearest to: its bin is empty
+        thetas = np.append(FALLBACK_THETAS, 6.0)
+        decomp = SeparableDecomposition(
+            thetas=thetas, h1=np.ones(thetas.size), h3=np.zeros(thetas.size),
+            gammas=GAMMAS, h2_grid=logit(GAMMAS), residual=0.0, ref_index=0)
+        spec = ContractSpec(**FALLBACK_SPEC)
+        tol = 1e-9 * max(FALLBACK_LOSSES)
+        for low, expected in ((0.5 * tol, Decision.PREFER_NO_INSURANCE),
+                              (2.0 * tol, Decision.PREFER_SMALLEST_ALPHA)):
+            losses = list(FALLBACK_LOSSES)
+            losses[2] = losses[4] = losses[6] = low
+            sample = LossIndexSample(losses, FALLBACK_INDICES)
+            assert _fallback_decision_index(sample, spec, decomp, spec.rho,
+                                            False, True) is expected
+        sample = LossIndexSample(FALLBACK_LOSSES, FALLBACK_INDICES)
+        sup = np.array(bin_sup_oracle(FALLBACK_INDICES, FALLBACK_LOSSES, spec.t_lo))
+        ratio_star = sup.mean() / np.mean(FALLBACK_LOSSES)
+        for scale, expected in ((0.99, Decision.PREFER_INDEMNITY),
+                                (1.01, Decision.PREFER_LARGEST_ALPHA)):
+            assert _fallback_decision_index(sample, spec, decomp, scale * ratio_star * spec.rho,
+                                            True, False) is expected

@@ -48,6 +48,12 @@ class TestUtilityContext:
         with pytest.raises(ValueError):
             UtilityContext.power(eta=1.0, w0=10.0)
 
+    def test_nan_parameters_rejected(self):
+        with pytest.raises(ValueError):
+            UtilityContext.exponential(beta=np.nan)
+        with pytest.raises(ValueError):
+            UtilityContext.power(eta=np.nan, w0=10.0)
+
     def test_check_support_rejects_convex(self):
         u = UtilityContext.custom(u=lambda x: x ** 2, u_prime=lambda x: 2 * x,
                                   u_second=lambda x: 2.0 * np.ones_like(x), w0=0.0)
