@@ -141,10 +141,16 @@ class PayoutVector:
 
     def __post_init__(self):
         p = np.asarray(self.payments, dtype=np.float64)
-        if not np.all(np.isfinite(p)) or np.any(p < 0):
-            raise ValueError("payments must be finite and non-negative")
+        _check_payments(p)
         p.setflags(write=False)
         object.__setattr__(self, "payments", p)
+
+
+def _check_payments(p: np.ndarray) -> None:
+    """Reject payments that are not finite and non-negative (NaN included)."""
+    # min and max propagate NaN, so a NaN fails both comparisons
+    if p.size and not (p.min() >= 0.0 and p.max() < np.inf):
+        raise ValueError("payments must be finite and non-negative")
 
 
 def _trigger_mask(sample: LossIndexSample, spec: ContractSpec) -> np.ndarray:
@@ -301,7 +307,11 @@ def premium(payout: PayoutVector, spec: ContractSpec) -> float:
     Standard deviation / variance use population (1/N) statistics: premiums
     are functionals of the modeled distribution, not inferential estimates.
     """
-    y = payout.payments
+    return _premium_of(payout.payments, spec)
+
+
+def _premium_of(y: np.ndarray, spec: ContractSpec) -> float:
+    """``premium`` of the payments y, which are already checked."""
     m = float(y.mean())
     if spec.principle is PremiumPrinciple.EXPECTED_VALUE:
         return (1.0 + spec.rho) * m

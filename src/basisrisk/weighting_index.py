@@ -182,20 +182,19 @@ def decompose(surface, gammas, thetas, *, tolerance: float = 1e-2,
         h2_eval=h2_eval)
 
 
-def _index_system(sample: LossIndexSample, spec: ContractSpec, utility,
-                  decomp: SeparableDecomposition):
-    """The index first-order system: h1 and H3 evaluated once, at the triggered indices.
+def _index_moments(sample: LossIndexSample, spec: ContractSpec,
+                   decomp: SeparableDecomposition):
+    """The index contract's moments, the trigger mask, and h1, H3 at the triggered indices.
 
-    The moments are taken over the whole index sample; ``utility`` may be
-    None when only they are wanted. The standard-deviation principle is
-    rejected here: its premium rule in IndexQuantities holds only for a pure
-    contract.
+    h1 and H3 are evaluated once; the moments are taken over the whole
+    index sample. The standard-deviation principle is rejected here: its
+    premium rule in IndexQuantities holds only for a pure contract.
     """
     if spec.principle is PremiumPrinciple.STD_DEV:
         raise UnsupportedPrincipleError(
             "standard-deviation principle is not supported for index insurance")
     mask = _trigger_mask(sample, spec)
-    n, n_t = mask.size, int(np.count_nonzero(mask))
+    n = mask.size
     h1, h3 = decomp.eval_theta(sample.indices[mask])
     p = float(mask.mean())
     h1_ind, h3_ind = np.zeros(n), np.zeros(n)
@@ -206,14 +205,24 @@ def _index_system(sample: LossIndexSample, spec: ContractSpec, utility,
         p_trigger=p, int_h1=int_h1, int_h3=int_h3, v1=float(h1_ind.var()),
         v3=float(h3_ind.var()), v13=float(np.mean(h1_ind * h3_ind) - int_h1 * int_h3),
         rho=spec.rho, principle=spec.principle)
-    return _FirstOrderSystem(utility, quants, sample.losses[mask], 1.0 / n_t,
-                             h1, h3, sample.losses[~mask], 1.0 / (n - n_t))
+    return quants, mask, h1, h3
+
+
+def _index_system(sample: LossIndexSample, spec: ContractSpec, utility,
+                  decomp: SeparableDecomposition) -> _FirstOrderSystem:
+    """The index first-order system; the triggered side's shift varies by row."""
+    quants, mask, h1, h3 = _index_moments(sample, spec, decomp)
+    n_t = h1.size
+    return _FirstOrderSystem(
+        utility, quants,
+        utility.side(sample.losses[mask], 1.0 / n_t, per_row=True),
+        utility.side(sample.losses[~mask], 1.0 / (mask.size - n_t)), h1, h3)
 
 
 def index_quantities(decomp: SeparableDecomposition, sample: LossIndexSample,
                      spec: ContractSpec) -> IndexQuantities:
     """Empirical moments of h1(tau)1_T and H3(tau)1_T over the index sample."""
-    return _index_system(sample, spec, None, decomp).quants
+    return _index_moments(sample, spec, decomp)[0]
 
 
 def _h2_range(decomp: SeparableDecomposition):

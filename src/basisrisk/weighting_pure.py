@@ -24,12 +24,11 @@ import numpy as np
 from .contracts import (
     ContractSpec,
     LossIndexSample,
-    PayoutVector,
     PremiumPrinciple,
+    _check_payments,
     _expectile_columns,
-    _masked_payout,
+    _premium_of,
     _trigger_mask,
-    premium,
 )
 from .expectile import (
     EmpiricalSample,
@@ -68,22 +67,40 @@ class MonotonicityError(RuntimeError):
 
 @dataclass(frozen=True)
 class UtilityContext:
-    """Twice differentiable concave utility plus initial wealth."""
+    """Twice differentiable concave utility plus initial wealth.
+
+    ``u`` and ``u_prime`` take an optional ``out`` array, which they fill in
+    place with the same arithmetic. ``side`` prepares one side of the
+    trigger for the sums of u' and u that the first-order system and the
+    utility curve read. Only the exponential family, which sets ``beta``,
+    takes the moment form (``_MomentSide``): at a scalar shift its sums
+    cost O(1) per evaluation. Power and custom utilities, and any per-row
+    shift, always sum the rows (``_RowSide``).
+    """
 
     u: object
     u_prime: object
     u_second: object
     w0: float
+    beta: float | None = None  # risk aversion of the exponential family only
 
     @classmethod
     def exponential(cls, beta: float, w0: float = 0.0):
         if not beta > 0:  # NaN fails too
             raise ValueError("beta must be positive")
+
+        def u(x, out=None):
+            y = np.multiply(-beta, np.asarray(x, dtype=np.float64), out=out)
+            return np.subtract(1.0, np.exp(y, out=out), out=out)
+
+        def u_prime(x, out=None):
+            y = np.multiply(-beta, np.asarray(x, dtype=np.float64), out=out)
+            return np.multiply(beta, np.exp(y, out=out), out=out)
+
         return cls(
-            u=lambda x: 1.0 - np.exp(-beta * np.asarray(x, dtype=np.float64)),
-            u_prime=lambda x: beta * np.exp(-beta * np.asarray(x, dtype=np.float64)),
+            u=u, u_prime=u_prime,
             u_second=lambda x: -beta * beta * np.exp(-beta * np.asarray(x, dtype=np.float64)),
-            w0=w0,
+            w0=w0, beta=beta,
         )
 
     @classmethod
@@ -93,20 +110,36 @@ class UtilityContext:
 
         def _check(x):
             x = np.asarray(x, dtype=np.float64)
-            if np.any(x <= 0.0):
+            # fmin skips NaN, as the elementwise test x <= 0 does
+            if x.size and np.fmin.reduce(x, axis=None) <= 0.0:
                 raise UtilityDomainError("utility domain violated: non-positive wealth")
             return x
 
+        def u(x, out=None):
+            y = np.subtract(np.power(_check(x), 1.0 - eta, out=out), 1.0, out=out)
+            return np.divide(y, 1.0 - eta, out=out)
+
         return cls(
-            u=lambda x: (_check(x) ** (1.0 - eta) - 1.0) / (1.0 - eta),
-            u_prime=lambda x: _check(x) ** (-eta),
+            u=u,
+            u_prime=lambda x, out=None: np.power(_check(x), -eta, out=out),
             u_second=lambda x: -eta * _check(x) ** (-eta - 1.0),
             w0=w0,
         )
 
     @classmethod
     def custom(cls, u, u_prime, u_second, w0: float):
-        return cls(u=u, u_prime=u_prime, u_second=u_second, w0=w0)
+        return cls(u=_writing_into(u), u_prime=_writing_into(u_prime),
+                   u_second=u_second, w0=w0)
+
+    def side(self, s, w, per_row: bool = False):
+        """The sums over one side of the trigger: losses s, weights w (an array or a scalar).
+
+        ``per_row`` says that the shift will vary by row, as on an index
+        contract's triggered side; such a side sums its rows.
+        """
+        if self.beta is None or per_row:
+            return _RowSide(self, s, w)
+        return _MomentSide(self.beta, s, w)
 
     def check_support(self, wealths) -> None:
         """Sample-based validation of u' > 0 and u'' <= 0 on realized wealths."""
@@ -117,6 +150,67 @@ class UtilityContext:
             raise UtilityDomainError("marginal utility must be strictly positive")
         if np.any(upp > 1e-12 * np.abs(up).max()):
             raise UtilityDomainError("utility must be concave on the wealth support")
+
+
+def _writing_into(fn):
+    """A one-argument function of wealth, given the families' optional ``out`` array."""
+    def call(x, out=None):
+        if out is None:
+            return fn(x)
+        out[...] = fn(x)
+        return out
+    return call
+
+
+class _RowSide:
+    """Sums over one side's rows: losses s, weights w (an array or a scalar).
+
+    ``u_prime_sum(shift, factor)`` is sum w factor u'(shift - s) and
+    ``u_sum(shift)`` is sum w u(shift - s); shift and factor are scalars or
+    per-row arrays. Both work in one buffer held here, so an evaluation
+    allocates nothing sample-sized.
+    """
+
+    def __init__(self, utility, s, w):
+        self.utility, self.s, self.w = utility, s, w
+        self.buf = np.empty(s.size)
+
+    def u_prime_sum(self, shift, factor=1.0) -> float:
+        x = self.utility.u_prime(np.subtract(shift, self.s, out=self.buf), out=self.buf)
+        np.multiply(x, self.w, out=x)
+        return float(np.sum(np.multiply(x, factor, out=x)))
+
+    def u_sum(self, shift) -> float:
+        x = self.utility.u(np.subtract(shift, self.s, out=self.buf), out=self.buf)
+        return float(np.sum(np.multiply(x, self.w, out=x)))
+
+
+class _MomentSide:
+    """The exponential utility's sums over one side at a scalar shift, in O(1).
+
+    With m the side's largest loss and M = sum w e^{beta (s - m)}, both
+    computed once,
+
+        sum w u'(shift - s) = beta e^{-beta (shift - m)} M,
+        sum w u(shift - s)  = sum w - e^{-beta (shift - m)} M.
+
+    No exponent in M is positive, so M cannot overflow, and the scale
+    e^{-beta (shift - m)} overflows only where the largest row term does.
+    """
+
+    def __init__(self, beta, s, w):
+        self.beta, self.top = beta, float(s.max())
+        self.mgf = float(np.sum(w * np.exp(beta * (s - self.top))))
+        self.mass = float(np.sum(np.broadcast_to(w, s.shape)))
+
+    def _scale(self, shift):
+        return np.exp(-self.beta * (shift - self.top)) * self.mgf
+
+    def u_prime_sum(self, shift, factor=1.0) -> float:
+        return float(factor * self.beta * self._scale(shift))
+
+    def u_sum(self, shift) -> float:
+        return float(self.mass - self._scale(shift))
 
 
 class TriggeredSplit:
@@ -216,49 +310,66 @@ class IndexQuantities:
 class _FirstOrderSystem:
     """First-order system V1(k) = V2(k) for the payout h1(theta)*k + H3(theta) on trigger.
 
-    Holds everything that does not depend on k: the triggered losses with
-    their weights and h1, H3 there (the scalars 1 and 0 for a pure contract,
-    where k is the payout level), the untriggered losses with their weights,
-    and the moments, which price the payout. With r = quants.slope(k) and
-    pi = quants.premium(k),
+    Holds everything that does not depend on k: the triggered and the
+    untriggered side, as the utility prepared them (``UtilityContext.side``),
+    h1 and H3 on the triggered rows (the scalars 1 and 0 for a pure
+    contract, where k is the payout level), and the moments, which price the
+    payout. With r = quants.slope(k) and pi = quants.premium(k),
 
-        V1 = p * sum_T w (h1 - r) u'(w0 - S + h1 k + H3 - pi),
-        V2 = (1 - p) * r * sum_U w u'(w0 - S - pi).
+        V1 = p * sum_T w (h1 - r) u'(w0 + h1 k + H3 - pi - S),
+        V2 = (1 - p) * sum_U w r u'(w0 - pi - S).
+
+    Only under exponential utility does a side take the moment form, and
+    only at a scalar shift: both sides of a pure contract and the
+    untriggered side of an index contract then cost O(1) per evaluation.
+    Per-row h1 and H3 (an index contract's triggered side), and power or
+    custom utility, sum the rows in buffers held here and by the sides, so
+    an evaluation allocates nothing sample-sized.
     """
 
-    def __init__(self, utility, quants, s_t, w_t, h1, h3, s_u, w_u):
+    def __init__(self, utility, quants, triggered, untriggered, h1=1.0, h3=0.0):
         self.utility, self.quants = utility, quants
-        self.s_t, self.w_t, self.h1, self.h3 = s_t, w_t, h1, h3
-        self.s_u, self.w_u = s_u, w_u
+        self.triggered, self.untriggered = triggered, untriggered
+        self.h1, self.h3 = h1, h3
+        # the triggered side's per-row shift and factor; None keeps them scalars
+        self._shift = None if np.ndim(h1) == 0 else np.empty_like(h1)
+        self._factor = None if np.ndim(h1) == 0 else np.empty_like(h1)
 
     def v_pair(self, k: float):
         """(V1, V2) at payout scale k."""
-        q = self.quants
+        q, w0 = self.quants, self.utility.w0
         r, pi = q.slope(k), q.premium(k)
-        p, w0, u_prime = q.p_trigger, self.utility.w0, self.utility.u_prime
-        v1 = p * float(np.sum(self.w_t * (self.h1 - r)
-                              * u_prime(w0 - self.s_t + self.h1 * k + self.h3 - pi)))
-        v2 = (1.0 - p) * r * float(np.sum(self.w_u * u_prime(w0 - self.s_u - pi)))
+        shift = np.multiply(self.h1, k, out=self._shift)
+        shift = np.add(np.add(shift, self.h3, out=self._shift), w0 - pi, out=self._shift)
+        factor = np.subtract(self.h1, r, out=self._factor)
+        v1 = q.p_trigger * self.triggered.u_prime_sum(shift, factor)
+        v2 = (1.0 - q.p_trigger) * self.untriggered.u_prime_sum(w0 - pi, r)
         return v1, v2
 
 
-def _pure_quantities(split: TriggeredSplit, spec: ContractSpec) -> IndexQuantities:
-    """The pure contract's moments: the index contract with h1 = 1 and H3 = 0."""
-    p = split.p
+def _pure_quantities(p: float, spec: ContractSpec) -> IndexQuantities:
+    """The pure contract's moments at trigger probability p.
+
+    A pure contract is the index contract with h1 = 1 and H3 = 0.
+    """
     return IndexQuantities(p_trigger=p, int_h1=p, int_h3=0.0, v1=p * (1.0 - p), v3=0.0,
                            v13=0.0, rho=spec.rho, principle=spec.principle)
+
+
+def _sides(split: TriggeredSplit, utility: UtilityContext):
+    """The split's triggered and untriggered sides, prepared for the utility's sums."""
+    st, su = split.triggered, split.untriggered
+    return utility.side(st.values, st.weights), utility.side(su.values, su.weights)
 
 
 def _pure_system(split: TriggeredSplit, spec: ContractSpec,
                  utility: UtilityContext) -> _FirstOrderSystem:
     """The pure contract's system; k is the payout level x = e_gamma(S | trigger)."""
-    quants = _pure_quantities(split, spec)
+    quants = _pure_quantities(split.p, spec)
     # under EV and SD the slope is the constant c of the premium c*k
     if spec.principle is not PremiumPrinciple.VARIANCE and quants.slope(0.0) >= 1.0:
         raise PremiumDominatesError("premium dominates payout (c >= 1)")
-    st, su = split.triggered, split.untriggered
-    return _FirstOrderSystem(utility, quants, st.values, st.weights, 1.0, 0.0,
-                             su.values, su.weights)
+    return _FirstOrderSystem(utility, quants, *_sides(split, utility))
 
 
 def v1_v2(split: TriggeredSplit, spec: ContractSpec, utility: UtilityContext,
@@ -386,11 +497,15 @@ def solve_gamma_star(split: TriggeredSplit, spec: ContractSpec,
 def expected_utility_constant_payout(split: TriggeredSplit, spec: ContractSpec,
                                      utility: UtilityContext, y: float) -> float:
     """E[u(w0 - S + y*1_T - pi_y)] for a constant-on-trigger payout y."""
-    pi = _pure_quantities(split, spec).premium(y)
-    w0 = utility.w0
-    ut = _wmean(split.triggered, utility.u(w0 - split.triggered.values + y - pi))
-    uu = _wmean(split.untriggered, utility.u(w0 - split.untriggered.values - pi))
-    return split.p * ut + (1.0 - split.p) * uu
+    return sum(_constant_payout_utilities(_sides(split, utility),
+                                          _pure_quantities(split.p, spec), utility.w0, y))
+
+
+def _constant_payout_utilities(sides, quants: IndexQuantities, w0: float, y: float):
+    """(p E[u | T], (1 - p) E[u | not T]) at wealth w0 - S + y*1_T - pi_y."""
+    pi = quants.premium(y)
+    p = quants.p_trigger
+    return p * sides[0].u_sum(w0 + y - pi), (1.0 - p) * sides[1].u_sum(w0 - pi)
 
 
 def violated_boundary_decision(split: TriggeredSplit, spec: ContractSpec,
@@ -417,19 +532,17 @@ def _fallback_decision(split: TriggeredSplit, spec: ContractSpec,
         raise ValueError("both boundary conditions hold; no fallback needed")
     if not lower and not upper:
         raise RuntimeError("internal inconsistency: both bounds reported violated")
-    w0 = utility.w0
     if not lower:
-        v0_num = _wmean(split.triggered, utility.u_prime(w0 - split.triggered.values))
-        v0_den = _wmean(split.untriggered, utility.u_prime(w0 - split.untriggered.values))
-        v0 = v0_num / v0_den
+        sides, w0 = _sides(split, utility), utility.w0
+        v0 = sides[0].u_prime_sum(w0) / sides[1].u_prime_sum(w0)
         # V1(0) <= V2(0), with c the premium's slope at k = 0 (p under variance,
         # which makes the threshold exactly 1)
-        c = _pure_quantities(split, spec).slope(0.0)
+        quants = _pure_quantities(split.p, spec)
+        c = quants.slope(0.0)
         if v0 <= (1.0 - split.p) * c / (split.p * (1.0 - c)):
             return Decision.PREFER_NO_INSURANCE
-        u_limit = expected_utility_constant_payout(split, spec, utility,
-                                                   split.triggered.min)
-        u_none = expected_utility_constant_payout(split, spec, utility, 0.0)
+        u_limit = sum(_constant_payout_utilities(sides, quants, w0, split.triggered.min))
+        u_none = sum(_constant_payout_utilities(sides, quants, w0, 0.0))
         return (Decision.PREFER_SMALLEST_ALPHA if u_limit > u_none
                 else Decision.PREFER_NO_INSURANCE)
     # upper violated
@@ -459,9 +572,12 @@ def closed_form_exponential(split: TriggeredSplit, spec: ContractSpec, beta: flo
     if not beta > 0:  # NaN fails too
         raise ValueError("beta must be positive")
     p = split.p
-    c = _pure_quantities(split, spec).slope(0.0)
+    c = _pure_quantities(p, spec).slope(0.0)
     if c >= 1.0:
         raise PremiumDominatesError("premium dominates payout (c >= 1)")
+    # The MGFs come from the rows here, never from the first-order system's
+    # moment sides: this closed form is the independent check of the
+    # bisection, so it must not share the sums it checks.
     mgf_t = _wmean(split.triggered, np.exp(beta * split.triggered.values))
     mgf_u = _wmean(split.untriggered, np.exp(beta * split.untriggered.values))
     x_exp = -(1.0 / beta) * (math.log(c / (1.0 - c))
@@ -485,26 +601,41 @@ def utility_curve(sample: LossIndexSample, spec: ContractSpec,
     utility of terminal wealth over triggered/untriggered scenarios and
     U = U1 + U2. Pure parametric payouts by default; passing a conditioner
     switches to the index-conditional scheme. The trigger mask is built
-    once, and a binned conditioner assigns the triggered rows to bins once
-    and solves each bin over the whole grid at once.
+    once. The pure payout is one level per side, so each level reads the
+    utility's two side sums (``UtilityContext.side``). An index payout
+    varies by row: it is written, with the wealth, into full-sample buffers
+    held across levels, and a binned conditioner assigns the triggered rows
+    to bins once and solves each bin over the whole grid at once.
     """
     gammas = np.asarray(gamma_grid, dtype=np.float64)
     if not np.all((gammas > 0) & (gammas < 1)):
         raise ValueError("gamma grid must lie strictly inside (0,1)")
     mask = _trigger_mask(sample, spec)
-    if conditioner is None:
-        levels = expectile_grid(EmpiricalSample(sample.losses[mask]), gammas)
-        payouts = (PayoutVector(np.where(mask, y, 0.0)) for y in levels)
-    else:
-        payouts = (_masked_payout(mask, column) for column in
-                   _expectile_columns(conditioner, sample.indices[mask], gammas))
-    w0 = utility.w0
+    w0, n = utility.w0, mask.size
     out = np.empty((gammas.size, 4))
-    for i, (g, payout) in enumerate(zip(gammas, payouts)):
-        pi = premium(payout, spec)
-        wealth = w0 - sample.losses + payout.payments - pi
-        uvals = np.asarray(utility.u(wealth), dtype=np.float64)
-        u1 = float(np.mean(np.where(mask, uvals, 0.0)))
-        u2 = float(np.mean(np.where(mask, 0.0, uvals)))
-        out[i] = (g, u1, u2, u1 + u2)
+    out[:, 0] = gammas
+    if conditioner is None:
+        s_t, s_u = sample.losses[mask], sample.losses[~mask]
+        levels = expectile_grid(EmpiricalSample(s_t), gammas)
+        _check_payments(levels)
+        sides = utility.side(s_t, 1.0 / s_t.size), utility.side(s_u, 1.0 / s_u.size)
+        quants = _pure_quantities(s_t.size / n, spec)
+        for i, y in enumerate(levels.tolist()):
+            out[i, 1:3] = _constant_payout_utilities(sides, quants, w0, y)
+    else:
+        off = ~mask
+        payments, wealth, part = np.zeros(n), np.empty(n), np.empty(n)
+        columns = _expectile_columns(conditioner, sample.indices[mask], gammas)
+        for i, column in enumerate(columns):
+            payments[mask] = column
+            np.maximum(payments, 0.0, out=payments)
+            _check_payments(payments)
+            pi = _premium_of(payments, spec)
+            np.add(np.subtract(w0, sample.losses, out=wealth), payments, out=wealth)
+            uvals = utility.u(np.subtract(wealth, pi, out=wealth), out=wealth)
+            np.copyto(part, uvals)
+            np.copyto(part, 0.0, where=off)
+            np.copyto(uvals, 0.0, where=mask)
+            out[i, 1:3] = float(np.mean(part)), float(np.mean(uvals))
+    out[:, 3] = out[:, 1] + out[:, 2]
     return out
