@@ -220,9 +220,9 @@ def test_v_pair_allocates_nothing_sample_sized(name):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # a few hundred bytes of Python objects; a boolean temporary over the
-    # smallest side (36k rows) would exceed the bound, and one float64 array
-    # over the sample (at least 0.96 MB) is 60 times larger
+    # about 1 KiB of Python objects is live at the peak; a boolean temporary
+    # over the smallest side (36k rows) would exceed the bound, and one
+    # float64 array over the sample (at least 0.96 MB) is 58 times larger
     assert peak < 16 * 1024
 
 
