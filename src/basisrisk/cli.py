@@ -79,8 +79,190 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# config tables: every key a subcommand reads, checked once before any work
 # ---------------------------------------------------------------------------
+
+def _fail(path, need, value):
+    raise ConfigError(f"{path or 'config'} must be {need}, got {value!r:.60}")
+
+
+class _Key:
+    """One config key: its type, its range, and whether it is required or defaulted.
+
+    ``kind`` is "number" (never a bool or a string), "integer" (an int or an
+    integral float), "level" (a name in ``of``, read as its value if ``of``
+    is a dict), "text", "list" (non-empty, of ``of`` items) or "either" (``of``
+    checks a list by its second key, anything else by its first). ``rng`` is
+    (predicate, words), written so that NaN fails. Only a setting that no
+    library object defaults has a default.
+    """
+
+    def __init__(self, kind, rng=(np.isfinite, "finite"), of=None, *, required=False,
+                 default=None):
+        self.kind, self.rng, self.of = kind, rng, of
+        self.required, self.default = required, default
+
+    def but(self, **kw):
+        """This key, made required or given a default."""
+        return _Key(self.kind, self.rng, self.of, **kw)
+
+    def check(self, value, path):
+        kind, of, raw = self.kind, self.of, value
+        if kind == "either":
+            return of[isinstance(value, list)].check(value, path)
+        if kind in ("level", "text"):
+            if not isinstance(value, str) or (of is not None and value not in of):
+                _fail(path, "a string" if of is None else "one of " + ", ".join(of), value)
+            return of[value] if isinstance(of, dict) else value
+        if kind == "list":
+            if not (isinstance(value, list) and value):
+                _fail(path, "a non-empty list", value)
+            value = [of.check(v, f"{path}[{i}]") for i, v in enumerate(value)]
+        elif isinstance(value, bool) or not isinstance(value, (int, float)) or (
+                isinstance(value, int) and abs(value) > sys.float_info.max) or (
+                kind == "integer" and isinstance(value, float) and not value.is_integer()):
+            _fail(path, "a number" if kind == "number" else "an integer", value)
+        else:
+            value = float(value) if kind == "number" else int(value)
+        if self.rng is not None and not self.rng[0](value):
+            _fail(path, self.rng[1], raw)
+        return value
+
+
+class _Table(_Key):
+    """A config mapping: its keys, plus those of the branch of ``variants`` named
+    by the value of key ``by``, or else by the one branch key set (``None`` if
+    none is). Any other key is one the run would not read: an error. ``rule``
+    is (predicate, words) on the checked keys; ``build`` makes what they set.
+    """
+
+    def __init__(self, keys, by=None, variants=None, rule=None, build=dict, **kw):
+        super().__init__("table", rule, **kw)
+        self.keys, self.by, self.build = keys, by, build
+        self.variants = variants or {None: {}}
+
+    def check(self, value, path):
+        if not isinstance(value, dict):
+            _fail(path, "a mapping", value)
+        prefix = path + "." if path else ""
+        if self.by is not None:
+            name = value.get(self.by, self.keys[self.by].default)
+            self.keys[self.by].check(name, prefix + self.by)  # a level naming a branch
+        else:
+            found = [name for name in self.variants if name is not None and name in value]
+            if len(found) > 1 or not (found or None in self.variants):
+                _fail(path, "a mapping that sets one of "
+                      + ", ".join(filter(None, self.variants)), value)
+            name = found[0] if found else None
+        keys = {**self.keys, **self.variants[name]}
+        for name in value:
+            if name not in keys:
+                raise ConfigError(f"{prefix}{name} is not a key this run reads")
+        out = {}
+        for name, key in keys.items():
+            if name in value:
+                out[name] = key.check(value[name], prefix + name)
+            elif key.required:
+                raise ConfigError(f"missing config key: {prefix}{name}")
+            elif key.default is not None:
+                out[name] = key.default
+        if self.rng is not None and not self.rng[0](out):
+            _fail(path, self.rng[1], value)
+        return self.build(**out)
+
+
+_NUMBER = _Key("number")
+_POSITIVE = _Key("number", (lambda x: 0 < x < np.inf, "positive and finite"))
+_LEVEL = _Key("number", (lambda g: 0.0 < g < 1.0, "inside (0, 1)"))
+_COUNT = _Key("integer", (lambda n: n >= 1, ">= 1"))
+_NON_NEGATIVE = _Key("integer", (lambda n: n >= 0, ">= 0"))
+_TEXT = _Key("text", None)
+_LO_BELOW_HI = (lambda s: s["lo"] < s["hi"], "a mapping with lo < hi")
+
+_CONTRACT = _Table({
+    "t_lo": _NUMBER.but(required=True),
+    "t_hi": _Key("number", (lambda x: x > -np.inf, "above -inf")),
+    "principle": _Key("level", None, {p.value: p for p in PremiumPrinciple}),
+    "rho": _POSITIVE, "building_value": _POSITIVE,
+}, rule=(lambda c: "t_hi" not in c or c["t_lo"] < c["t_hi"], "a mapping with t_lo < t_hi"),
+    build=ContractSpec, required=True)
+_UTILITY = _Table({"family": _Key("level", None, {"exponential": UtilityContext.exponential,
+                                                  "power": UtilityContext.power})},
+                  by="family", build=lambda family, **u: family(**u), required=True,
+                  variants={
+    "exponential": {"beta": _POSITIVE.but(required=True), "w0": _NUMBER},
+    "power": {"eta": _Key("number", (lambda x: 0 < x < np.inf and x != 1,
+                                     "positive, finite and not 1"), required=True),
+              "w0": _NUMBER.but(default=0.0)},
+})
+_LOSS_MODEL = _Table({"v": _POSITIVE, "p": _POSITIVE, "q": _POSITIVE,
+                      "rate": _NUMBER, "offset": _NUMBER, "steepness": _NUMBER},
+                     build=LossModelParams)
+_WIND_BETA = {"n": _COUNT.but(required=True), "lo": _NUMBER.but(default=25.0),
+              "hi": _NUMBER.but(default=135.0), "a": _POSITIVE.but(default=2.0),
+              "b": _POSITIVE.but(default=2.8)}
+_SYNTHETIC = _Table({"kind": _Key("level", None, ("wind_beta", "gamma_regime"))},
+                    by="kind", rule=_LO_BELOW_HI, variants={
+    "wind_beta": {**_WIND_BETA, "loss_model": _LOSS_MODEL},
+    # uniform index on (lo, hi), Gamma loss whose shape jumps at switch
+    "gamma_regime": {
+        "n": _WIND_BETA["n"], "hi": _NUMBER.but(default=4.0),
+        "lo": _Key("number", (lambda x: 0 <= x < np.inf, ">= 0 and finite"), default=2.0),
+        "switch": _NUMBER.but(default=3.5), "shape_lo": _POSITIVE.but(default=3.0),
+        "shape_hi": _POSITIVE.but(default=3.5)},
+})
+_SOURCES = {"csv": {"csv": _TEXT}, "synthetic": {"synthetic": _SYNTHETIC}}
+_VALUES = _Key("list", None, _NUMBER, required=True)
+_WEIGHTS = _Key("list", None, _Key("number", (lambda w: w >= 0, ">= 0")))
+_TWO_POINT = _Table({"triggered_values": _VALUES, "triggered_weights": _WEIGHTS,
+                     "untriggered_values": _VALUES, "untriggered_weights": _WEIGHTS,
+                     "p_trigger": _LEVEL.but(required=True)})
+_SITE = _Table({
+    "lat_deg": _Key("number", (lambda x: abs(x) <= 90.0, "in [-90, 90]"), required=True),
+    "lon_deg": _Key("number", (lambda x: abs(x) <= 180.0, "in [-180, 180]"), required=True),
+    "radius_km": _POSITIVE, "threshold_kn": _POSITIVE,
+}, required=True, build=lambda **s: Site(**_present(
+    s, lat_deg="lat_deg", lon_deg="lon_deg", radius_km="radius_km",
+    trigger_threshold_kn="threshold_kn")))
+_SEED = _NON_NEGATIVE.but(required=True)
+_CONDITIONER = _Table({"n_bins": _COUNT, "min_bin_count": _NON_NEGATIVE})
+_PAYOUT_KEYS = {"seed": _SEED, "contract": _CONTRACT, "utility": _UTILITY,
+        "payout_family": _Key("level", None, ("pure", "index"), default="pure")}
+
+_TABLES = {
+    "fit-weighting": _Table({
+        **_PAYOUT_KEYS, "gamma_grid": _COUNT, "rho_indemnity": _POSITIVE,
+    }, by="payout_family", variants={
+        "pure": {"sample": _Table({}, variants={**_SOURCES, "two_point": {
+                     "two_point": _TWO_POINT}}, required=True),
+                 "restrict": _Key("list", (lambda r: len(r) == 2 and r[0] < r[1],
+                                           "two levels lo < hi"), _LEVEL)},
+        "index": {"sample": _Table({}, variants=_SOURCES, required=True),
+                  "conditioner": _CONDITIONER, "separability_tolerance": _POSITIVE},
+    }),
+    "simulate": _Table({
+        "seed": _SEED, "loss_model": _LOSS_MODEL,
+        "wind": _Table({}, required=True, variants={
+            "tracks_csv": {"tracks_csv": _TEXT, "site": _SITE, "bootstrap_n": _COUNT},
+            "synthetic": {"synthetic": _Table(_WIND_BETA, rule=_LO_BELOW_HI)}}),
+        "hist_bins": _COUNT.but(default=50), "envelope_bins": _COUNT.but(default=40),
+    }, variants={None: {}, "alpha_sweep": {
+        "contract": _CONTRACT, "utility": _UTILITY, "alpha_sweep": _Table({
+            "qs": _Key("list", None, _POSITIVE, default=[1.0, 3.0, 5.0])})}}),
+    "utility-curve": _Table({
+        **_PAYOUT_KEYS, "sample": _Table({}, variants=_SOURCES, required=True),
+        "gamma_grid": _Key("either", None, (_COUNT, _Key("list", None, _LEVEL)),
+                           default=99),
+    }, by="payout_family", variants={"pure": {}, "index": {"conditioner": _CONDITIONER}}),
+    "dependence-report": _Table({
+        "seed": _SEED, "threshold_kn": _POSITIVE.but(default=83.0),
+        "min_joint": _NON_NEGATIVE.but(default=30),
+    }, variants={"winds_csv": {"winds_csv": _TEXT}, "tracks_csv": {
+        "tracks_csv": _TEXT, "loss_model": _LOSS_MODEL,
+        "sites": _Key("list", (lambda s: len(s) >= 2, "a list of two sites or more"), _SITE,
+                      required=True)}}),
+}
+
 
 def _load_config(path):
     try:
@@ -95,85 +277,9 @@ def _load_config(path):
     return cfg
 
 
-def _require(cfg, key, kind=None):
-    if key not in cfg:
-        raise ConfigError(f"missing config key: {key}")
-    val = cfg[key]
-    if kind is not None and not isinstance(val, kind):
-        raise ConfigError(f"config key {key} has wrong type")
-    return val
-
-
-def _contract_from(cfg) -> ContractSpec:
-    c = _require(cfg, "contract", dict)
-    principles = {p.value: p for p in PremiumPrinciple}
-    name = c.get("principle", "expected_value")
-    if name not in principles:
-        raise ConfigError(f"unknown premium principle: {name}")
-    try:
-        return ContractSpec(
-            t_lo=float(_require(c, "t_lo")),
-            t_hi=float(c.get("t_hi", np.inf)),
-            principle=principles[name],
-            rho=float(c.get("rho", 0.2)),
-            building_value=float(c.get("building_value", 100.0)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid contract: {exc}") from exc
-
-
-def _utility_from(cfg) -> UtilityContext:
-    u = _require(cfg, "utility", dict)
-    family = _require(u, "family")
-    w0 = _config_float(u.get("w0", 0.0), "utility w0")
-    try:
-        if family == "exponential":
-            return UtilityContext.exponential(
-                beta=_config_float(_require(u, "beta"), "utility beta"), w0=w0)
-        if family == "power":
-            return UtilityContext.power(
-                eta=_config_float(_require(u, "eta"), "utility eta"), w0=w0)
-    except ValueError as exc:
-        raise ConfigError(f"invalid utility: {exc}") from exc
-    raise ConfigError(f"unknown utility family: {family}")
-
-
-def _config_int(value, what: str) -> int:
-    """int(value) for a config setting; a value int() rejects is a config error."""
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{what} must be an integer, got {value!r:.40}") from exc
-
-
-def _config_float(value, what: str) -> float:
-    """float(value) for a config setting; a value float() rejects is a config error."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{what} must be a number, got {value!r:.40}") from exc
-
-
-def _positive_float(value, what: str) -> float:
-    """_config_float(value, what) that must be positive; NaN is a config error too."""
-    x = _config_float(value, what)
-    if not x > 0:
-        raise ConfigError(f"{what} must be positive, got {x!r}")
-    return x
-
-
-def _seed_from(cfg, override):
-    if override is not None:
-        return int(override)
-    if "seed" not in cfg:
-        raise ConfigError("config must set a seed (no wall-clock seeding)")
-    return _config_int(cfg["seed"], "seed")
-
-
-def _sample_size(syn) -> int:
-    n = _config_int(_require(syn, "n"), "synthetic sample size n")
-    if n < 1:
-        raise ConfigError("synthetic sample size must be >= 1")
-    return n
+def _present(block, **names):
+    """{argument: block[key]} for each argument=key the config sets."""
+    return {arg: block[key] for arg, key in names.items() if key in block}
 
 
 def _rng(seed) -> np.random.Generator:
@@ -182,50 +288,19 @@ def _rng(seed) -> np.random.Generator:
 
 def _beta_winds(syn, seed) -> np.ndarray:
     """The Beta wind stand-in: n draws of lo + (hi - lo) * Beta(a, b), in knots."""
-    n = _sample_size(syn)
-    lo = _config_float(syn.get("lo", 25.0), "wind_beta lo")
-    hi = _config_float(syn.get("hi", 135.0), "wind_beta hi")
-    a = _config_float(syn.get("a", 2.0), "wind_beta a")
-    b = _config_float(syn.get("b", 2.8), "wind_beta b")
-    if not (lo < hi and a > 0 and b > 0):  # NaN fails too
-        raise ConfigError("wind_beta needs lo < hi and positive shapes")
-    return lo + (hi - lo) * _rng(seed).beta(a, b, size=n)
+    lo, hi = syn["lo"], syn["hi"]
+    return lo + (hi - lo) * _rng(seed).beta(syn["a"], syn["b"], size=syn["n"])
 
 
 def _synthetic_sample(syn, seed) -> LossIndexSample:
-    kind = _require(syn, "kind")
-    if kind == "wind_beta":
-        theta = _beta_winds(syn, seed)
-        return simulate_losses(theta, _loss_params_from(syn.get("loss_model", {})), seed)
-    if kind == "gamma_regime":
-        # Uniform index on (lo, hi) with a Gamma conditional loss whose shape
-        # jumps at the regime switch point; the index is the Gamma scale, so
-        # larger index values mean larger losses
-        n = _sample_size(syn)
-        lo = _config_float(syn.get("lo", 2.0), "gamma_regime lo")
-        hi = _config_float(syn.get("hi", 4.0), "gamma_regime hi")
-        switch = _config_float(syn.get("switch", 3.5), "gamma_regime switch")
-        shape_lo = _config_float(syn.get("shape_lo", 3.0), "gamma_regime shape_lo")
-        shape_hi = _config_float(syn.get("shape_hi", 3.5), "gamma_regime shape_hi")
-        if not (0 <= lo < hi and shape_lo > 0 and shape_hi > 0):  # NaN fails too
-            raise ConfigError("gamma_regime needs 0 <= lo < hi and positive shapes")
-        rng = _rng(seed)
-        theta = rng.uniform(lo, hi, size=n)
-        shape = np.where(theta <= switch, shape_lo, shape_hi)
-        losses = rng.gamma(shape, theta)
-        return LossIndexSample(losses, theta)
-    raise ConfigError(f"unknown synthetic sample kind: {kind}")
-
-
-def _loss_params_from(lm) -> LossModelParams:
-    try:
-        return LossModelParams(
-            v=float(lm.get("v", 100.0)), p=float(lm.get("p", 3.0)),
-            q=float(lm.get("q", 3.0)), rate=float(lm.get("rate", 0.09)),
-            offset=float(lm.get("offset", 64.0)),
-            steepness=float(lm.get("steepness", 150.0)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid loss model: {exc}") from exc
+    if syn["kind"] == "wind_beta":
+        return simulate_losses(_beta_winds(syn, seed),
+                               syn.get("loss_model", LossModelParams()), seed)
+    # gamma_regime: the index is the Gamma scale, so a larger index means larger losses
+    rng = _rng(seed)
+    theta = rng.uniform(syn["lo"], syn["hi"], size=syn["n"])
+    shape = np.where(theta <= syn["switch"], syn["shape_lo"], syn["shape_hi"])
+    return LossIndexSample(rng.gamma(shape, theta), theta)
 
 
 def _read(path, what: str, parse):
@@ -239,38 +314,16 @@ def _read(path, what: str, parse):
 
 
 def _sample_from(cfg, seed) -> LossIndexSample:
-    s = _require(cfg, "sample", dict)
+    s = cfg["sample"]
     if "csv" in s:
         return _read(s["csv"], "sample", LossIndexSample.from_csv)
-    if "synthetic" in s:
-        return _synthetic_sample(s["synthetic"], seed)
-    raise ConfigError("sample must provide 'csv' or 'synthetic'")
-
-
-def _positive_count(value, what: str) -> int:
-    """A positive count from the config: a positive integer, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{what} must be a positive integer, got {value!r:.40}")
-    return value
+    return _synthetic_sample(s["synthetic"], seed)
 
 
 def _conditioner_from(cfg, sample, spec) -> EmpiricalBinConditioner:
     """The index payout's per-bin conditioner over the triggered rows."""
     triggered, _ = split_by_trigger(sample, spec)
-    c = cfg.get("conditioner", {})
-    return EmpiricalBinConditioner(
-        triggered, n_bins=_positive_count(c.get("n_bins", 20), "conditioner n_bins"),
-        min_bin_count=_config_int(c.get("min_bin_count", 200), "conditioner min_bin_count"))
-
-
-def _site_from(s) -> Site:
-    try:
-        return Site(lat_deg=float(_require(s, "lat_deg")),
-                    lon_deg=float(_require(s, "lon_deg")),
-                    radius_km=float(s.get("radius_km", 50.0)),
-                    trigger_threshold_kn=float(s.get("threshold_kn", 83.0)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid site: {exc}") from exc
+    return EmpiricalBinConditioner(triggered, **cfg.get("conditioner", {}))
 
 
 # ---------------------------------------------------------------------------
@@ -352,107 +405,72 @@ def _solution_record(sol) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _split_from(cfg, spec, seed):
-    s = _require(cfg, "sample", dict)
-    if "two_point" in s:
-        tp = s["two_point"]
-        try:
-            return TriggeredSplit(
-                EmpiricalSample(tp["triggered_values"],
-                                tp.get("triggered_weights")),
-                EmpiricalSample(tp["untriggered_values"],
-                                tp.get("untriggered_weights")),
-                _config_float(tp["p_trigger"], "two_point p_trigger")), None
-        except ConfigError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid two_point sample: {exc}") from exc
-    sample = _sample_from(cfg, seed)
-    return TriggeredSplit.from_sample(sample, spec), sample
+def _split_from(cfg, spec, seed) -> TriggeredSplit:
+    tp = cfg["sample"].get("two_point")
+    if tp is None:
+        return TriggeredSplit.from_sample(_sample_from(cfg, seed), spec)
+    try:  # the sample's own checks: lengths, weights summing to 1
+        return TriggeredSplit(
+            EmpiricalSample(tp["triggered_values"], tp.get("triggered_weights")),
+            EmpiricalSample(tp["untriggered_values"], tp.get("untriggered_weights")),
+            tp["p_trigger"])
+    except ValueError as exc:
+        raise ConfigError(f"invalid two_point sample: {exc}") from exc
 
 
 def cmd_fit_weighting(cfg, seed) -> dict[str, str]:
-    spec = _contract_from(cfg)
-    utility = _utility_from(cfg)
-    family = cfg.get("payout_family", "pure")
-    grid_size = _positive_count(cfg.get("gamma_grid", 200),
-                                "fit-weighting gamma_grid (the trace size)")
-    rho_i = cfg.get("rho_indemnity")
-    rho_i = None if rho_i is None else _positive_float(rho_i, "rho_indemnity")
+    spec, utility = cfg["contract"], cfg["utility"]
+    options = _present(cfg, grid_size="gamma_grid", rho_indemnity="rho_indemnity")
 
-    if family == "pure":
-        split, _ = _split_from(cfg, spec, seed)
-        restrict = cfg.get("restrict")
-        if restrict is not None:
-            if not isinstance(restrict, list) or len(restrict) != 2:
-                raise ConfigError("restrict must be a list of two levels, got "
-                                  f"{restrict!r:.40}")
-            restrict = tuple(_config_float(g, "restrict level") for g in restrict)
-            if not 0.0 < restrict[0] < restrict[1] < 1.0:  # NaN fails too
-                raise ConfigError(f"restrict must satisfy 0 < lo < hi < 1, got {restrict!r}")
-        sol = solve_gamma_star(split, spec, utility, grid_size=grid_size,
-                               restrict=restrict, rho_indemnity=rho_i)
+    if cfg["payout_family"] == "pure":
+        split = _split_from(cfg, spec, seed)
+        sol = solve_gamma_star(split, spec, utility, **options,
+                               **_present(cfg, restrict="restrict"))
         record = _solution_record(sol)
-        u = cfg.get("utility", {})
-        if (u.get("family") == "exponential"
+        if (utility.beta is not None
                 and spec.principle is PremiumPrinciple.EXPECTED_VALUE
                 and sol.gamma_star is not None):
-            alpha_c, gamma_c, x_exp = closed_form_exponential(
-                split, spec, float(u["beta"]))
+            alpha_c, gamma_c, x_exp = closed_form_exponential(split, spec, utility.beta)
             record["closed_form"] = {
                 "alpha_star": _jsonable(alpha_c), "gamma_star": _jsonable(gamma_c),
                 "x_exp": _jsonable(x_exp),
                 "gamma_delta": _jsonable(abs(gamma_c - sol.gamma_star)),
             }
-    elif family == "index":
+    else:
         sample = _sample_from(cfg, seed)
         cond = _conditioner_from(cfg, sample, spec)
         gammas = np.linspace(0.02, 0.98, 49)
         gammas[np.argmin(np.abs(gammas - 0.5))] = 0.5
         surface = build_surface(cond, cond.bin_centers, gammas)
-        tolerance = _positive_float(cfg.get("separability_tolerance", 1e-2),
-                                    "separability_tolerance")
         decomp = decompose(surface, gammas, cond.bin_centers, conditioner=cond,
-                           tolerance=tolerance)
-        sol = solve_gamma_star_index(sample, spec, utility, decomp,
-                                     grid_size=grid_size, rho_indemnity=rho_i)
+                           **_present(cfg, tolerance="separability_tolerance"))
+        sol = solve_gamma_star_index(sample, spec, utility, decomp, **options)
         record = _solution_record(sol)
         record["separability_residual"] = _jsonable(decomp.residual)
-    else:
-        raise ConfigError(f"unknown payout family: {family}")
 
     trace = sol.trace
-    outputs = {
-        "solution.json": _json_text(record),
-        "trace.csv": _csv_text(("gamma", "v1", "v2"),
-                               zip(trace["gamma"], trace["v1"], trace["v2"])),
-    }
-    return outputs
+    return {"solution.json": _json_text(record),
+            "trace.csv": _csv_text(("gamma", "v1", "v2"),
+                                   zip(trace["gamma"], trace["v1"], trace["v2"]))}
 
 
-def _wind_values(cfg, seed) -> np.ndarray:
-    w = _require(cfg, "wind", dict)
-    if "tracks_csv" in w:
-        tracks = _read(w["tracks_csv"], "track", TrackSet.from_csv)
-        site = _site_from(_require(w, "site", dict))
-        incident = incident_windspeeds(tracks, site)
-        if incident.size == 0:
-            raise DegenerateTriggerError("no incident tracks at the site")
-        n = _positive_count(w.get("bootstrap_n", incident.size), "wind bootstrap_n")
-        return bootstrap(incident, n, seed).values
+def _wind_values(w, seed) -> np.ndarray:
     if "synthetic" in w:
         return _beta_winds(w["synthetic"], seed)
-    raise ConfigError("wind must provide 'tracks_csv' or 'synthetic'")
+    tracks = _read(w["tracks_csv"], "track", TrackSet.from_csv)
+    incident = incident_windspeeds(tracks, w["site"])
+    if incident.size == 0:
+        raise DegenerateTriggerError("no incident tracks at the site")
+    return bootstrap(incident, w.get("bootstrap_n", incident.size), seed).values
 
 
 def cmd_simulate(cfg, seed) -> dict[str, str]:
-    hist_bins = _positive_count(cfg.get("hist_bins", 50), "simulate hist_bins")
-    n_env = _positive_count(cfg.get("envelope_bins", 40), "simulate envelope_bins")
-    theta = _wind_values(cfg, seed)
-    params = _loss_params_from(cfg.get("loss_model", {}))
+    n_env = cfg["envelope_bins"]
+    theta = _wind_values(cfg["wind"], seed)
+    params = cfg.get("loss_model", LossModelParams())
     sample = simulate_losses(theta, params, seed)
 
-    hist, edges = np.histogram(sample.indices, bins=hist_bins)
+    hist, edges = np.histogram(sample.indices, bins=cfg["hist_bins"])
     hist_rows = [(edges[i], edges[i + 1], int(hist[i])) for i in range(hist.size)]
 
     qedges = np.quantile(sample.indices, np.linspace(0, 1, n_env + 1))
@@ -476,25 +494,15 @@ def cmd_simulate(cfg, seed) -> dict[str, str]:
         "loss_envelope.csv": _csv_text(("theta", "mean", "min", "max"), env_rows),
     }
 
-    sweep = cfg.get("alpha_sweep")
-    if sweep:
-        qs = sweep.get("qs", [1.0, 3.0, 5.0]) if isinstance(sweep, dict) else None
-        if not isinstance(qs, list) or not qs or not all(
-                isinstance(q, (int, float)) and not isinstance(q, bool) and q > 0
-                for q in qs):
-            raise ConfigError("alpha_sweep must be a mapping whose qs is a non-empty "
-                              f"list of positive numbers, got {sweep!r:.60}")
-        spec = _contract_from(cfg)
-        utility = _utility_from(cfg)
+    if "alpha_sweep" in cfg:
+        spec, utility = cfg["contract"], cfg["utility"]
         rows = []
-        for q in qs:
-            params_q = LossModelParams(v=params.v, p=params.p, q=float(q),
-                                       rate=params.rate, offset=params.offset,
-                                       steepness=params.steepness)
+        for q in cfg["alpha_sweep"]["qs"]:
+            params_q = LossModelParams(**{**vars(params), "q": q})
             sample_q = simulate_losses(theta, params_q, seed)
             split = TriggeredSplit.from_sample(sample_q, spec)
             sol = solve_gamma_star(split, spec, utility)
-            rows.append((float(q),
+            rows.append((q,
                          sol.alpha_star if sol.alpha_star is not None else float("nan"),
                          sol.gamma_star if sol.gamma_star is not None else float("nan"),
                          sol.decision.value))
@@ -504,7 +512,7 @@ def cmd_simulate(cfg, seed) -> dict[str, str]:
 
 
 def cmd_dependence_report(cfg, seed) -> dict[str, str]:
-    threshold = _positive_float(cfg.get("threshold_kn", 83.0), "threshold_kn")
+    threshold = cfg["threshold_kn"]
     if "winds_csv" in cfg:
         path = cfg["winds_csv"]
         winds = _read(path, "wind matrix", lambda f: np.loadtxt(
@@ -513,9 +521,9 @@ def cmd_dependence_report(cfg, seed) -> dict[str, str]:
             raise ConfigError(f"wind matrix file {path} has a non-numeric or "
                               "non-finite cell")
     else:
-        tracks = _read(_require(cfg, "tracks_csv"), "track", TrackSet.from_csv)
-        sites = [_site_from(s) for s in _require(cfg, "sites", list)]
-        params = [_loss_params_from(cfg.get("loss_model", {}))] * len(sites)
+        tracks = _read(cfg["tracks_csv"], "track", TrackSet.from_csv)
+        sites = cfg["sites"]
+        params = [cfg.get("loss_model", LossModelParams())] * len(sites)
         winds, _ = simulate_portfolio(tracks, sites, params, seed)
     if winds.ndim != 2 or winds.shape[1] < 2:
         raise DegenerateSampleError("dependence report needs >= 2 sites")
@@ -532,7 +540,7 @@ def cmd_dependence_report(cfg, seed) -> dict[str, str]:
     xi = np.full((n_sites, n_sites), np.nan)
     tau_error = {}  # kendall_tau's message per unordered pair (i < j) it raised on
     outputs = {}
-    min_joint = _config_int(cfg.get("min_joint", 30), "dependence-report min_joint")
+    min_joint = cfg["min_joint"]
     for i in range(n_sites):
         for j in range(n_sites):
             if i == j:
@@ -557,14 +565,8 @@ def cmd_dependence_report(cfg, seed) -> dict[str, str]:
                 outputs[f"ranks_{i}_{j}.csv"] = _csv_text(
                     ("x", "y"), zip(pairs.x, pairs.y))
                 if m >= min_joint:
-                    est = tail_estimate(pairs)
-                    outputs[f"tail_{i}_{j}.json"] = _json_text({
-                        "m": est.m, "k": est.k,
-                        "lambda_hat": _jsonable(est.lambda_hat),
-                        "eta_hat": _jsonable(est.eta_hat),
-                        "sigma_u_sq": _jsonable(est.sigma_u_sq),
-                        "ci_low": _jsonable(est.ci_low),
-                        "ci_high": _jsonable(est.ci_high)})
+                    outputs[f"tail_{i}_{j}.json"] = _json_text(
+                        _jsonable(vars(tail_estimate(pairs))))
                 else:
                     logger.warning("pair (%d,%d): %d < %d joint rows, tail "
                                    "estimate absent", i, j, m, min_joint)
@@ -577,23 +579,13 @@ def cmd_dependence_report(cfg, seed) -> dict[str, str]:
 
 
 def cmd_utility_curve(cfg, seed) -> dict[str, str]:
-    spec = _contract_from(cfg)
-    utility = _utility_from(cfg)
+    spec, utility = cfg["contract"], cfg["utility"]
     sample = _sample_from(cfg, seed)
-    grid_cfg = cfg.get("gamma_grid", 99)
-    if isinstance(grid_cfg, list):
-        if not grid_cfg or not all(
-                isinstance(g, (int, float)) and not isinstance(g, bool) and 0.0 < g < 1.0
-                for g in grid_cfg):
-            raise ConfigError("utility-curve gamma_grid list must hold levels strictly "
-                              f"inside (0, 1), got {grid_cfg!r:.40}")
-        gammas = np.asarray([float(g) for g in grid_cfg])
-    else:
-        n = _positive_count(grid_cfg, "utility-curve gamma_grid (a level count or list)")
-        gammas = np.linspace(1.0 / (n + 1), n / (n + 1.0), n)
-    conditioner = None
-    if cfg.get("payout_family", "pure") == "index":
-        conditioner = _conditioner_from(cfg, sample, spec)
+    grid = cfg["gamma_grid"]  # a list of levels, or their count
+    gammas = (np.asarray(grid) if isinstance(grid, list)
+              else np.linspace(1.0 / (grid + 1), grid / (grid + 1.0), grid))
+    conditioner = (_conditioner_from(cfg, sample, spec)
+                   if cfg["payout_family"] == "index" else None)
     curve = utility_curve(sample, spec, utility, gammas, conditioner=conditioner)
     return {"utility_curve.csv": _csv_text(("gamma", "u1", "u2", "u"), curve)}
 
@@ -625,8 +617,11 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     try:
         cfg = _load_config(args.config)
-        seed = _seed_from(cfg, args.seed)
-        outputs = _COMMANDS[args.command](cfg, seed)
+        # --seed stands in for the config's seed and is checked by the same rule
+        checked = _TABLES[args.command].check(
+            cfg if args.seed is None else {**cfg, "seed": args.seed}, "")
+        seed = checked["seed"]
+        outputs = _COMMANDS[args.command](checked, seed)
         outputs["manifest.json"] = _manifest(args.command, cfg, seed,
                                              list(outputs) + ["manifest.json"])
         _write_outputs(args.out, outputs)

@@ -344,6 +344,8 @@ class _FirstOrderSystem:
         factor = np.subtract(self.h1, r, out=self._factor)
         v1 = q.p_trigger * self.triggered.u_prime_sum(shift, factor)
         v2 = (1.0 - q.p_trigger) * self.untriggered.u_prime_sum(w0 - pi, r)
+        if not (math.isfinite(v1) and math.isfinite(v2)):
+            raise UtilityDomainError(f"u' overflowed: V1 = {v1!r}, V2 = {v2!r} at k = {k!r}")
         return v1, v2
 
 

@@ -1,5 +1,8 @@
+import copy
+import importlib.util
 import json
 import logging
+import math
 import os
 
 import numpy as np
@@ -9,6 +12,7 @@ import yaml
 from basisrisk import cli
 from basisrisk.cli import main
 from basisrisk.dependence import kendall_tau
+from conftest import CONFIG_DIR
 
 
 def run(tmp_path, command, cfg_path, out_name="out", seed=None):
@@ -222,8 +226,10 @@ class TestErrorPaths:
         {"wind": {"synthetic": {"n": 200, "a": -1.0}}},
         {"wind": {"tracks_csv": "toy_tracks.csv", "bootstrap_n": 0,
                   "site": {"lat_deg": 18.2, "lon_deg": -66.5}}},
+        {"contract": {"t_lo": 83.0, "rho": "abc"}},
+        {"wind": {"synthetic": {"n": 2.5}}},
     ], ids=["hist_bins_0", "envelope_bins_0", "hi_below_lo", "n_0", "negative_shape",
-            "bootstrap_n_0"])
+            "bootstrap_n_0", "contract_without_alpha_sweep", "n_fractional"])
     def test_bad_simulate_setting_exits_2(self, tmp_path, config_dir, overrides):
         cfg_dict = {"seed": 7, "wind": {"synthetic": {"n": 200}}, **overrides}
         wind = cfg_dict["wind"]
@@ -242,8 +248,14 @@ class TestErrorPaths:
                                            conditioner={"min_bin_count": "many"})),
         ("fit-weighting", interior_fit_cfg(payout_family="index",
                                            conditioner={"min_bin_count": "many"})),
+        ("simulate", {"seed": "7", "wind": {"synthetic": {"n": 200}}}),
+        ("simulate", {"seed": 7, "wind": {"synthetic": {"n": "300"}}}),
+        ("simulate", {"seed": -1, "wind": {"synthetic": {"n": 200}}}),
+        ("fit-weighting", interior_fit_cfg(payout_family="index",
+                                           conditioner={"min_bin_count": -5})),
     ], ids=["n_string", "n_list", "n_inf", "seed_string", "min_bin_count_utility_curve",
-            "min_bin_count_fit_weighting"])
+            "min_bin_count_fit_weighting", "seed_numeric_string", "n_numeric_string",
+            "seed_negative", "min_bin_count_negative"])
     def test_non_integer_count_exits_2(self, tmp_path, command, cfg_dict):
         code, out = run(tmp_path, command, write_cfg(tmp_path, "c.yaml", cfg_dict))
         assert code == 2
@@ -296,7 +308,7 @@ class TestErrorPaths:
         elif setting.startswith("gamma_regime"):
             cfg = yaml.safe_load((config_dir / "regime_k1.yaml").read_text())
             cfg["sample"]["synthetic"]["n"] = 8000
-        elif setting == "separability_tolerance":
+        elif setting in ("separability_tolerance", "index_restrict"):
             cfg = interior_fit_cfg(payout_family="index",
                                    conditioner={"min_bin_count": 50})
         elif setting == "p_trigger" or setting.startswith("two_point_"):
@@ -328,6 +340,9 @@ class TestErrorPaths:
             "two_point_rho": ["contract", "rho"],
             "two_point_t_lo": ["contract", "t_lo"],
             "two_point_utility": ["utility"],
+            "two_point_restict": ["restict"],
+            "two_point_grid_size": ["grid_size"],
+            "index_restrict": ["restrict"],
         }[setting]
         target = cfg
         for k in keys[:-1]:
@@ -384,6 +399,12 @@ class TestErrorPaths:
         ("utility-curve", "gamma_regime_lo", -1.0),
         ("utility-curve", "gamma_regime_shape_hi", -1.0),
         ("fit-weighting", "p_trigger", 1.5),
+        ("fit-weighting", "two_point_restict", [0.1, 0.2]),
+        ("fit-weighting", "two_point_grid_size", 5),
+        ("fit-weighting", "wind_beta_lo", True),
+        ("fit-weighting", "beta", True),
+        ("fit-weighting", "index_restrict", [0.9, 0.1]),
+        ("simulate", "simulate_wind_lo", 10 ** 400),
     ], ids=["threshold_kn", "site_lat_nan", "site_lon_nan", "site_radius_nan",
             "site_threshold_nan", "site_lat_range", "wind_beta_lo", "wind_beta_hi_list",
             "wind_beta_a", "wind_beta_b_null", "simulate_wind_lo", "gamma_regime_lo",
@@ -398,7 +419,9 @@ class TestErrorPaths:
             "wind_beta_lo_nan", "wind_beta_a_nan", "loss_model_rate_nan",
             "loss_model_offset_inf", "loss_model_steepness_nan", "gamma_regime_lo_nan",
             "gamma_regime_lo_above_hi", "gamma_regime_lo_negative",
-            "gamma_regime_shape_negative", "p_trigger_above_1"])
+            "gamma_regime_shape_negative", "p_trigger_above_1", "restrict_misspelt",
+            "gamma_grid_misspelt", "wind_beta_lo_bool", "beta_bool", "restrict_under_index",
+            "simulate_wind_lo_beyond_float"])
     def test_bad_float_setting_exits_2(self, tmp_path, config_dir, command, setting, value):
         cfg = self._float_setting_cfg(config_dir, command, setting, value)
         code, out = run(tmp_path, command, write_cfg(tmp_path, "c.yaml", cfg))
@@ -581,3 +604,271 @@ class TestDependenceReport:
         })
         code, _ = run(tmp_path, "dependence-report", cfg)
         assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# the config tables
+# ---------------------------------------------------------------------------
+
+TRACKS = str(CONFIG_DIR / "fixtures" / "toy_tracks.csv")
+SITE = {"lat_deg": 18.2, "lon_deg": -66.5, "radius_km": 50.0, "threshold_kn": 83.0}
+LOSS_MODEL = {"v": 100.0, "p": 3.0, "q": 3.0, "rate": 0.09, "offset": 64.0,
+              "steepness": 150.0}
+WIND_BETA = {"kind": "wind_beta", "n": 200, "lo": 25.0, "hi": 135.0, "a": 2.0, "b": 2.8,
+             "loss_model": LOSS_MODEL}
+GAMMA_REGIME = {"kind": "gamma_regime", "n": 200, "lo": 2.0, "hi": 4.0, "switch": 3.5,
+                "shape_lo": 3.0, "shape_hi": 3.5}
+CONTRACT = {"t_lo": 83.0, "t_hi": 200.0, "principle": "expected_value", "rho": 0.2,
+            "building_value": 100.0}
+EXPONENTIAL = {"family": "exponential", "beta": 0.15, "w0": 0.0}
+POWER = {"family": "power", "eta": 2.0, "w0": 65.0}
+TWO_POINT = {"triggered_values": [5.0, 10.0], "triggered_weights": [0.5, 0.5],
+             "untriggered_values": [0.0, 4.0], "untriggered_weights": [0.5, 0.5],
+             "p_trigger": 0.5}
+
+# Valid configs that between them set every key of every table, in every
+# branch; each key is then fed bad values one at a time.
+TABLE_BASES = {
+    "fit_two_point": ("fit-weighting", {
+        "seed": 1, "payout_family": "pure", "contract": CONTRACT, "utility": EXPONENTIAL,
+        "sample": {"two_point": TWO_POINT}, "gamma_grid": 20, "rho_indemnity": 0.2,
+        "restrict": [0.1, 0.9]}),
+    "fit_wind_beta": ("fit-weighting", {
+        "seed": 1, "contract": CONTRACT, "utility": POWER,
+        "sample": {"synthetic": WIND_BETA}}),
+    "fit_csv": ("fit-weighting", {
+        "seed": 1, "contract": CONTRACT, "utility": EXPONENTIAL,
+        "sample": {"csv": "sample.csv"}}),
+    "fit_index": ("fit-weighting", {
+        "seed": 1, "payout_family": "index", "contract": CONTRACT, "utility": POWER,
+        "sample": {"synthetic": GAMMA_REGIME}, "conditioner": {"n_bins": 4,
+                                                               "min_bin_count": 10},
+        "separability_tolerance": 0.05, "gamma_grid": 20, "rho_indemnity": 0.2}),
+    "simulate_sweep": ("simulate", {
+        "seed": 1, "wind": {"synthetic": {k: WIND_BETA[k] for k in "n lo hi a b".split()}},
+        "loss_model": LOSS_MODEL, "hist_bins": 10, "envelope_bins": 10,
+        "contract": CONTRACT, "utility": EXPONENTIAL, "alpha_sweep": {"qs": [1.0, 3.0]}}),
+    "simulate_power_sweep": ("simulate", {
+        "seed": 1, "wind": {"synthetic": {"n": 200}}, "contract": CONTRACT,
+        "utility": POWER, "alpha_sweep": {}}),
+    "simulate_tracks": ("simulate", {
+        "seed": 1, "wind": {"tracks_csv": TRACKS, "site": SITE, "bootstrap_n": 100}}),
+    "curve_index": ("utility-curve", {
+        "seed": 1, "payout_family": "index", "contract": CONTRACT, "utility": EXPONENTIAL,
+        "sample": {"synthetic": GAMMA_REGIME}, "conditioner": {"n_bins": 4},
+        "gamma_grid": 9}),
+    "curve_wind_beta": ("utility-curve", {
+        "seed": 1, "contract": CONTRACT, "utility": EXPONENTIAL,
+        "sample": {"synthetic": WIND_BETA}}),
+    "curve_levels": ("utility-curve", {
+        "seed": 1, "contract": CONTRACT, "utility": POWER,
+        "sample": {"csv": "sample.csv"}, "gamma_grid": [0.25, 0.5]}),
+    "dependence_tracks": ("dependence-report", {
+        "seed": 1, "tracks_csv": TRACKS, "threshold_kn": 83.0, "min_joint": 30,
+        "sites": [SITE, dict(SITE, lat_deg=18.3)], "loss_model": LOSS_MODEL}),
+    "dependence_winds": ("dependence-report", {
+        "seed": 1, "winds_csv": "winds.csv", "threshold_kn": 83.0, "min_joint": 30}),
+}
+
+
+def _branch(table, value):
+    """The keys ``value`` may set under ``table``: the common ones plus its branch's."""
+    if table.by is not None:
+        name = value.get(table.by, table.keys[table.by].default)
+    else:
+        name = next((n for n in table.variants if n is not None and n in value), None)
+    return {**table.keys, **table.variants[name]}
+
+
+def _set_keys(table, value, path=()):
+    """(path, key) for every key ``table`` reads in the branch ``value`` picks,
+    through the sub-tables ``value`` sets and the first item of each list of
+    tables."""
+    for name, key in _branch(table, value).items():
+        yield path + (name,), key
+        sub = value.get(name)
+        if isinstance(key, cli._Table) and sub is not None:
+            yield from _set_keys(key, sub, path + (name,))
+        elif key.kind == "list" and isinstance(key.of, cli._Table) and sub is not None:
+            yield from _set_keys(key.of, sub[0], path + (name, 0))
+
+
+def _all_keys(table, path=()):
+    """Every key path of ``table`` over all its branches (list items as [])."""
+    for variant in table.variants.values():
+        for name, key in {**table.keys, **variant}.items():
+            yield path + (name,)
+            if isinstance(key, cli._Table):
+                yield from _all_keys(key, path + (name,))
+            elif key.kind == "list" and isinstance(key.of, cli._Table):
+                yield from _all_keys(key.of, path + (name, "[]"))
+
+
+WALKED = [(base, path, key) for base, (command, cfg) in TABLE_BASES.items()
+          for path, key in _set_keys(cli._TABLES[command], cfg)]
+
+
+def _out_of_range(key):
+    """A value of the key's type outside its range, or None if it has no range."""
+    if key.kind == "level":
+        return "exotic"
+    if key.kind == "list":
+        return []
+    if key.kind == "either":
+        return 0
+    if key.kind in ("number", "integer") and key.rng is not None:
+        candidates = [-1, 0] if key.kind == "integer" else [
+            -1.0, 0.0, 1.0, 1e6, -math.inf, math.inf]
+        return next(x for x in candidates if not key.rng[0](x))
+    return None
+
+
+_DELETE = object()  # as a value in _with: remove the key
+
+
+def _with(cfg, path, value):
+    """A deep copy of ``cfg`` with the key at ``path`` set to ``value``."""
+    cfg = copy.deepcopy(cfg)
+    target = cfg
+    for k in path[:-1]:
+        target = target[k]
+    if value is _DELETE:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return cfg
+
+
+class TestConfigTable:
+    @pytest.mark.parametrize("command,cfg", TABLE_BASES.values(), ids=list(TABLE_BASES))
+    def test_bases_pass_the_table(self, command, cfg):
+        cli._TABLES[command].check(copy.deepcopy(cfg), "")
+
+    def test_bases_set_every_key_of_every_table(self):
+        walked = {(TABLE_BASES[base][0],) + tuple("[]" if isinstance(k, int) else k
+                                                  for k in path)
+                  for base, path, _ in WALKED}
+        every = {(command,) + path for command, table in cli._TABLES.items()
+                 for path in _all_keys(table)}
+        assert every - walked == set()
+
+    @pytest.mark.parametrize("base,path,key", WALKED,
+                             ids=[f"{b}:{'.'.join(map(str, p))}" for b, p, _ in WALKED])
+    def test_bad_value_of_each_key_exits_2(self, tmp_path, base, path, key):
+        command, cfg = TABLE_BASES[base]
+        wrong_type = [1.0] if isinstance(key, cli._Table) else {"x": 1.0}
+        bad = [wrong_type, True, "1", float("nan")]
+        if _out_of_range(key) is not None:
+            bad.append(_out_of_range(key))
+        if key.required:
+            bad.append(_DELETE)
+        for i, value in enumerate(bad):
+            cfg_path = write_cfg(tmp_path, f"c{i}.yaml", _with(cfg, path, value))
+            code, out = run(tmp_path, command, cfg_path, out_name=f"out{i}")
+            assert code == 2, value
+            assert not out.exists(), value
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("fit-weighting", interior_fit_cfg(restrict=[0.9, 0.1], payout_family="index")),
+        ("fit-weighting", interior_fit_cfg(separability_tolerance=0.05)),
+        ("fit-weighting", interior_fit_cfg(conditioner={"n_bins": 4})),
+        ("utility-curve", interior_fit_cfg(conditioner={"n_bins": 4})),
+        ("fit-weighting", interior_fit_cfg(
+            sample={"synthetic": {"kind": "wind_beta", "n": 200, "switch": 3.5}})),
+        ("fit-weighting", interior_fit_cfg(
+            sample={"synthetic": {"kind": "wind_beta", "n": 200, "shape_lo": 3.0}})),
+        ("simulate", {"seed": 7, "wind": {"synthetic": {"n": 200}}, "contract": CONTRACT}),
+        ("simulate", {"seed": 7, "wind": {"synthetic": {"n": 200}}, "utility": EXPONENTIAL}),
+        ("fit-weighting", interior_fit_cfg(
+            sample={"csv": "sample.csv", "synthetic": {"kind": "wind_beta", "n": 200}})),
+        ("dependence-report", {"seed": 1, "winds_csv": "winds.csv", "tracks_csv": TRACKS,
+                               "sites": [SITE, SITE]}),
+    ], ids=["restrict_under_index", "separability_tolerance_under_pure",
+            "conditioner_under_pure", "conditioner_under_pure_curve",
+            "gamma_regime_switch_under_wind_beta", "gamma_regime_shape_under_wind_beta",
+            "contract_without_sweep", "utility_without_sweep", "csv_and_synthetic",
+            "winds_csv_and_tracks_csv"])
+    def test_key_of_another_branch_exits_2(self, tmp_path, command, cfg):
+        code, out = run(tmp_path, command, write_cfg(tmp_path, "c.yaml", cfg))
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("simulate", {"seed": 7, "wind": {"tracks_csv": TRACKS, "site": SITE}, "typo": 1}),
+        ("simulate", {"seed": 7, "wind": {"synthetic": {"n": 200, "typo": 1}}}),
+        ("fit-weighting", interior_fit_cfg(typo=1)),
+        ("dependence-report", {"seed": 7, "tracks_csv": TRACKS, "sites": [SITE, SITE],
+                               "loss_model": {"typo": 1}}),
+    ], ids=["simulate_tracks", "simulate_synthetic", "fit_weighting", "dependence_report"])
+    def test_unknown_key_exits_2_before_any_sample(self, tmp_path, monkeypatch, command,
+                                                   cfg):
+        def boom(*args, **kwargs):
+            raise AssertionError("a sample was built before the config was checked")
+
+        monkeypatch.setattr(cli, "simulate_losses", boom)
+        monkeypatch.setattr(cli.TrackSet, "from_csv", boom)
+        code, out = run(tmp_path, command, write_cfg(tmp_path, "c.yaml", cfg))
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [-3, -1])
+    def test_negative_seed_flag_exits_2(self, tmp_path, seed):
+        cfg = write_cfg(tmp_path, "c.yaml", {"seed": 7, "wind": {"synthetic": {"n": 200}}})
+        code, out = run(tmp_path, "simulate", cfg, seed=seed)
+        assert code == 2
+        assert not out.exists()
+
+    def test_manifest_echoes_the_raw_config(self, tmp_path):
+        raw = {"seed": 7.0, "wind": {"synthetic": {"n": 50.0}}}
+        code, out = run(tmp_path, "simulate", write_cfg(tmp_path, "c.yaml", raw))
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == raw
+        assert manifest["seed"] == 7
+
+    def test_overflowing_u_prime_exits_4(self, tmp_path, capsys):
+        # beta * max S ~ 880 > 709: u' overflows at the worst wealth
+        cfg = write_cfg(tmp_path, "c.yaml", interior_fit_cfg(
+            seed=1, utility={"family": "exponential", "beta": 10.0, "w0": 0.0}))
+        code, out = run(tmp_path, "fit-weighting", cfg)
+        assert code == 4
+        assert not out.exists()
+        assert "overflow" in capsys.readouterr().err
+
+
+# (config, subcommand) pairs that README or perfbench run
+SHIPPED_RUNS = [
+    ("two_point_case1.yaml", "fit-weighting"), ("two_point_case2.yaml", "fit-weighting"),
+    ("two_point_case3.yaml", "fit-weighting"), ("index_fit.yaml", "fit-weighting"),
+    ("simulate_synthetic.yaml", "simulate"), ("regime_k1.yaml", "utility-curve"),
+    ("regime_k2.yaml", "utility-curve"), ("dependence_toy.yaml", "dependence-report"),
+]
+
+
+@pytest.mark.parametrize("name,command", SHIPPED_RUNS)
+def test_table_accepts_shipped_config(name, command):
+    cli._TABLES[command].check(yaml.safe_load((CONFIG_DIR / name).read_text()), "")
+
+
+def test_every_shipped_config_is_covered():
+    assert sorted(p.name for p in CONFIG_DIR.glob("*.yaml")) == sorted(
+        name for name, _ in SHIPPED_RUNS)
+
+
+# the subcommand each config written by perfbench/gen_inputs.py runs under
+GENERATED_RUNS = {"pure_fit.yaml": "fit-weighting", "pure_curve.yaml": "utility-curve",
+                  "dep_tracks.yaml": "dependence-report", "sim_tracks.yaml": "simulate",
+                  "dep_winds.yaml": "dependence-report"}
+
+
+@pytest.mark.parametrize("workload", ["pure", "hazard"])
+def test_table_accepts_generated_configs(tmp_path, repo_root, workload):
+    spec = importlib.util.spec_from_file_location(
+        "gen_inputs", repo_root / "perfbench" / "gen_inputs.py")
+    gen_inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_inputs)
+    gen_inputs.generate(tmp_path, 1, workload, "tiny")
+    configs = sorted(tmp_path.glob("*.yaml"))
+    assert configs
+    for path in configs:
+        cli._TABLES[GENERATED_RUNS[path.name]].check(yaml.safe_load(path.read_text()), "")

@@ -281,7 +281,8 @@ def test_index_fit_solves_each_bin_once(config_dir, solve_counter):
     cfg = _shipped(config_dir, "index_fit.yaml", n=12000)
     cfg["conditioner"]["min_bin_count"] = 100
     cfg["gamma_grid"] = 40
-    solution = json.loads(cli.cmd_fit_weighting(cfg, cfg["seed"])["solution.json"])
+    checked = cli._TABLES["fit-weighting"].check(cfg, "")
+    solution = json.loads(cli.cmd_fit_weighting(checked, cfg["seed"])["solution.json"])
     assert solution["decision"] == "interior_optimum"
     # H2 is evaluated at the trace's 40 levels, at both ends of its range,
     # at 32 bisection midpoints and at gamma*; each is one single-bin solve
@@ -292,6 +293,6 @@ def test_index_fit_solves_each_bin_once(config_dir, solve_counter):
 def test_index_utility_curve_solves_each_bin_once(config_dir, solve_counter):
     cfg = _shipped(config_dir, "regime_k1.yaml", n=8000)
     cfg["conditioner"]["min_bin_count"] = 100
-    cli.cmd_utility_curve(cfg, cfg["seed"])
+    cli.cmd_utility_curve(cli._TABLES["utility-curve"].check(cfg, ""), cfg["seed"])
     assert len(cfg["gamma_grid"]) == 99
     assert solve_counter == {"solves": cfg["conditioner"]["n_bins"], "eval_h2": 0}

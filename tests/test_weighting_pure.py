@@ -5,6 +5,7 @@ import pytest
 
 from basisrisk.contracts import ContractSpec, LossIndexSample, PremiumPrinciple
 from basisrisk.expectile import EmpiricalSample, expectile, gamma_from_alpha
+from basisrisk.hazard import LossModelParams, simulate_losses
 from basisrisk.weighting_pure import (
     Decision,
     MonotonicityError,
@@ -183,6 +184,16 @@ class TestSolveGammaStar:
         sol = solve_gamma_star(split, spec, util, grid_size=64)
         assert sol.trace["gamma"].shape == (64,)
         assert sol.trace["v1"].shape == (64,)
+
+    def test_overflowing_u_prime_is_a_domain_error(self):
+        # the CLI's wind_beta stand-in at seed 1: beta * max S = 10 * ~88 > 709,
+        # so u' overflows at the worst wealth and V1 is inf at most trace levels
+        theta = 25.0 + 110.0 * rng(1).beta(2.0, 2.8, size=20_000)
+        sample = simulate_losses(theta, LossModelParams(), 1)
+        spec = ContractSpec(t_lo=83.0, rho=0.2)
+        split = TriggeredSplit.from_sample(sample, spec)
+        with pytest.raises(UtilityDomainError, match="overflow"):
+            solve_gamma_star(split, spec, UtilityContext.exponential(beta=10.0))
 
 
 class TestViolatedBoundaryDecisions:
