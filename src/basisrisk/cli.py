@@ -333,16 +333,26 @@ def _conditioner_from(cfg, sample, spec) -> EmpiricalBinConditioner:
 def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    return repr(float(x))
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return str(x)
 
 
-def _csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, (int, float, np.floating,
-                                                        np.integer)) else str(v)
-                              for v in row))
-    return "\n".join(lines) + "\n"
+def _cells(column):
+    """The text of one CSV column: a float array by repr, an integer array by
+    str, any other sequence cell by cell (``_fmt``)."""
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else None
+    if kind == "f":
+        return map(repr, column.tolist())
+    if kind in ("i", "u"):
+        return map(str, column.tolist())
+    return map(_fmt, column)
+
+
+def _csv_text(header, *columns) -> str:
+    """CSV text of equal-length columns under a header, each column rendered once."""
+    rows = map(",".join, zip(*map(_cells, columns)))
+    return "\n".join([",".join(header), *rows]) + "\n"
 
 
 def _json_text(obj) -> str:
@@ -451,7 +461,7 @@ def cmd_fit_weighting(cfg, seed) -> dict[str, str]:
     trace = sol.trace
     return {"solution.json": _json_text(record),
             "trace.csv": _csv_text(("gamma", "v1", "v2"),
-                                   zip(trace["gamma"], trace["v1"], trace["v2"]))}
+                                   trace["gamma"], trace["v1"], trace["v2"])}
 
 
 def _wind_values(w, seed) -> np.ndarray:
@@ -471,7 +481,6 @@ def cmd_simulate(cfg, seed) -> dict[str, str]:
     sample = simulate_losses(theta, params, seed)
 
     hist, edges = np.histogram(sample.indices, bins=cfg["hist_bins"])
-    hist_rows = [(edges[i], edges[i + 1], int(hist[i])) for i in range(hist.size)]
 
     qedges = np.quantile(sample.indices, np.linspace(0, 1, n_env + 1))
     env_rows = []
@@ -485,13 +494,11 @@ def cmd_simulate(cfg, seed) -> dict[str, str]:
         env_rows.append((0.5 * (lo + hi), float(ls.mean()), float(ls.min()),
                          float(ls.max())))
 
-    sample_lines = ["loss,index"]
-    for s, t in zip(sample.losses, sample.indices):
-        sample_lines.append(f"{float(s)!r},{float(t)!r}")
     outputs = {
-        "sample.csv": "\n".join(sample_lines) + "\n",
-        "wind_hist.csv": _csv_text(("bin_lo", "bin_hi", "count"), hist_rows),
-        "loss_envelope.csv": _csv_text(("theta", "mean", "min", "max"), env_rows),
+        "sample.csv": _csv_text(("loss", "index"), sample.losses, sample.indices),
+        "wind_hist.csv": _csv_text(("bin_lo", "bin_hi", "count"),
+                                   edges[:-1], edges[1:], hist),
+        "loss_envelope.csv": _csv_text(("theta", "mean", "min", "max"), *zip(*env_rows)),
     }
 
     if "alpha_sweep" in cfg:
@@ -507,7 +514,7 @@ def cmd_simulate(cfg, seed) -> dict[str, str]:
                          sol.gamma_star if sol.gamma_star is not None else float("nan"),
                          sol.decision.value))
         outputs["alpha_sweep.csv"] = _csv_text(
-            ("q", "alpha_star", "gamma_star", "decision"), rows)
+            ("q", "alpha_star", "gamma_star", "decision"), *zip(*rows))
     return outputs
 
 
@@ -531,10 +538,10 @@ def cmd_dependence_report(cfg, seed) -> dict[str, str]:
     p_inc, p_trig = conditional_probabilities(winds, threshold)
     n_sites = winds.shape[1]
 
+    names = [f"s{j}" for j in range(n_sites)]
+
     def matrix_csv(mat):
-        header = ["site"] + [f"s{j}" for j in range(n_sites)]
-        rows = [[f"s{i}"] + [mat[i, j] for j in range(n_sites)] for i in range(n_sites)]
-        return _csv_text(header, rows)
+        return _csv_text(["site", *names], names, *mat.T)
 
     tau = np.full((n_sites, n_sites), np.nan)
     xi = np.full((n_sites, n_sites), np.nan)
@@ -562,8 +569,7 @@ def cmd_dependence_report(cfg, seed) -> dict[str, str]:
             else:
                 logger.warning("pair (%d,%d): %s", i, j, error)
             if i < j:
-                outputs[f"ranks_{i}_{j}.csv"] = _csv_text(
-                    ("x", "y"), zip(pairs.x, pairs.y))
+                outputs[f"ranks_{i}_{j}.csv"] = _csv_text(("x", "y"), pairs.x, pairs.y)
                 if m >= min_joint:
                     outputs[f"tail_{i}_{j}.json"] = _json_text(
                         _jsonable(vars(tail_estimate(pairs))))
@@ -587,7 +593,7 @@ def cmd_utility_curve(cfg, seed) -> dict[str, str]:
     conditioner = (_conditioner_from(cfg, sample, spec)
                    if cfg["payout_family"] == "index" else None)
     curve = utility_curve(sample, spec, utility, gammas, conditioner=conditioner)
-    return {"utility_curve.csv": _csv_text(("gamma", "u1", "u2", "u"), curve)}
+    return {"utility_curve.csv": _csv_text(("gamma", "u1", "u2", "u"), *curve.T)}
 
 
 # ---------------------------------------------------------------------------

@@ -63,15 +63,16 @@ class EmpiricalSample:
     """Weighted empirical sample with cached ascending view and cumulative sums.
 
     Weights default to uniform, must be non-negative and sum to 1 within
-    1e-12. The cached arrays back the exact expectile solve: ``knot_ratio``
-    holds r_i = E[(x_i - X)+] / E[|X - x_i|] at each sorted value x_i, which
-    never decreases along the sample (0 where all mass sits on x_i). It is
-    built on first use, since a sample that is never solved (such as the
-    untriggered side of a split) does not need it.
+    1e-12. The cached arrays back the exact expectile solve and are built on
+    first use, since a sample that is never solved or ranked (such as the
+    untriggered side of a split) does not need them: ``sorted_values`` with
+    its ``cum_weights`` and ``cum_weighted`` on the first read of any of the
+    three, and ``knot_ratio``, which holds r_i = E[(x_i - X)+] / E[|X - x_i|]
+    at each sorted value x_i and never decreases along the sample (0 where
+    all mass sits on x_i), on its own first read.
     """
 
-    __slots__ = ("values", "weights", "sorted_values", "cum_weights", "cum_weighted",
-                 "_knot_ratio")
+    __slots__ = ("values", "weights", "_sorted", "_knot_ratio")
 
     def __init__(self, values, weights=None):
         values = np.asarray(values, dtype=np.float64)
@@ -89,27 +90,44 @@ class EmpiricalSample:
                 raise ValueError("weights must be non-negative")
             if abs(weights.sum() - 1.0) > 1e-12:
                 raise ValueError("weights must sum to 1 within 1e-12")
-        order = np.argsort(values, kind="stable")
-        xs, scratch = values[order], weights[order]
-        del order
-        cw = np.cumsum(scratch)
-        scratch *= xs
-        cxw = np.cumsum(scratch)
-        del scratch
         self.values = values
         self.weights = weights
-        self.sorted_values = xs
-        self.cum_weights = cw
-        self.cum_weighted = cxw
+        self._sorted = None
         self._knot_ratio = None
-        for arr in (self.values, self.weights, self.sorted_values,
-                    self.cum_weights, self.cum_weighted):
-            arr.setflags(write=False)
+        values.setflags(write=False)
+        weights.setflags(write=False)
+
+    def _sorted_view(self):
+        """(sorted values, cumulative weights, cumulative weighted values)."""
+        if self._sorted is None:
+            order = np.argsort(self.values, kind="stable")
+            xs, scratch = self.values[order], self.weights[order]
+            del order
+            cw = np.cumsum(scratch)
+            scratch *= xs
+            cxw = np.cumsum(scratch)
+            del scratch
+            for arr in (xs, cw, cxw):
+                arr.setflags(write=False)
+            self._sorted = xs, cw, cxw
+        return self._sorted
+
+    @property
+    def sorted_values(self) -> np.ndarray:
+        return self._sorted_view()[0]
+
+    @property
+    def cum_weights(self) -> np.ndarray:
+        return self._sorted_view()[1]
+
+    @property
+    def cum_weighted(self) -> np.ndarray:
+        return self._sorted_view()[2]
 
     @property
     def knot_ratio(self) -> np.ndarray:
         if self._knot_ratio is None:
-            xs, cw, cxw = self.sorted_values, self.cum_weights, self.cum_weighted
+            xs, cw, cxw = self._sorted_view()
             # built in place to bound peak memory on large samples
             lower = xs * cw
             lower -= cxw                              # E[(x_i - X)+]

@@ -7,17 +7,16 @@ substreams so results are reproducible and independent of evaluation order.
 
 A ``TrackSet`` is flat: the points of all its tracks sit in one array per
 column, grouped by track and delimited by offsets, and their unit vectors
-are computed once per set. The track CSV is parsed into that layout in one
-streaming pass. One cross-track kernel, ``_winds``, measures every track
-against a site over fixed chunks of whole tracks; ``min_distance_km`` runs
-the same distance kernel on one track.
+are computed once per set. The track CSV is parsed into that layout in
+bounded blocks of whole lines, each checked and parsed at once. One
+cross-track kernel, ``_winds``, measures every track against a site over
+fixed chunks of whole tracks; ``min_distance_km`` runs the same distance
+kernel on one track.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,21 +93,58 @@ _CSV_DTYPE = np.dtype([("step", np.int64), ("lat", np.float64),
                        ("lon", np.float64), ("wind", np.float64)])
 
 
-def _csv_rows(lines, codes: array, ids: dict):
-    """The rows of a track CSV body, each checked for 5 fields; blank and
-    whitespace-only lines are skipped.
+# Characters of track CSV body per block (whole lines): a block's lines are
+# checked, numbered and parsed at once, so the parse holds one block's text
+# and never the whole file's.
+_CSV_BLOCK_CHARS = 1 << 18
+_EMPTY = np.empty(0, dtype=_CSV_DTYPE)
 
-    Appends each row's track number (its id's rank of first appearance,
-    registered in ``ids``) to ``codes`` as the row is yielded.
+
+def _loadtxt(lines):
+    return np.loadtxt(lines, dtype=_CSV_DTYPE, delimiter=",", comments=None,
+                      usecols=(1, 2, 3, 4), ndmin=1)
+
+
+def _csv_block(lines, lineno, ids, codes):
+    """The numeric fields of one block of track CSV lines, the first being
+    file line ``lineno``.
+
+    Each line must have 5 fields; blank and whitespace-only lines are
+    dropped. Appends each row's track number (its id's rank of first
+    appearance in the file, registered in ``ids``) to ``codes``. A field that
+    does not parse is reported with its line.
     """
-    for lineno, line in enumerate(lines, start=2):
-        commas = line.count(",")
-        if commas != 4:
-            if not line.strip():
-                continue
-            raise ValueError(f"line {lineno} has {commas + 1} fields; a track row needs 5")
-        codes.append(ids.setdefault(line[:line.index(",")].lstrip(), len(ids)))
-        yield line
+    counts = [line.count(",") for line in lines]
+    numbers = range(lineno, lineno + len(lines))
+    if counts.count(4) < len(lines):
+        for n, k, line in zip(numbers, counts, lines):
+            if k != 4 and line.strip():
+                raise ValueError(f"line {n} has {k + 1} fields; a track row needs 5")
+        numbers = [n for n, k in zip(numbers, counts) if k == 4]
+        lines = [line for line, k in zip(lines, counts) if k == 4]
+        if not lines:
+            return _EMPTY
+    codes += [ids.setdefault(line.partition(",")[0].lstrip(), len(ids)) for line in lines]
+    try:
+        return _loadtxt(lines)
+    except ValueError:
+        for n, line in zip(numbers, lines):
+            try:
+                _loadtxt([line])
+            except ValueError as exc:
+                raise ValueError(f"line {n}: {exc}") from None
+        raise
+
+
+def _csv_body(fh):
+    """The track ids, each row's track number and the numeric fields of a
+    track CSV body, read from ``fh`` in blocks of whole lines."""
+    ids, codes, parts = {}, [], []
+    lineno = 2
+    while lines := fh.readlines(_CSV_BLOCK_CHARS):
+        parts.append(_csv_block(lines, lineno, ids, codes))
+        lineno += len(lines)
+    return ids, np.array(codes, dtype=np.int64), np.concatenate(parts or [_EMPTY])
 
 
 class TrackSet:
@@ -158,23 +194,18 @@ class TrackSet:
         """Read `track_id,step,lat_deg,lon_deg,wind_kn` rows.
 
         Steps must strictly increase within a track; a track's rows need not
-        be contiguous, and tracks keep the order of their first row. The file
-        is streamed once: ``_csv_rows`` checks and numbers the rows as
-        ``np.loadtxt`` parses their numeric fields.
+        be contiguous, and tracks keep the order of their first row. The body
+        is read in blocks of whole lines (``_CSV_BLOCK_CHARS``), each checked,
+        numbered and parsed by ``_csv_block``; only the parsed fields outlive
+        the read.
         """
-        codes, ids = array("q"), {}
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
             if header != _CSV_HEADER:
                 raise ValueError(f"unexpected track CSV header: {header!r}")
-            rows = _csv_rows(fh, codes, ids)
-            first = next(rows, None)
-            if first is None:
-                return cls([])
-            data = np.loadtxt(itertools.chain([first], rows), dtype=_CSV_DTYPE,
-                              delimiter=",", comments=None, usecols=(1, 2, 3, 4),
-                              ndmin=1)
-        code = np.frombuffer(codes, dtype=np.int64)
+            ids, code, data = _csv_body(fh)
+        if not ids:
+            return cls([])
         order = np.argsort(code, kind="stable")
         offsets = np.zeros(len(ids) + 1, dtype=np.int64)
         np.cumsum(np.bincount(code, minlength=len(ids)), out=offsets[1:])

@@ -86,8 +86,8 @@ class UtilityContext:
 
     @classmethod
     def exponential(cls, beta: float, w0: float = 0.0):
-        if not beta > 0:  # NaN fails too
-            raise ValueError("beta must be positive")
+        if not 0 < beta < np.inf:  # NaN fails too
+            raise ValueError("beta must be positive and finite")
 
         def u(x, out=None):
             y = np.multiply(-beta, np.asarray(x, dtype=np.float64), out=out)
@@ -105,8 +105,8 @@ class UtilityContext:
 
     @classmethod
     def power(cls, eta: float, w0: float):
-        if not eta > 0 or eta == 1.0:  # NaN fails too
-            raise ValueError("eta must be positive and != 1")
+        if not 0 < eta < np.inf or eta == 1.0:  # NaN fails too
+            raise ValueError("eta must be positive, finite and != 1")
 
         def _check(x):
             x = np.asarray(x, dtype=np.float64)
@@ -196,6 +196,7 @@ class _MomentSide:
 
     No exponent in M is positive, so M cannot overflow, and the scale
     e^{-beta (shift - m)} overflows only where the largest row term does.
+    That overflow is silent here: the caller's finiteness check reports it.
     """
 
     def __init__(self, beta, s, w):
@@ -204,7 +205,8 @@ class _MomentSide:
         self.mass = float(np.sum(np.broadcast_to(w, s.shape)))
 
     def _scale(self, shift):
-        return np.exp(-self.beta * (shift - self.top)) * self.mgf
+        with np.errstate(over="ignore"):
+            return np.exp(-self.beta * (shift - self.top)) * self.mgf
 
     def u_prime_sum(self, shift, factor=1.0) -> float:
         return float(factor * self.beta * self._scale(shift))

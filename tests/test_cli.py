@@ -4,15 +4,17 @@ import json
 import logging
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
-from basisrisk import cli
+from basisrisk import cli, hazard
 from basisrisk.cli import main
 from basisrisk.dependence import kendall_tau
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, REPO_ROOT
 
 
 def run(tmp_path, command, cfg_path, out_name="out", seed=None):
@@ -179,6 +181,25 @@ class TestErrorPaths:
         code, out = run(tmp_path, command, write_cfg(tmp_path, "c.yaml", cfg_dict))
         assert code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("block_chars", [1 << 20, 64], ids=["one_block", "later_block"])
+    @pytest.mark.parametrize("command", ["simulate", "dependence-report"])
+    def test_non_utf8_track_csv_exits_2(self, tmp_path, monkeypatch, capsys, command,
+                                        block_chars):
+        monkeypatch.setattr(hazard, "_CSV_BLOCK_CHARS", block_chars)
+        tracks = tmp_path / "tracks.csv"
+        tracks.write_bytes(b"track_id,step,lat_deg,lon_deg,wind_kn\n"
+                           + b"A,1,18.3,-66.4,95\n" * 8 + b"\xff\xfeB,2,18.2,-66.5,90\n")
+        site = {"lat_deg": 18.2, "lon_deg": -66.5}
+        if command == "simulate":
+            cfg_dict = {"seed": 1, "wind": {"tracks_csv": str(tracks), "site": site}}
+        else:
+            cfg_dict = {"seed": 1, "tracks_csv": str(tracks),
+                        "sites": [site, {"lat_deg": 18.4, "lon_deg": -66.3}]}
+        code, out = run(tmp_path, command, write_cfg(tmp_path, "c.yaml", cfg_dict))
+        assert code == 2
+        assert not out.exists()
+        assert "can't decode byte 0xff" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [
         "s0,s1\n90,95\nabc,80\n85,0\n",     # non-numeric cell
@@ -835,6 +856,23 @@ class TestConfigTable:
         assert not out.exists()
         assert "overflow" in capsys.readouterr().err
 
+    def test_overflow_prints_only_the_domain_error(self, tmp_path):
+        # a fresh interpreter with Python's default warning filters, as a user runs it
+        cfg = write_cfg(tmp_path, "c.yaml", interior_fit_cfg(
+            seed=1, utility={"family": "exponential", "beta": 10.0, "w0": 0.0}))
+        env = dict(os.environ)
+        env.pop("PYTHONWARNINGS", None)
+        src = str(REPO_ROOT / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+        proc = subprocess.run(
+            [sys.executable, "-m", "basisrisk.cli", "fit-weighting", "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 4
+        assert "Warning" not in proc.stderr
+        assert proc.stderr.startswith("numeric domain error: u' overflowed")
+        assert proc.stderr.count("\n") == 1
+
 
 # (config, subcommand) pairs that README or perfbench run
 SHIPPED_RUNS = [
@@ -872,3 +910,52 @@ def test_table_accepts_generated_configs(tmp_path, repo_root, workload):
     assert configs
     for path in configs:
         cli._TABLES[GENERATED_RUNS[path.name]].check(yaml.safe_load(path.read_text()), "")
+
+
+def _fmt_oracle(x) -> str:
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return repr(float(x))
+
+
+def _csv_text_oracle(header, rows) -> str:
+    """The row-by-row CSV renderer that the column renderer replaced."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_fmt_oracle(v) if isinstance(v, (int, float, np.floating,
+                                                               np.integer)) else str(v)
+                              for v in row))
+    return "\n".join(lines) + "\n"
+
+
+_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
+_SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, _SUBNORMAL, -3 * _SUBNORMAL,
+                     np.finfo(np.float64).tiny / 3, 1e16, 1e-5, 0.1, 1 / 3, -2.5e300,
+                     123456789.0, 1e15 + 0.3, 5.0])
+# in range of float16, with one of its subnormals
+_NARROW = np.array([np.nan, np.inf, -np.inf, -0.0, 0.1, 1 / 3, 1e-5, 6e-8, 1e4, 5.0])
+
+
+class TestColumnRenderer:
+    @pytest.mark.parametrize("columns", [
+        [_SPECIAL, _SPECIAL[::-1]],
+        [_NARROW.astype(np.float32), _NARROW.astype(np.float16)],
+        [np.array([0, -3, 2 ** 62, -2 ** 63, 7] * 3, dtype=np.int64),
+         np.array([0, 1, 255, 7, 9] * 3, dtype=np.uint8),
+         np.array([1, -1, 2 ** 31 - 1, 0, 5] * 3, dtype=np.int32)],
+        [[1, 3.0, 2, 0.5, -0.0, np.float64(7.0), np.int64(4), True, np.float32(0.1)],
+         np.linspace(0.0, 1.0, 9)],
+        [["s0", "s1", "s2"], np.array([[0.5, np.nan], [1.0, 2.0], [1e-5, 1e16]]).T[0],
+         np.array([1.5, -0.0, np.inf])],
+        [[1.0, 3.0], [0.84, float("nan")], [0.97, float("nan")],
+         ["interior_optimum", "prefer_no_insurance"]],
+        [np.arange(6.0).reshape(3, 2).T[1], np.array([3, 4, 5])],
+        [np.empty(0), np.empty(0, dtype=np.int64), []],
+    ], ids=["special_floats", "narrow_floats", "int_arrays", "mixed_list",
+            "labels_and_views", "sweep_rows", "strided", "zero_rows"])
+    def test_matches_row_renderer(self, columns):
+        header = [f"c{i}" for i in range(len(columns))]
+        assert cli._csv_text(header, *columns) == _csv_text_oracle(header, zip(*columns))
+
+    def test_zero_rows_is_the_header_line(self):
+        assert cli._csv_text(("x", "y"), np.empty(0), np.empty(0)) == "x,y\n"

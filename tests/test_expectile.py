@@ -100,6 +100,29 @@ class TestEmpiricalSample:
             with pytest.raises(AttributeError):
                 s.knot_ratio = want
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sorted_view_built_on_first_use(self, seed):
+        r = rng(seed)
+        values = np.round(r.gamma(2.0, 3.0, size=500), 1)
+        weights = r.random(500)
+        weights /= weights.sum()
+        for w in (None, weights):
+            s = EmpiricalSample(values, w)
+            assert s._sorted is None and len(s) == 500
+            assert not (s.values.flags.writeable or s.weights.flags.writeable)
+            # the eager construction the sample made before the view became lazy
+            order = np.argsort(s.values, kind="stable")
+            xs, cw = s.values[order], np.cumsum(s.weights[order])
+            cxw = np.cumsum(s.weights[order] * xs)
+            mean = s.mean
+            assert s._sorted is not None
+            assert mean == float(cxw[-1])
+            assert s.sorted_values is s.sorted_values
+            for got, want in ((s.sorted_values, xs), (s.cum_weights, cw),
+                              (s.cum_weighted, cxw)):
+                assert got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+
     def test_knot_ratio_of_constant_sample_is_silent_zero(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -179,6 +179,77 @@ class TestTrackCsvParse:
         with pytest.raises(ValueError):
             _ref_from_csv(path)
 
+    @staticmethod
+    def _count_blocks(monkeypatch, block_chars):
+        """Set the block size; the returned list collects each block's line count."""
+        monkeypatch.setattr(hazard, "_CSV_BLOCK_CHARS", block_chars)
+        seen, parse = [], hazard._csv_block
+
+        def counted(lines, *args):
+            seen.append(len(lines))
+            return parse(lines, *args)
+
+        monkeypatch.setattr(hazard, "_csv_block", counted)
+        return seen
+
+    @staticmethod
+    def _assert_matches_reference(got, ref):
+        views = got.tracks
+        assert [t.track_id for t in views] == [t.track_id for t in ref]
+        assert [len(t) for t in views] == [len(t) for t in ref]
+        for g, r in zip(views, ref):
+            for name in ("lat_deg", "lon_deg", "wind_kn"):
+                assert getattr(g, name).tobytes() == getattr(r, name).tobytes()
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("block_chars", [1, 97, 4000])
+    def test_blocks_match_reference(self, tmp_path, monkeypatch, block_chars, newline):
+        path = tmp_path / "tracks.csv"
+        _write_messy_tracks(path, 5)
+        path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+        ref = _ref_from_csv(path)
+        blocks = self._count_blocks(monkeypatch, block_chars)
+        got = TrackSet.from_csv(path)
+        assert len(blocks) > 3 and sum(blocks) == len(path.read_text().splitlines()) - 1
+        self._assert_matches_reference(got, ref)
+
+    def test_default_blocks_match_reference(self, tmp_path, monkeypatch):
+        path = tmp_path / "tracks.csv"
+        _write_messy_tracks(path, 6, n_tracks=1200)
+        assert path.stat().st_size > 2 * hazard._CSV_BLOCK_CHARS
+        ref = _ref_from_csv(path)
+        blocks = self._count_blocks(monkeypatch, hazard._CSV_BLOCK_CHARS)
+        self._assert_matches_reference(TrackSet.from_csv(path), ref)
+        assert len(blocks) >= 3
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("row,match", [
+        ("a,9,1.0,2.0", "line 43 has 4 fields; a track row needs 5$"),
+        (" b,9,1.0,2.0,3.0,4.0 ", "line 43 has 6 fields; a track row needs 5$"),
+        ("b,9,1.0,abc,3.0", "^line 43: could not convert string 'abc' to float64"),
+        ("b,1.5,1.0,2.0,3.0", "^line 43: could not convert string '1.5' to int64"),
+    ], ids=["four_fields", "six_fields", "bad_float", "fractional_step"])
+    def test_bad_line_in_a_later_block_is_named(self, tmp_path, monkeypatch, newline, row,
+                                                 match):
+        # 30 rows, a whitespace-only line, 10 more rows, then the bad row at line 43
+        good = [f"{'ab'[i % 2]},{i},1.0,2.0,3.0" for i in range(40)]
+        lines = [self.HEADER.strip(), *good[:30], " \t ", *good[30:], row, "a,99,1,1,1"]
+        path = tmp_path / "tracks.csv"
+        path.write_bytes(newline.join(lines).encode() + newline.encode())
+        blocks = self._count_blocks(monkeypatch, 200)
+        with pytest.raises(ValueError, match=match):
+            TrackSet.from_csv(path)
+        assert len(blocks) > 3
+
+    def test_blank_blocks_give_no_tracks_and_no_warning(self, tmp_path, monkeypatch):
+        path = tmp_path / "tracks.csv"
+        path.write_text(self.HEADER + "\n  \n\t\n" * 20)
+        blocks = self._count_blocks(monkeypatch, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tracks = TrackSet.from_csv(path)
+        assert len(tracks) == 0 and len(blocks) > 3
+
     @pytest.mark.parametrize("body", ["", "\n  \n\t\n"], ids=["header_only", "blank_lines"])
     def test_header_only_gives_no_tracks_and_no_warning(self, tmp_path, body):
         path = tmp_path / "tracks.csv"

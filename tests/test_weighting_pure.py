@@ -49,11 +49,17 @@ class TestUtilityContext:
         with pytest.raises(ValueError):
             UtilityContext.power(eta=1.0, w0=10.0)
 
-    def test_nan_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            UtilityContext.exponential(beta=np.nan)
-        with pytest.raises(ValueError):
-            UtilityContext.power(eta=np.nan, w0=10.0)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_parameters_rejected(self, value):
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            UtilityContext.exponential(beta=value)
+        with pytest.raises(ValueError, match="eta must be positive, finite"):
+            UtilityContext.power(eta=value, w0=10.0)
+
+    def test_largest_finite_parameters_accepted(self):
+        big = np.finfo(np.float64).max
+        assert UtilityContext.exponential(beta=big).beta == big
+        UtilityContext.power(eta=big, w0=10.0)
 
     def test_check_support_rejects_convex(self):
         u = UtilityContext.custom(u=lambda x: x ** 2, u_prime=lambda x: 2 * x,
@@ -83,6 +89,18 @@ class TestTriggeredSplit:
         assert sol.gamma_star is not None
         assert split.triggered._knot_ratio is not None
         assert split.untriggered._knot_ratio is None
+
+    @pytest.mark.parametrize("beta", [0.1, None], ids=["exponential", "power"])
+    def test_pure_solve_leaves_untriggered_side_unsorted(self, beta):
+        theta = 25.0 + 110.0 * rng(3).beta(2.0, 2.8, size=20_000)
+        spec = ContractSpec(t_lo=83.0, rho=0.2)
+        split = TriggeredSplit.from_sample(simulate_losses(theta, LossModelParams(), 3), spec)
+        utility = (UtilityContext.exponential(beta=beta) if beta is not None
+                   else UtilityContext.power(eta=3.0, w0=120.0))
+        sol = solve_gamma_star(split, spec, utility)
+        assert sol.decision is Decision.INTERIOR_OPTIMUM
+        assert split.triggered._sorted is not None
+        assert split.untriggered._sorted is None
 
 
 class TestV1V2:
