@@ -31,6 +31,17 @@ def write_cfg(tmp_path, name, cfg):
     return path
 
 
+def track_cfg(tmp_path, command, tracks):
+    """A config of ``command`` over the track CSV ``tracks``."""
+    site = {"lat_deg": 18.2, "lon_deg": -66.5}
+    if command == "simulate":
+        cfg = {"seed": 1, "wind": {"tracks_csv": str(tracks), "site": site}}
+    else:
+        cfg = {"seed": 1, "tracks_csv": str(tracks),
+               "sites": [site, {"lat_deg": 18.4, "lon_deg": -66.3}]}
+    return write_cfg(tmp_path, "c.yaml", cfg)
+
+
 def interior_fit_cfg(**overrides):
     cfg = {
         "seed": 7,
@@ -172,13 +183,7 @@ class TestErrorPaths:
         tracks = tmp_path / "tracks.csv"
         tracks.write_text("track_id,step,lat_deg,lon_deg,wind_kn\n"
                           "A,1,18.3,-66.4,95\n" + row + "\n")
-        site = {"lat_deg": 18.2, "lon_deg": -66.5}
-        if command == "simulate":
-            cfg_dict = {"seed": 1, "wind": {"tracks_csv": str(tracks), "site": site}}
-        else:
-            cfg_dict = {"seed": 1, "tracks_csv": str(tracks),
-                        "sites": [site, {"lat_deg": 18.4, "lon_deg": -66.3}]}
-        code, out = run(tmp_path, command, write_cfg(tmp_path, "c.yaml", cfg_dict))
+        code, out = run(tmp_path, command, track_cfg(tmp_path, command, tracks))
         assert code == 2
         assert not out.exists()
 
@@ -190,13 +195,7 @@ class TestErrorPaths:
         tracks = tmp_path / "tracks.csv"
         tracks.write_bytes(b"track_id,step,lat_deg,lon_deg,wind_kn\n"
                            + b"A,1,18.3,-66.4,95\n" * 8 + b"\xff\xfeB,2,18.2,-66.5,90\n")
-        site = {"lat_deg": 18.2, "lon_deg": -66.5}
-        if command == "simulate":
-            cfg_dict = {"seed": 1, "wind": {"tracks_csv": str(tracks), "site": site}}
-        else:
-            cfg_dict = {"seed": 1, "tracks_csv": str(tracks),
-                        "sites": [site, {"lat_deg": 18.4, "lon_deg": -66.3}]}
-        code, out = run(tmp_path, command, write_cfg(tmp_path, "c.yaml", cfg_dict))
+        code, out = run(tmp_path, command, track_cfg(tmp_path, command, tracks))
         assert code == 2
         assert not out.exists()
         assert "can't decode byte 0xff" in capsys.readouterr().err

@@ -136,22 +136,27 @@ def _write_messy_tracks(path, seed, n_tracks=60):
 class TestTrackCsvParse:
     HEADER = "track_id,step,lat_deg,lon_deg,wind_kn\n"
 
+    @staticmethod
+    def _assert_matches_reference(got, ref):
+        """Same ids, lengths and arrays, bit for bit, as ``_ref_from_csv``."""
+        views = got.tracks
+        assert len(got) == len(ref)
+        assert [t.track_id for t in views] == [t.track_id for t in ref]
+        assert [len(t) for t in views] == [len(t) for t in ref]
+        for g, r in zip(views, ref):
+            for name in ("lat_deg", "lon_deg", "wind_kn"):
+                a, b = getattr(g, name), getattr(r, name)
+                assert a.dtype == b.dtype == np.float64
+                assert a.tobytes() == b.tobytes(), (g.track_id, name)
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_row_by_row_reference(self, tmp_path, seed):
         path = tmp_path / "tracks.csv"
         _write_messy_tracks(path, seed)
         ref = _ref_from_csv(path)
         got = TrackSet.from_csv(path)
-        assert len(got) == len(ref)
-        views = got.tracks
-        assert [t.track_id for t in views] == [t.track_id for t in ref]
-        assert [len(t) for t in views] == [len(t) for t in ref]
         assert min(len(t) for t in ref) == 1 and max(len(t.track_id) for t in ref) > 50
-        for g, r in zip(views, ref):
-            for name in ("lat_deg", "lon_deg", "wind_kn"):
-                a, b = getattr(g, name), getattr(r, name)
-                assert a.dtype == b.dtype == np.float64
-                assert a.tobytes() == b.tobytes(), (g.track_id, name)
+        self._assert_matches_reference(got, ref)
 
     @pytest.mark.parametrize("rows,match", [
         ("a,0,1.0,2.0\n", "line 3 has 4 fields"),
@@ -191,15 +196,6 @@ class TestTrackCsvParse:
 
         monkeypatch.setattr(hazard, "_csv_block", counted)
         return seen
-
-    @staticmethod
-    def _assert_matches_reference(got, ref):
-        views = got.tracks
-        assert [t.track_id for t in views] == [t.track_id for t in ref]
-        assert [len(t) for t in views] == [len(t) for t in ref]
-        for g, r in zip(views, ref):
-            for name in ("lat_deg", "lon_deg", "wind_kn"):
-                assert getattr(g, name).tobytes() == getattr(r, name).tobytes()
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     @pytest.mark.parametrize("block_chars", [1, 97, 4000])
