@@ -29,6 +29,7 @@ from .contracts import (
     InsufficientConditionalDataError,
     LossIndexSample,
     PremiumPrinciple,
+    _numeric_csv,
     split_by_trigger,
 )
 from .dependence import (
@@ -474,25 +475,38 @@ def _wind_values(w, seed) -> np.ndarray:
     return bootstrap(incident, w.get("bootstrap_n", incident.size), seed).values
 
 
+def _loss_envelope(sample, n_bins):
+    """(centre, mean, min, max) of the losses in each of n_bins index bins.
+
+    The bin edges are the index quantiles at 0, 1/n_bins, ..., 1; bin i holds
+    the rows with edge_i <= index < edge_i+1, the last bin its upper edge too,
+    and an empty bin gives no row. The edges do not decrease, so one search
+    numbers every row's bin, and one stable sort by bin lists each bin's
+    losses in row order, which keeps each mean's summation order.
+    """
+    qedges = np.quantile(sample.indices, np.linspace(0, 1, n_bins + 1))
+    bins = np.searchsorted(qedges, sample.indices, side="right") - 1
+    np.minimum(bins, n_bins - 1, out=bins)
+    # bins of 8 or 16 bits sort by radix, much faster than a 64-bit merge sort
+    bins = bins.astype(np.min_scalar_type(n_bins - 1))
+    losses = sample.losses[np.argsort(bins, kind="stable")]
+    ends = np.cumsum(np.bincount(bins, minlength=n_bins)).tolist()
+    rows = []
+    for i, (a, b) in enumerate(zip([0, *ends], ends)):
+        if a < b:
+            ls = losses[a:b]
+            rows.append((0.5 * (qedges[i] + qedges[i + 1]), float(ls.mean()),
+                         float(ls.min()), float(ls.max())))
+    return rows
+
+
 def cmd_simulate(cfg, seed) -> dict[str, str]:
-    n_env = cfg["envelope_bins"]
     theta = _wind_values(cfg["wind"], seed)
     params = cfg.get("loss_model", LossModelParams())
     sample = simulate_losses(theta, params, seed)
 
     hist, edges = np.histogram(sample.indices, bins=cfg["hist_bins"])
-
-    qedges = np.quantile(sample.indices, np.linspace(0, 1, n_env + 1))
-    env_rows = []
-    for i in range(n_env):
-        lo, hi = qedges[i], qedges[i + 1]
-        sel = ((sample.indices >= lo) & (sample.indices < hi)) if i < n_env - 1 \
-            else ((sample.indices >= lo) & (sample.indices <= hi))
-        if not sel.any():
-            continue
-        ls = sample.losses[sel]
-        env_rows.append((0.5 * (lo + hi), float(ls.mean()), float(ls.min()),
-                         float(ls.max())))
+    env_rows = _loss_envelope(sample, cfg["envelope_bins"])
 
     outputs = {
         "sample.csv": _csv_text(("loss", "index"), sample.losses, sample.indices),
@@ -522,8 +536,7 @@ def cmd_dependence_report(cfg, seed) -> dict[str, str]:
     threshold = cfg["threshold_kn"]
     if "winds_csv" in cfg:
         path = cfg["winds_csv"]
-        winds = _read(path, "wind matrix", lambda f: np.loadtxt(
-            f, delimiter=",", skiprows=1, ndmin=2))
+        winds = _read(path, "wind matrix", _numeric_csv)
         if not np.all(np.isfinite(winds)):
             raise ConfigError(f"wind matrix file {path} has a non-numeric or "
                               "non-finite cell")

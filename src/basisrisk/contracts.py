@@ -127,10 +127,42 @@ class LossIndexSample:
 
     @classmethod
     def from_csv(cls, path):
-        data = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
+        data = _numeric_csv(path)
         if data.shape[1] != 2:
             raise ValueError(f"expected the 2 columns loss,index, got {data.shape[1]}")
         return cls(data[:, 0], data[:, 1])
+
+
+def _numeric_csv(path) -> np.ndarray:
+    """The numbers of a comma-separated file below its one header line, a row per line.
+
+    A cell that does not parse, or a row whose field count differs from the
+    first row's, is a ValueError that names its file line. The file is read
+    again, a line at a time, only once the parse has failed.
+    """
+    try:
+        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError:
+        _raise_bad_line(path)
+        raise
+
+
+def _raise_bad_line(path) -> None:
+    """Raise a ValueError that names the first line of path ``_numeric_csv`` rejects."""
+    first = None
+    with open(path) as fh:  # decoded and split into lines as np.loadtxt does
+        fh.readline()
+        for n, line in enumerate(fh, start=2):
+            if line.partition("#")[0] in ("", "\n"):  # lines np.loadtxt skips
+                continue
+            try:
+                width = np.loadtxt([line], delimiter=",", ndmin=2).shape[1]
+            except ValueError as exc:
+                raise ValueError(f"line {n}: {exc}") from None
+            first = first or (n, width)
+            if width != first[1]:
+                raise ValueError(f"line {n} has {width} fields; line {first[0]} "
+                                 f"has {first[1]}")
 
 
 @dataclass(frozen=True)
@@ -270,17 +302,22 @@ class EmpiricalBinConditioner:
         return per_bin[bins]
 
 
-def _expectile_columns(conditioner, thetas, gammas):
+def _expectile_columns(conditioner, thetas, gammas, out=None):
     """Conditional expectiles at thetas, one array per level in gammas.
 
-    The binned conditioner assigns the thetas to bins once and reads its
-    per-bin table; any other conditioner is asked level by level.
+    The binned conditioner assigns the thetas to bins once and gathers each
+    level from its per-bin table, into ``out`` when given. Any other
+    conditioner is asked level by level, and the arrays it returns may stay
+    its own: a caller must not write into them.
     """
     if isinstance(conditioner, EmpiricalBinConditioner):
         bins = conditioner.assign(thetas)
-        table = conditioner.expectile_table(gammas)
-        for j in range(table.shape[1]):
-            yield table[bins, j]
+        # one contiguous row per level, so a gather reads n_bins adjacent values
+        table = np.ascontiguousarray(conditioner.expectile_table(gammas).T)
+        for column in table:
+            # every bin number is a row of the table: "clip" only skips the
+            # buffered copy that take's bounds check makes of ``out``
+            yield np.take(column, bins, out=out, mode="clip")
     else:
         for g in gammas:
             yield conditioner.conditional_expectile(thetas, Level(float(g)))

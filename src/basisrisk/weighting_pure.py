@@ -606,10 +606,15 @@ def utility_curve(sample: LossIndexSample, spec: ContractSpec,
     U = U1 + U2. Pure parametric payouts by default; passing a conditioner
     switches to the index-conditional scheme. The trigger mask is built
     once. The pure payout is one level per side, so each level reads the
-    utility's two side sums (``UtilityContext.side``). An index payout
-    varies by row: it is written, with the wealth, into full-sample buffers
-    held across levels, and a binned conditioner assigns the triggered rows
-    to bins once and solves each bin over the whole grid at once.
+    utility's two side sums (``UtilityContext.side``).
+
+    An index payout varies by row. Its triggered rows are listed once, and
+    a binned conditioner assigns them to bins once and solves each bin over
+    the whole grid at once. Payments and the triggered utilities sit in
+    full-sample buffers that hold 0 on the untriggered rows at every level,
+    so a level writes only the triggered rows; the premium, the wealth, u
+    and both means still run over the full sample, which keeps every sum's
+    pairwise order.
     """
     gammas = np.asarray(gamma_grid, dtype=np.float64)
     if not np.all((gammas > 0) & (gammas < 1)):
@@ -627,19 +632,20 @@ def utility_curve(sample: LossIndexSample, spec: ContractSpec,
         for i, y in enumerate(levels.tolist()):
             out[i, 1:3] = _constant_payout_utilities(sides, quants, w0, y)
     else:
-        off = ~mask
-        payments, wealth, part = np.zeros(n), np.empty(n), np.empty(n)
-        columns = _expectile_columns(conditioner, sample.indices[mask], gammas)
+        rows = np.flatnonzero(mask)
+        payments, wealth, part = np.zeros(n), np.empty(n), np.zeros(n)
+        # the binned conditioner gathers each level into scratch; a column
+        # from any other conditioner is only read
+        scratch = np.empty(rows.size)
+        columns = _expectile_columns(conditioner, sample.indices[rows], gammas, out=scratch)
         for i, column in enumerate(columns):
-            payments[mask] = column
-            np.maximum(payments, 0.0, out=payments)
+            payments[rows] = np.maximum(column, 0.0, out=scratch)
             _check_payments(payments)
             pi = _premium_of(payments, spec)
             np.add(np.subtract(w0, sample.losses, out=wealth), payments, out=wealth)
             uvals = utility.u(np.subtract(wealth, pi, out=wealth), out=wealth)
-            np.copyto(part, uvals)
-            np.copyto(part, 0.0, where=off)
-            np.copyto(uvals, 0.0, where=mask)
+            part[rows] = np.take(uvals, rows, out=scratch, mode="clip")  # rows are in range
+            uvals[rows] = 0.0  # written, not multiplied: u may be -inf
             out[i, 1:3] = float(np.mean(part)), float(np.mean(uvals))
     out[:, 3] = out[:, 1] + out[:, 2]
     return out

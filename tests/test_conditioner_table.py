@@ -11,12 +11,13 @@ H2 evaluation.
 
 import importlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 import yaml
 
-from basisrisk import cli
+from basisrisk import cli, weighting_pure
 from basisrisk.contracts import (
     AnalyticConditioner,
     ContractSpec,
@@ -25,6 +26,7 @@ from basisrisk.contracts import (
     ExponentialConditioner,
     LossIndexSample,
     PayoutVector,
+    PremiumPrinciple,
     premium,
     split_by_trigger,
 )
@@ -296,3 +298,152 @@ def test_index_utility_curve_solves_each_bin_once(config_dir, solve_counter):
     cli.cmd_utility_curve(cli._TABLES["utility-curve"].check(cfg, ""), cfg["seed"])
     assert len(cfg["gamma_grid"]) == 99
     assert solve_counter == {"solves": cfg["conditioner"]["n_bins"], "eval_h2": 0}
+
+
+# ---------------------------------------------------------------------------
+# the index curve's triggered row list against the reference
+# ---------------------------------------------------------------------------
+
+def _layout_sample(layout, n=1200):
+    """Losses and index as in ``_index_sample``, the triggered rows laid out
+    as one contiguous block or alternating with untriggered rows."""
+    sample = _index_sample(7, n)
+    order = np.argsort(sample.indices, kind="stable")
+    if layout == "interleaved":
+        below = order[sample.indices[order] < SPEC.t_lo]
+        above = order[sample.indices[order] >= SPEC.t_lo]
+        m = below.size
+        order = np.concatenate([np.column_stack([below, above[:m]]).ravel(), above[m:]])
+    return LossIndexSample(sample.losses[order], sample.indices[order])
+
+
+def _curve_conditioners(sample):
+    triggered, _ = split_by_trigger(sample, SPEC)
+    return {"binned": EmpiricalBinConditioner(triggered, n_bins=6, min_bin_count=50),
+            **_analytic_conditioners()}
+
+
+@pytest.mark.parametrize("principle", list(PremiumPrinciple))
+@pytest.mark.parametrize("layout", ["random", "block", "interleaved"])
+@pytest.mark.parametrize("cond_name", ["binned", "exponential", "analytic"])
+@pytest.mark.parametrize("utility", sorted(UTILITIES))
+def test_utility_curve_rows_match_reference(principle, layout, cond_name, utility):
+    sample = _index_sample(3) if layout == "random" else _layout_sample(layout)
+    mask = SPEC.in_trigger(sample.indices)
+    if layout == "block":
+        assert np.all(np.diff(np.flatnonzero(mask)) == 1)
+    if layout == "interleaved":
+        assert np.all(mask[1:2 * np.count_nonzero(~mask):2])
+        assert not np.any(mask[0:2 * np.count_nonzero(~mask):2])
+    spec = ContractSpec(t_lo=SPEC.t_lo, rho=0.1, principle=principle)
+    cond = _curve_conditioners(sample)[cond_name]
+    u = UTILITIES[utility]
+    assert _same_bits(utility_curve(sample, spec, u, GAMMAS, conditioner=cond),
+                      _ref_utility_curve(sample, spec, u, GAMMAS, cond))
+
+
+def test_negative_conditional_expectiles_clip_to_zero():
+    # every triggered payout is negative at the small levels, some at the others
+    sample, _ = _binned(1)
+    cond = AnalyticConditioner(lambda th, g: th * (g - 0.5) - 0.2)
+    thetas = sample.indices[SPEC.in_trigger(sample.indices)]
+    assert np.all(cond.conditional_expectile(thetas, 0.3) < 0)
+    curve = utility_curve(sample, SPEC, UTILITIES["power"], GAMMAS, conditioner=cond)
+    assert _same_bits(curve, _ref_utility_curve(sample, SPEC, UTILITIES["power"], GAMMAS, cond))
+    # with nothing paid at the small levels, the curve there is the uninsured one
+    low = GAMMAS < 0.3
+    assert np.unique(curve[low, 1:], axis=0).shape[0] == 1
+
+
+def test_minus_infinite_utility_on_a_triggered_row():
+    # exp overflows on one triggered row: u = -inf there, and U2 must stay finite
+    sample, cond = _binned(2)
+    losses = sample.losses.copy()
+    row = np.flatnonzero(SPEC.in_trigger(sample.indices))[5]
+    losses[row] = 1e5
+    sample = LossIndexSample(losses, sample.indices)
+    u = UtilityContext.exponential(0.1, w0=3.0)
+    with np.errstate(over="ignore"):
+        curve = utility_curve(sample, SPEC, u, GAMMAS, conditioner=cond)
+        want = _ref_utility_curve(sample, SPEC, u, GAMMAS, cond)
+    assert _same_bits(curve, want)
+    assert np.all(curve[:, 1] == -np.inf)
+    assert np.all(np.isfinite(curve[:, 2]))
+
+
+def _kept_array_conditioner(gammas):
+    """An analytic conditioner whose callable returns arrays it keeps, one per level;
+    some of their values are negative, so a payout written in place would show."""
+    kept = {}
+
+    def fn(thetas, g):
+        if g not in kept:
+            kept[g] = (thetas - 2.5) + 0.3 * thetas * np.log(g / (1.0 - g))
+        return kept[g]
+
+    return AnalyticConditioner(fn), kept
+
+
+def test_analytic_arrays_are_only_read():
+    sample, _ = _binned(0)
+    cond, kept = _kept_array_conditioner(GAMMAS)
+    curve = utility_curve(sample, SPEC, UTILITIES["exponential"], GAMMAS, conditioner=cond)
+    assert len(kept) == GAMMAS.size
+    thetas = sample.indices[SPEC.in_trigger(sample.indices)]
+    fresh, _ = _kept_array_conditioner(GAMMAS)
+    assert any(np.any(values < 0) for values in kept.values())
+    for g, values in kept.items():
+        assert _same_bits(values, fresh.fn(thetas, g))
+    assert _same_bits(curve, _ref_utility_curve(sample, SPEC, UTILITIES["exponential"],
+                                                GAMMAS, fresh))
+
+
+@pytest.mark.parametrize("t_lo", [0.5, 10.0], ids=["fires_on_all", "fires_on_none"])
+@pytest.mark.parametrize("principle", list(PremiumPrinciple))
+def test_degenerate_trigger_raises_before_any_level(t_lo, principle):
+    sample, _ = _binned(0)
+    cond, kept = _kept_array_conditioner(GAMMAS)
+    spec = ContractSpec(t_lo=t_lo, rho=0.1, principle=principle)
+    with pytest.raises(DegenerateTriggerError):
+        utility_curve(sample, spec, UTILITIES["power"], GAMMAS, conditioner=cond)
+    assert not kept
+
+
+@pytest.mark.parametrize("cond_name", ["binned", "kept"])
+@pytest.mark.parametrize("utility", sorted(UTILITIES))
+def test_levels_allocate_no_sample_sized_array(monkeypatch, cond_name, utility):
+    # about 3/4 of the 40000 rows are triggered, so a triggered-size array
+    # (240 kB) and a full-sample one (320 kB) both exceed the bound
+    r = rng(5)
+    theta = r.uniform(1.0, 5.0, size=40000)
+    sample = LossIndexSample(np.round(r.gamma(2.0, theta), 1), theta)
+    if cond_name == "binned":
+        triggered, _ = split_by_trigger(sample, SPEC)
+        cond = EmpiricalBinConditioner(triggered, n_bins=8)
+    else:
+        cond, _ = _kept_array_conditioner(GAMMAS)
+        thetas = sample.indices[SPEC.in_trigger(sample.indices)]
+        for g in GAMMAS:
+            cond.conditional_expectile(thetas, g)  # computed before tracing
+    columns = weighting_pure._expectile_columns
+    marks = []
+
+    def marking_columns(*args, **kwargs):
+        for column in columns(*args, **kwargs):
+            marks.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+            yield column
+
+    monkeypatch.setattr(weighting_pure, "_expectile_columns", marking_columns)
+    tracemalloc.start()
+    try:
+        curve = utility_curve(sample, SPEC, UTILITIES[utility], GAMMAS, conditioner=cond)
+        marks.append(tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(marks) == GAMMAS.size + 1
+    bound = len(sample)  # bytes: an eighth of one full-sample float array
+    # mark i + 1 holds the peak of level i's body, measured from mark i
+    grown = [peak - before for (before, _), (_, peak) in zip(marks[1:], marks[2:])]
+    assert max(grown) < bound, grown
+    assert np.all(np.isfinite(curve))
