@@ -304,10 +304,10 @@ def test_index_utility_curve_solves_each_bin_once(config_dir, solve_counter):
 # the index curve's triggered row list against the reference
 # ---------------------------------------------------------------------------
 
-def _layout_sample(layout, n=1200):
+def _layout_sample(layout):
     """Losses and index as in ``_index_sample``, the triggered rows laid out
     as one contiguous block or alternating with untriggered rows."""
-    sample = _index_sample(7, n)
+    sample = _index_sample(7)
     order = np.argsort(sample.indices, kind="stable")
     if layout == "interleaved":
         below = order[sample.indices[order] < SPEC.t_lo]
