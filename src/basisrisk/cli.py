@@ -29,7 +29,9 @@ from .contracts import (
     InsufficientConditionalDataError,
     LossIndexSample,
     PremiumPrinciple,
+    _csv_text,
     _numeric_csv,
+    _rng,
     split_by_trigger,
 )
 from .dependence import (
@@ -283,10 +285,6 @@ def _present(block, **names):
     return {arg: block[key] for arg, key in names.items() if key in block}
 
 
-def _rng(seed) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
 def _beta_winds(syn, seed) -> np.ndarray:
     """The Beta wind stand-in: n draws of lo + (hi - lo) * Beta(a, b), in knots."""
     lo, hi = syn["lo"], syn["hi"]
@@ -331,31 +329,6 @@ def _conditioner_from(cfg, sample, spec) -> EmpiricalBinConditioner:
 # deterministic output rendering
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
-def _cells(column):
-    """The text of one CSV column: a float array by repr, an integer array by
-    str, any other sequence cell by cell (``_fmt``)."""
-    kind = column.dtype.kind if isinstance(column, np.ndarray) else None
-    if kind == "f":
-        return map(repr, column.tolist())
-    if kind in ("i", "u"):
-        return map(str, column.tolist())
-    return map(_fmt, column)
-
-
-def _csv_text(header, *columns) -> str:
-    """CSV text of equal-length columns under a header, each column rendered once."""
-    rows = map(",".join, zip(*map(_cells, columns)))
-    return "\n".join([",".join(header), *rows]) + "\n"
-
-
 def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -366,8 +339,6 @@ def _jsonable(x):
         return v if np.isfinite(v) else repr(v)
     if isinstance(x, (np.integer, int)):
         return int(x)
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x]
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):

@@ -1,4 +1,4 @@
-"""Payment schemes, premium principles, basis-risk metrics, and fitting.
+"""Payment schemes, premium principles, basis-risk metrics, fitting, and the CSV layer.
 
 Implements the two admissible payout families (constant-on-trigger and
 index-conditional expectile schemes), the expected-value / standard-deviation
@@ -121,9 +121,7 @@ class LossIndexSample:
     def to_csv(self, path):
         """Emit `loss,index` CSV (RFC-4180, LF endings)."""
         with open(path, "w", newline="") as fh:
-            fh.write("loss,index\n")
-            for s, t in zip(self.losses, self.indices):
-                fh.write(f"{float(s)!r},{float(t)!r}\n")
+            fh.write(_csv_text(("loss", "index"), self.losses, self.indices))
 
     @classmethod
     def from_csv(cls, path):
@@ -133,12 +131,68 @@ class LossIndexSample:
         return cls(data[:, 0], data[:, 1])
 
 
+def _fmt(x) -> str:
+    if isinstance(x, str):  # first: track ids are the longest column rendered cell by cell
+        return x
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return str(int(x)) if isinstance(x, (int, np.integer)) else str(x)
+
+
+def _cells(column):
+    """The text of one CSV column: a float array by repr, an integer array by
+    str, any other sequence cell by cell (``_fmt``)."""
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else None
+    if kind == "f":
+        return map(repr, column.tolist())
+    if kind in ("i", "u"):
+        return map(str, column.tolist())
+    return map(_fmt, column)
+
+
+def _csv_text(header, *columns) -> str:
+    """CSV text of equal-length columns under a header, each column rendered once."""
+    rows = map(",".join, zip(*map(_cells, columns)))
+    return "\n".join([",".join(header), *rows]) + "\n"
+
+
+# Characters of CSV text per block of whole lines: a reader holds one
+# block's lines at a time, never the whole file's.
+_CSV_BLOCK_CHARS = 1 << 18
+
+
+def _line_blocks(fh, size):
+    """Blocks of whole lines of ``fh``, about ``size`` characters each, as (lines,
+    their file line numbers); ``fh`` has read its one header line, line 1."""
+    lineno = 2
+    while lines := fh.readlines(size):
+        yield lines, range(lineno, lineno + len(lines))
+        lineno += len(lines)
+
+
+def _parse_lines(lines, numbers, **options):
+    """``np.loadtxt(lines, **options)``, ``numbers`` holding each line's file line.
+
+    On a ValueError, the first line that fails when parsed alone is raised as
+    "line N: <loadtxt's reason> in field K", K counting its fields from 1."""
+    try:
+        return np.loadtxt(lines, **options)
+    except ValueError as exc:
+        if len(lines) > 1:
+            for n, line in zip(numbers, lines):
+                _parse_lines([line], [n], **options)
+            raise
+        reason, _, field = str(exc).rpartition(" at row 0, column ")
+        where = f"{reason} in field {field.rstrip('.')}" if reason else str(exc)
+        raise ValueError(f"line {numbers[0]}: {where}") from None
+
+
 def _numeric_csv(path) -> np.ndarray:
     """The numbers of a comma-separated file below its one header line, a row per line.
 
     A cell that does not parse, or a row whose field count differs from the
     first row's, is a ValueError that names its file line. The file is read
-    again, a line at a time, only once the parse has failed.
+    again, a block of lines at a time, only once the parse has failed.
     """
     try:
         return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -148,21 +202,32 @@ def _numeric_csv(path) -> np.ndarray:
 
 
 def _raise_bad_line(path) -> None:
-    """Raise a ValueError that names the first line of path ``_numeric_csv`` rejects."""
-    first = None
+    """Raise a ValueError that names the first line of path ``_numeric_csv`` rejects.
+
+    Each block of lines is parsed whole; only the first block that fails, or
+    whose rows are not as wide as the file's first row, is parsed line by line.
+    """
+    first = None  # (file line, width) of the first row
     with open(path) as fh:  # decoded and split into lines as np.loadtxt does
         fh.readline()
-        for n, line in enumerate(fh, start=2):
-            if line.partition("#")[0] in ("", "\n"):  # lines np.loadtxt skips
+        for lines, numbers in _line_blocks(fh, _CSV_BLOCK_CHARS):
+            rows = [(n, line) for n, line in zip(numbers, lines)
+                    if line.partition("#")[0] not in ("", "\n")]  # lines np.loadtxt skips
+            if not rows:
                 continue
             try:
-                width = np.loadtxt([line], delimiter=",", ndmin=2).shape[1]
-            except ValueError as exc:
-                raise ValueError(f"line {n}: {exc}") from None
-            first = first or (n, width)
-            if width != first[1]:
-                raise ValueError(f"line {n} has {width} fields; line {first[0]} "
-                                 f"has {first[1]}")
+                width = np.loadtxt([line for _, line in rows], delimiter=",", ndmin=2).shape[1]
+                first = first or (rows[0][0], width)
+                if width == first[1]:
+                    continue
+            except ValueError:
+                pass
+            for n, line in rows:
+                width = _parse_lines([line], [n], delimiter=",", ndmin=2).shape[1]
+                first = first or (n, width)
+                if width != first[1]:
+                    raise ValueError(f"line {n} has {width} fields; line {first[0]} "
+                                     f"has {first[1]}")
 
 
 @dataclass(frozen=True)
@@ -416,6 +481,12 @@ def _golden_section(f, a: float, b: float, tol: float) -> float:
             d = a + invphi * (b - a)
             fd = f(d)
     return 0.5 * (a + b)
+
+
+def _rng(seed: int, *spawn_key: int) -> np.random.Generator:
+    """Counter-based generator; spawn_key selects an independent substream."""
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)))
 
 
 def _pwl_scheme(thetas, slope, attachment, cap):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contracts import _golden_section
+from .contracts import _golden_section, _rng
 
 logger = logging.getLogger(__name__)
 
@@ -193,7 +193,7 @@ def chatterjee_xi(pairs: PairedObservations, seed: int = 0) -> float:
         raise ValueError("need m >= 3")
     if np.all(pairs.y == pairs.y[0]):
         raise ValueError("constant y: xi denominator is zero")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = _rng(seed)
     jitter = rng.random(m)
     order = np.lexsort((jitter, pairs.x))
     y_sorted = pairs.y[order]
@@ -368,7 +368,7 @@ def sample_gumbel(eta: float, m: int, seed: int) -> PairedObservations:
     """
     if eta < 1.0:
         raise ValueError("eta must be >= 1")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = _rng(seed)
     if eta == 1.0:
         return PairedObservations(rng.random(m), rng.random(m))
     alpha = 1.0 / eta

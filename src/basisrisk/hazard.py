@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contracts import LossIndexSample
+from .contracts import (_CSV_BLOCK_CHARS, LossIndexSample, _csv_text, _line_blocks,
+                        _parse_lines, _rng)
 from .expectile import EmpiricalSample
 
 logger = logging.getLogger(__name__)
@@ -91,23 +92,11 @@ def _check_points(lat, lon, wind):
 _CSV_HEADER = "track_id,step,lat_deg,lon_deg,wind_kn"
 _CSV_DTYPE = np.dtype([("step", np.int64), ("lat", np.float64),
                        ("lon", np.float64), ("wind", np.float64)])
-
-
-# Characters of track CSV body per block (whole lines): a block's lines are
-# checked, numbered and parsed at once, so the parse holds one block's text
-# and never the whole file's.
-_CSV_BLOCK_CHARS = 1 << 18
 _EMPTY = np.empty(0, dtype=_CSV_DTYPE)
 
 
-def _loadtxt(lines):
-    return np.loadtxt(lines, dtype=_CSV_DTYPE, delimiter=",", comments=None,
-                      usecols=(1, 2, 3, 4), ndmin=1)
-
-
-def _csv_block(lines, lineno, ids, codes):
-    """The numeric fields of one block of track CSV lines, the first being
-    file line ``lineno``.
+def _csv_block(lines, numbers, ids, codes):
+    """The numeric fields of a block of track CSV lines (file lines ``numbers``).
 
     Each line must have 5 fields; blank and whitespace-only lines are
     dropped. Appends each row's track number (its id's rank of first
@@ -115,7 +104,6 @@ def _csv_block(lines, lineno, ids, codes):
     does not parse is reported with its line.
     """
     counts = [line.count(",") for line in lines]
-    numbers = range(lineno, lineno + len(lines))
     if counts.count(4) < len(lines):
         for n, k, line in zip(numbers, counts, lines):
             if k != 4 and line.strip():
@@ -125,25 +113,16 @@ def _csv_block(lines, lineno, ids, codes):
         if not lines:
             return _EMPTY
     codes += [ids.setdefault(line.partition(",")[0].lstrip(), len(ids)) for line in lines]
-    try:
-        return _loadtxt(lines)
-    except ValueError:
-        for n, line in zip(numbers, lines):
-            try:
-                _loadtxt([line])
-            except ValueError as exc:
-                raise ValueError(f"line {n}: {exc}") from None
-        raise
+    return _parse_lines(lines, numbers, dtype=_CSV_DTYPE, delimiter=",", comments=None,
+                        usecols=(1, 2, 3, 4), ndmin=1)
 
 
 def _csv_body(fh):
     """The track ids, each row's track number and the numeric fields of a
     track CSV body, read from ``fh`` in blocks of whole lines."""
-    ids, codes, parts = {}, [], []
-    lineno = 2
-    while lines := fh.readlines(_CSV_BLOCK_CHARS):
-        parts.append(_csv_block(lines, lineno, ids, codes))
-        lineno += len(lines)
+    ids, codes = {}, []
+    parts = [_csv_block(lines, numbers, ids, codes)
+             for lines, numbers in _line_blocks(fh, _CSV_BLOCK_CHARS)]
     return ids, np.array(codes, dtype=np.int64), np.concatenate(parts or [_EMPTY])
 
 
@@ -224,12 +203,12 @@ class TrackSet:
         return tracks
 
     def to_csv(self, path):
+        lengths = np.diff(self._offsets)
+        ids = [tid for tid, n in zip(self._ids, lengths.tolist()) for _ in range(n)]
+        steps = np.arange(self._lat.size) - np.repeat(self._offsets[:-1], lengths)
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(_CSV_HEADER + "\n")
-            for tr in self.tracks:
-                for i in range(len(tr)):
-                    fh.write(f"{tr.track_id},{i},{float(tr.lat_deg[i])!r},"
-                             f"{float(tr.lon_deg[i])!r},{float(tr.wind_kn[i])!r}\n")
+            fh.write(_csv_text(_CSV_HEADER.split(","), ids, steps,
+                               self._lat, self._lon, self._wind))
 
 
 @dataclass(frozen=True)
@@ -425,12 +404,6 @@ def storm_wind_convert(wind_10min_ms) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def _rng(seed: int, *spawn_key: int) -> np.random.Generator:
-    """Counter-based generator; spawn_key selects an independent substream."""
-    return np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)))
-
-
 def bootstrap(values, n: int, seed: int) -> EmpiricalSample:
     """n i.i.d. draws with replacement; deterministic given the seed."""
     values = np.asarray(values, dtype=np.float64)
@@ -523,8 +496,6 @@ def storm_to_track_csv(storm_path, out_path):
             tid = f"{year}-{month}-{tc}"
             by_id.setdefault(tid, []).append(
                 (int(float(step)), lat, lon, storm_wind_convert(wind_ms)))
+    rows = [(tid, *row) for tid, track in by_id.items() for row in sorted(track)]
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(_CSV_HEADER + "\n")
-        for tid, rows in by_id.items():
-            for step, lat, lon, wind in sorted(rows):
-                fh.write(f"{tid},{step},{lat!r},{lon!r},{wind!r}\n")
+        fh.write(_csv_text(_CSV_HEADER.split(","), *zip(*rows)))

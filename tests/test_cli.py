@@ -511,6 +511,35 @@ class TestSimulate:
         losses = [float(r.split(",")[0]) for r in rows]
         assert min(losses) >= 0.0 and max(losses) <= 100.0
 
+    @staticmethod
+    def toy_tracks_cfg(tmp_path, lat_deg, lon_deg):
+        """A bootstrap of 100 winds from the toy tracks at the given site."""
+        return write_cfg(tmp_path, "c.yaml", {"seed": 7, "wind": {
+            "tracks_csv": str(CONFIG_DIR / "fixtures" / "toy_tracks.csv"),
+            "site": {"lat_deg": lat_deg, "lon_deg": lon_deg}, "bootstrap_n": 100}})
+
+    def test_track_bootstrap_run(self, tmp_path):
+        cfg = self.toy_tracks_cfg(tmp_path, 18.2, -66.5)
+        code1, out1 = run(tmp_path, "simulate", cfg, out_name="o1")
+        code2, out2 = run(tmp_path, "simulate", cfg, out_name="o2")
+        assert code1 == code2 == 0
+        names = sorted(os.listdir(out1))
+        assert names == sorted(os.listdir(out2))
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        incident = hazard.incident_windspeeds(
+            hazard.TrackSet.from_csv(CONFIG_DIR / "fixtures" / "toy_tracks.csv"),
+            hazard.Site(18.2, -66.5))
+        rows = (out1 / "sample.csv").read_text().splitlines()[1:]
+        assert len(rows) == 100
+        assert {float(r.split(",")[1]) for r in rows} <= set(incident.tolist())
+
+    def test_track_site_without_incidents_exits_5(self, tmp_path, capsys):
+        code, out = run(tmp_path, "simulate", self.toy_tracks_cfg(tmp_path, -60.0, 100.0))
+        assert code == 5
+        assert not out.exists()
+        assert "degenerate data: no incident tracks at the site" in capsys.readouterr().err
+
 
 class TestUtilityCurve:
     def test_single_gamma_single_row(self, tmp_path):
@@ -958,3 +987,57 @@ class TestColumnRenderer:
 
     def test_zero_rows_is_the_header_line(self):
         assert cli._csv_text(("x", "y"), np.empty(0), np.empty(0)) == "x,y\n"
+
+
+class TestRarePaths:
+    """CLI branches that no other tier-1 test reaches."""
+
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        code, out = run(tmp_path, "simulate", tmp_path / "missing.yaml")
+        assert code == 2
+        assert not out.exists()
+        assert "config error: cannot read config" in capsys.readouterr().err
+
+    def test_config_root_not_a_mapping_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("- 1\n- 2\n")
+        code, out = run(tmp_path, "simulate", cfg)
+        assert code == 2
+        assert not out.exists()
+        assert "config root must be a mapping" in capsys.readouterr().err
+
+    def test_invalid_two_point_sample_exits_2(self, tmp_path, config_dir, capsys):
+        cfg = yaml.safe_load((config_dir / "two_point_case1.yaml").read_text())
+        cfg["sample"]["two_point"]["triggered_weights"] = [0.5, 0.6]
+        code, out = run(tmp_path, "fit-weighting", write_cfg(tmp_path, "c.yaml", cfg))
+        assert code == 2
+        assert not out.exists()
+        assert "config error: invalid two_point sample: " in capsys.readouterr().err
+
+    def test_tail_estimate_absent_below_min_joint(self, tmp_path, caplog):
+        winds = tmp_path / "winds.csv"
+        g = np.random.default_rng(2)
+        winds.write_text(cli._csv_text(("s0", "s1"), *g.uniform(1.0, 120.0, (2, 40))))
+        cfg = write_cfg(tmp_path, "c.yaml", {"seed": 1, "winds_csv": str(winds),
+                                             "min_joint": 41})
+        with caplog.at_level(logging.WARNING, logger="basisrisk"):
+            code, out = run(tmp_path, "dependence-report", cfg)
+        assert code == 0
+        assert "pair (0,1): 40 < 41 joint rows, tail estimate absent" in caplog.messages
+        assert (out / "ranks_0_1.csv").exists() and not (out / "tail_0_1.json").exists()
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch, capsys):
+        replaced, real = [], os.replace
+
+        def second_fails(src, dst):
+            if replaced:
+                raise OSError("disk full")
+            replaced.append(dst)
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", second_fails)
+        cfg = write_cfg(tmp_path, "c.yaml", {"seed": 7, "wind": {"synthetic": {"n": 10}}})
+        code, out = run(tmp_path, "simulate", cfg)
+        assert code == 3
+        assert "i/o error: disk full" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == [os.path.basename(replaced[0])]

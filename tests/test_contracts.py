@@ -249,3 +249,33 @@ class TestFitPiecewiseLinear:
         spec = ContractSpec(t_lo=83.0)
         with pytest.raises(ValueError):
             fit_piecewise_linear(sample, spec, BasisRiskOptimal(gamma_star=0.5))
+
+    def test_dense_grid_fallback_on_a_non_unimodal_profile(self, caplog):
+        # Under a concave utility, or the basis-risk criterion, the profile is
+        # convex in the slope; a utility that oscillates gives it several
+        # interior minima on the coarse grid.
+        class Wavy:
+            w0 = 0.0
+
+            @staticmethod
+            def u(w):
+                return np.cos(w)
+
+        idx = np.array([90.0, 100.0, 120.0])
+        losses = np.zeros(3)
+        spec = ContractSpec(t_lo=83.0, rho=0.2)
+        with caplog.at_level("WARNING"):
+            fit = fit_piecewise_linear(LossIndexSample(losses, idx), spec,
+                                       PureUtility(utility=Wavy()))
+        assert "non-unimodal slope profile; falling back to dense grid scan" in caplog.messages
+        assert fit.used_grid_fallback
+
+        def negu(lam):
+            y = np.minimum(np.maximum(0.0, lam * (idx - spec.attachment)), spec.cap)
+            return -float(np.mean(np.cos(0.0 - losses + y - (1.0 + spec.rho) * y.mean())))
+
+        lam_max = spec.cap / (idx.max() - spec.attachment)
+        dense = np.linspace(lam_max / 4096, lam_max, 4096)
+        vals = [negu(lam) for lam in dense]
+        best = int(np.argmin(vals))
+        assert fit.slope == dense[best] and fit.objective == vals[best]
