@@ -5,8 +5,9 @@ are fully deterministic (stable JSON key order, repr-formatted floats, LF
 line endings) and written atomically only after the whole run succeeds, so
 failed runs leave no partial outputs.
 
-Exit codes: 0 success, 2 config error, 3 I/O error, 4 numeric-domain error,
-5 degenerate-data error.
+Exit codes: 0 success, 1 a program bug (with its traceback), 2 config error,
+3 I/O error, 4 numeric-domain error (DomainError), 5 degenerate data
+(DegenerateDataError).
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ import yaml
 from . import __version__
 from .contracts import (
     ContractSpec,
-    DegenerateTriggerError,
     EmpiricalBinConditioner,
-    InsufficientConditionalDataError,
     LossIndexSample,
     PremiumPrinciple,
     _csv_text,
@@ -41,7 +40,7 @@ from .dependence import (
     kendall_tau,
     tail_estimate,
 )
-from .expectile import DegenerateSampleError, EmpiricalSample
+from .expectile import DegenerateDataError, DomainError, EmpiricalSample
 from .hazard import (
     LossModelParams,
     Site,
@@ -52,17 +51,13 @@ from .hazard import (
     simulate_portfolio,
 )
 from .weighting_index import (
-    SeparabilityError,
     build_surface,
     decompose,
     solve_gamma_star_index,
 )
 from .weighting_pure import (
-    MonotonicityError,
-    PremiumDominatesError,
     TriggeredSplit,
     UtilityContext,
-    UtilityDomainError,
     closed_form_exponential,
     solve_gamma_star,
     utility_curve,
@@ -229,6 +224,8 @@ _SITE = _Table({
     trigger_threshold_kn="threshold_kn")))
 _SEED = _NON_NEGATIVE.but(required=True)
 _CONDITIONER = _Table({"n_bins": _COUNT, "min_bin_count": _NON_NEGATIVE})
+_FIT_CONDITIONER = _Table({**_CONDITIONER.keys,  # decompose needs two theta bins
+                           "n_bins": _Key("integer", (lambda n: n >= 2, ">= 2"))})
 _PAYOUT_KEYS = {"seed": _SEED, "contract": _CONTRACT, "utility": _UTILITY,
         "payout_family": _Key("level", None, ("pure", "index"), default="pure")}
 
@@ -241,7 +238,7 @@ _TABLES = {
                  "restrict": _Key("list", (lambda r: len(r) == 2 and r[0] < r[1],
                                            "two levels lo < hi"), _LEVEL)},
         "index": {"sample": _Table({}, variants=_SOURCES, required=True),
-                  "conditioner": _CONDITIONER, "separability_tolerance": _POSITIVE},
+                  "conditioner": _FIT_CONDITIONER, "separability_tolerance": _POSITIVE},
     }),
     "simulate": _Table({
         "seed": _SEED, "loss_model": _LOSS_MODEL,
@@ -442,7 +439,7 @@ def _wind_values(w, seed) -> np.ndarray:
     tracks = _read(w["tracks_csv"], "track", TrackSet.from_csv)
     incident = incident_windspeeds(tracks, w["site"])
     if incident.size == 0:
-        raise DegenerateTriggerError("no incident tracks at the site")
+        raise DegenerateDataError("no incident tracks at the site")
     return bootstrap(incident, w.get("bootstrap_n", incident.size), seed).values
 
 
@@ -504,67 +501,54 @@ def cmd_simulate(cfg, seed) -> dict[str, str]:
 
 
 def cmd_dependence_report(cfg, seed) -> dict[str, str]:
-    threshold = cfg["threshold_kn"]
     if "winds_csv" in cfg:
         path = cfg["winds_csv"]
         winds = _read(path, "wind matrix", _numeric_csv)
         if not np.all(np.isfinite(winds)):
-            raise ConfigError(f"wind matrix file {path} has a non-numeric or "
-                              "non-finite cell")
+            raise ConfigError(f"wind matrix file {path} has a non-numeric or non-finite cell")
     else:
         tracks = _read(cfg["tracks_csv"], "track", TrackSet.from_csv)
         sites = cfg["sites"]
         params = [cfg.get("loss_model", LossModelParams())] * len(sites)
         winds, _ = simulate_portfolio(tracks, sites, params, seed)
     if winds.ndim != 2 or winds.shape[1] < 2:
-        raise DegenerateSampleError("dependence report needs >= 2 sites")
+        raise DegenerateDataError("dependence report needs >= 2 sites")
 
-    p_inc, p_trig = conditional_probabilities(winds, threshold)
+    p_inc, p_trig = conditional_probabilities(winds, cfg["threshold_kn"])
     n_sites = winds.shape[1]
-
     names = [f"s{j}" for j in range(n_sites)]
-
-    def matrix_csv(mat):
-        return _csv_text(["site", *names], names, *mat.T)
-
     tau = np.full((n_sites, n_sites), np.nan)
     xi = np.full((n_sites, n_sites), np.nan)
-    tau_error = {}  # kendall_tau's message per unordered pair (i < j) it raised on
     outputs = {}
     min_joint = cfg["min_joint"]
+    later = [[] for _ in range(n_sites)]  # pair (j, i)'s warnings, logged in row j's turn
     for i in range(n_sites):
-        for j in range(n_sites):
-            if i == j:
-                continue
+        for args in later[i]:
+            logger.warning("pair (%d,%d): %s", *args)
+        for j in range(i + 1, n_sites):
             joint = (winds[:, i] > 0) & (winds[:, j] > 0)
             m = int(joint.sum())
             if m < 3:
                 logger.warning("pair (%d,%d): only %d joint incidents", i, j, m)
+                later[j].append((j, i, f"only {m} joint incidents"))
                 continue
             pairs = PairedObservations(winds[joint, i], winds[joint, j])
-            if i < j:  # tau is symmetric: once per unordered pair
-                try:
-                    tau[i, j] = tau[j, i] = kendall_tau(pairs)
-                except ValueError as exc:
-                    tau_error[i, j] = str(exc)
-            error = tau_error.get((min(i, j), max(i, j)))
-            if error is None:  # m >= 3 and y not constant, so xi cannot raise
-                xi[i, j] = chatterjee_xi(pairs, seed=seed)
+            try:
+                tau[i, j] = tau[j, i] = kendall_tau(pairs)
+            except DegenerateDataError as exc:  # x or y constant: no tau, and no xi
+                logger.warning("pair (%d,%d): %s", i, j, exc)
+                later[j].append((j, i, exc))
             else:
-                logger.warning("pair (%d,%d): %s", i, j, error)
-            if i < j:
-                outputs[f"ranks_{i}_{j}.csv"] = _csv_text(("x", "y"), pairs.x, pairs.y)
-                if m >= min_joint:
-                    outputs[f"tail_{i}_{j}.json"] = _json_text(
-                        _jsonable(vars(tail_estimate(pairs))))
-                else:
-                    logger.warning("pair (%d,%d): %d < %d joint rows, tail "
-                                   "estimate absent", i, j, m, min_joint)
-
-    outputs["p_inc.csv"] = matrix_csv(p_inc)
-    outputs["p_trig.csv"] = matrix_csv(p_trig)
-    outputs["tau.csv"] = matrix_csv(tau)
-    outputs["xi.csv"] = matrix_csv(xi)
+                xi[i, j] = chatterjee_xi(pairs, seed=seed)
+                xi[j, i] = chatterjee_xi(PairedObservations(pairs.y, pairs.x), seed=seed)
+            outputs[f"ranks_{i}_{j}.csv"] = _csv_text(("x", "y"), pairs.x, pairs.y)
+            if m >= min_joint:
+                outputs[f"tail_{i}_{j}.json"] = _json_text(_jsonable(vars(tail_estimate(pairs))))
+            else:
+                logger.warning("pair (%d,%d): %d < %d joint rows, tail estimate absent",
+                               i, j, m, min_joint)
+    for name, mat in (("p_inc", p_inc), ("p_trig", p_trig), ("tau", tau), ("xi", xi)):
+        outputs[f"{name}.csv"] = _csv_text(["site", *names], names, *mat.T)
     return outputs
 
 
@@ -618,12 +602,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DegenerateTriggerError, DegenerateSampleError, SeparabilityError,
-            InsufficientConditionalDataError) as exc:
+    except DegenerateDataError as exc:
         print(f"degenerate data: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (UtilityDomainError, PremiumDominatesError, MonotonicityError,
-            ArithmeticError, ValueError) as exc:
+    except DomainError as exc:
         print(f"numeric domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:

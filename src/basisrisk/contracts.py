@@ -17,6 +17,8 @@ import numpy as np
 
 from .expectile import (
     BasisRiskWeight,
+    DegenerateDataError,
+    DomainError,
     EmpiricalSample,
     Level,
     expectile,
@@ -45,11 +47,11 @@ __all__ = [
 ]
 
 
-class DegenerateTriggerError(ValueError):
+class DegenerateTriggerError(DegenerateDataError):
     """Trigger fires for all or none of the observations."""
 
 
-class InsufficientConditionalDataError(ValueError):
+class InsufficientConditionalDataError(DegenerateDataError):
     """A conditioning bin holds fewer observations than required."""
 
 
@@ -107,7 +109,7 @@ class LossIndexSample:
         if losses.shape != indices.shape or losses.ndim != 1 or losses.size == 0:
             raise ValueError("losses and indices must be equal-length non-empty 1d arrays")
         if not (np.all(np.isfinite(losses)) and np.all(np.isfinite(indices))):
-            raise ValueError("observations must be finite")
+            raise DomainError("observations must be finite")  # as a sample overflows
         if np.any(losses < 0):
             raise ValueError("losses must be non-negative")
         self.losses = losses

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contracts import _golden_section, _rng
+from .expectile import DegenerateDataError, DegenerateSampleError
 
 logger = logging.getLogger(__name__)
 
@@ -152,7 +153,7 @@ def kendall_tau(pairs: PairedObservations) -> float:
     """
     x, y = pairs.x, pairs.y
     if np.all(x == x[0]) or np.all(y == y[0]):
-        raise ValueError("zero variance ranks")
+        raise DegenerateSampleError("zero variance ranks")
     _, x_dense, x_counts = np.unique(x, return_inverse=True, return_counts=True)
     _, y_dense, y_counts = np.unique(y, return_inverse=True, return_counts=True)
     joint = x_dense * y_counts.size + y_dense  # (x, y) order as integers
@@ -192,7 +193,7 @@ def chatterjee_xi(pairs: PairedObservations, seed: int = 0) -> float:
     if m < 3:
         raise ValueError("need m >= 3")
     if np.all(pairs.y == pairs.y[0]):
-        raise ValueError("constant y: xi denominator is zero")
+        raise DegenerateSampleError("constant y: xi denominator is zero")
     rng = _rng(seed)
     jitter = rng.random(m)
     order = np.lexsort((jitter, pairs.x))
@@ -246,7 +247,7 @@ def plateau_k(pairs: PairedObservations, range_factor: float = 2.0) -> int:
     """
     m = pairs.m
     if m < 30:
-        raise ValueError("insufficient data for plateau selection")
+        raise DegenerateDataError("insufficient data for plateau selection")
     b = max(1, m // 200)
     lam = _tail_counts(pairs) / np.arange(1, m)
     kernel = np.ones(2 * b + 1) / (2 * b + 1)
@@ -279,7 +280,7 @@ def gumbel_mle(pairs: PairedObservations) -> float:
     """
     m = pairs.m
     if m < 10:
-        raise ValueError("need m >= 10 for the copula MLE")
+        raise DegenerateDataError("need m >= 10 for the copula MLE")
     u = _ranks(pairs.x, "average") / (m + 1)
     v = _ranks(pairs.y, "average") / (m + 1)
 

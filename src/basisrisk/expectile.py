@@ -29,7 +29,15 @@ __all__ = [
 ]
 
 
-class DegenerateSampleError(ValueError):
+class DomainError(ValueError):
+    """A model hypothesis fails (u' > 0 and concave, c < 1, monotone V1/V2), or a sum overflows."""
+
+
+class DegenerateDataError(ValueError):
+    """The data cannot carry the estimate: an empty, thin, constant or non-separable sample."""
+
+
+class DegenerateSampleError(DegenerateDataError):
     """Raised when an operation requires a non-constant sample."""
 
 
@@ -77,7 +85,7 @@ class EmpiricalSample:
     def __init__(self, values, weights=None):
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 1 or values.size == 0:
-            raise ValueError("empty sample")
+            raise DegenerateSampleError("empty sample")
         if not np.all(np.isfinite(values)):
             raise ValueError("sample values must be finite")
         if weights is None:

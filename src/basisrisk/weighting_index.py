@@ -23,7 +23,7 @@ from .contracts import (
     _expectile_columns,
     _trigger_mask,
 )
-from .expectile import Level
+from .expectile import DegenerateDataError, DomainError, Level
 from .weighting_pure import (
     Decision,
     IndexQuantities,
@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 
-class SeparabilityError(ValueError):
+class SeparabilityError(DegenerateDataError):
     """Conditional expectile surface is not rank-1 after centering."""
 
     def __init__(self, message, residual=None, residual_map=None):
@@ -55,7 +55,7 @@ class SeparabilityError(ValueError):
         self.residual_map = residual_map
 
 
-class UnsupportedPrincipleError(ValueError):
+class UnsupportedPrincipleError(DomainError):
     """Premium principle not covered by the index-insurance theory."""
 
 
@@ -136,8 +136,10 @@ def decompose(surface, gammas, thetas, *, tolerance: float = 1e-2,
         raise ValueError("surface shape must be (n_theta, n_gamma)")
     if gammas.size < 3 or thetas.size < 2:
         raise ValueError("need at least 3 gamma points and 2 theta bins")
-    if np.any(np.diff(gammas) <= 0) or np.any(np.diff(thetas) <= 0):
-        raise ValueError("gamma and theta grids must be strictly increasing")
+    if np.any(np.diff(gammas) <= 0):
+        raise ValueError("gamma grid must be strictly increasing")
+    if np.any(np.diff(thetas) <= 0):  # as tied index values fill two bins alike
+        raise DegenerateDataError("theta grid must be strictly increasing")
     i_half = int(np.argmin(np.abs(gammas - 0.5)))
     if abs(gammas[i_half] - 0.5) > 1e-9:
         raise ValueError("gamma grid must contain 1/2 (pins H3 to the conditional mean)")
@@ -263,7 +265,7 @@ def solve_gamma_star_index(sample: LossIndexSample, spec: ContractSpec,
     return _solve_system(
         system, gammas, [decomp.eval_h2(float(g)) for g in gammas], decomp.eval_h2,
         (g_lo, g_hi), _h2_range(decomp)[:2],
-        lambda lower, upper: (None, _fallback_decision_index(
+        lambda _, lower, upper: (None, _fallback_decision_index(
             sample, spec, decomp, rho_i, lower, upper)))
 
 

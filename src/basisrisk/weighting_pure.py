@@ -31,6 +31,8 @@ from .contracts import (
     _trigger_mask,
 )
 from .expectile import (
+    DegenerateDataError,
+    DomainError,
     EmpiricalSample,
     Level,
     alpha_from_gamma,
@@ -53,15 +55,15 @@ __all__ = [
 ]
 
 
-class UtilityDomainError(ValueError):
+class UtilityDomainError(DomainError):
     """Utility evaluated outside its domain (e.g. power utility at x <= 0)."""
 
 
-class PremiumDominatesError(ValueError):
+class PremiumDominatesError(DomainError):
     """Premium multiplier c >= 1: premiums would a.s. dominate payouts."""
 
 
-class MonotonicityError(RuntimeError):
+class MonotonicityError(DomainError):
     """V1/V2 traces are not monotone beyond numerical noise."""
 
 
@@ -429,8 +431,8 @@ def _solve_system(system: _FirstOrderSystem, gammas, ks, k_of, bracket, k_bounds
     """Trace, boundary scan on k_bounds and, when both hold, bisection over gamma.
 
     ks are the payout scales at the levels gammas and k_of maps one level
-    to its scale. When a bound fails, fallback(lower, upper) gives the
-    solution's (gamma_star or None, decision).
+    to its scale. When a bound fails, fallback(system, lower, upper) gives
+    the solution's (gamma_star or None, decision).
     """
     pairs = np.array([system.v_pair(float(k)) for k in ks]).reshape(-1, 2)
     v1_trace, v2_trace = pairs[:, 0], pairs[:, 1]
@@ -439,7 +441,7 @@ def _solve_system(system: _FirstOrderSystem, gammas, ks, k_of, bracket, k_bounds
 
     lower, upper, _ = _boundary_scan(system, *k_bounds)
     if not (lower and upper):
-        g_end, decision = fallback(lower, upper)
+        g_end, decision = fallback(system, lower, upper)
         return WeightingSolution(
             gamma_star=g_end,
             alpha_star=None if g_end is None else alpha_from_gamma(Level(g_end)).alpha,
@@ -486,11 +488,11 @@ def solve_gamma_star(split: TriggeredSplit, spec: ContractSpec,
     k_bounds = ((st.min, st.max) if restrict is None
                 else (expectile(st, g_lo), expectile(st, g_hi)))
 
-    def fallback(lower, upper):
+    def fallback(system, lower, upper):
         if restrict is not None:
             return (g_hi, Decision.ENDPOINT_HIGH) if lower else (g_lo, Decision.ENDPOINT_LOW)
         return None, _fallback_decision(
-            split, spec, utility, spec.rho if rho_indemnity is None else rho_indemnity,
+            system, split, spec, spec.rho if rho_indemnity is None else rho_indemnity,
             lower, upper)
 
     return _solve_system(system, gammas, expectile_grid(st, gammas),
@@ -524,24 +526,24 @@ def violated_boundary_decision(split: TriggeredSplit, spec: ContractSpec,
     principle-specific sufficient condition for preferring full indemnity
     coverage with loading rho_indemnity.
     """
-    lower, upper, _ = check_bounds(split, spec, utility)
-    return _fallback_decision(split, spec, utility, rho_indemnity, lower, upper)
+    system = _pure_system(split, spec, utility)
+    lower, upper, _ = _boundary_scan(system, split.triggered.min, split.triggered.max)
+    return _fallback_decision(system, split, spec, rho_indemnity, lower, upper)
 
 
-def _fallback_decision(split: TriggeredSplit, spec: ContractSpec,
-                       utility: UtilityContext, rho_indemnity: float,
-                       lower: bool, upper: bool) -> Decision:
-    """violated_boundary_decision given the boundary conditions' outcome."""
+def _fallback_decision(system: _FirstOrderSystem, split: TriggeredSplit, spec: ContractSpec,
+                       rho_indemnity: float, lower: bool, upper: bool) -> Decision:
+    """violated_boundary_decision given the split's system and its bounds' outcome."""
     if lower and upper:
         raise ValueError("both boundary conditions hold; no fallback needed")
     if not lower and not upper:
         raise RuntimeError("internal inconsistency: both bounds reported violated")
     if not lower:
-        sides, w0 = _sides(split, utility), utility.w0
+        sides, quants = (system.triggered, system.untriggered), system.quants
+        w0 = system.utility.w0
         v0 = sides[0].u_prime_sum(w0) / sides[1].u_prime_sum(w0)
         # V1(0) <= V2(0), with c the premium's slope at k = 0 (p under variance,
         # which makes the threshold exactly 1)
-        quants = _pure_quantities(split.p, spec)
         c = quants.slope(0.0)
         if v0 <= (1.0 - split.p) * c / (split.p * (1.0 - c)):
             return Decision.PREFER_NO_INSURANCE
@@ -582,13 +584,16 @@ def closed_form_exponential(split: TriggeredSplit, spec: ContractSpec, beta: flo
     # The MGFs come from the rows here, never from the first-order system's
     # moment sides: this closed form is the independent check of the
     # bisection, so it must not share the sums it checks.
-    mgf_t = _wmean(split.triggered, np.exp(beta * split.triggered.values))
-    mgf_u = _wmean(split.untriggered, np.exp(beta * split.untriggered.values))
-    x_exp = -(1.0 / beta) * (math.log(c / (1.0 - c))
-                             + math.log(((1.0 - p) * mgf_u) / (p * mgf_t)))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked through their ratio
+        mgf_t = _wmean(split.triggered, np.exp(beta * split.triggered.values))
+        mgf_u = _wmean(split.untriggered, np.exp(beta * split.untriggered.values))
+    ratio = ((1.0 - p) * mgf_u) / (p * mgf_t)
+    if not 0.0 < ratio < math.inf:
+        raise UtilityDomainError(f"closed form: MGF ratio {ratio!r} is not finite and positive")
+    x_exp = -(1.0 / beta) * (math.log(c / (1.0 - c)) + math.log(ratio))
     st = split.triggered
     if not (st.min < x_exp < st.max):
-        raise ValueError("bounds violated: optimal level outside the triggered support")
+        raise DegenerateDataError("bounds violated: optimal level outside the triggered support")
     l_val = st.partial_mean(x_exp)
     f_val = st.cdf(x_exp)
     num = l_val - x_exp * f_val

@@ -14,6 +14,7 @@ from basisrisk.weighting_pure import (
     UtilityContext,
     UtilityDomainError,
     _fallback_decision,
+    _pure_system,
     check_bounds,
     closed_form_exponential,
     expected_utility_constant_payout,
@@ -320,7 +321,8 @@ class TestFallbackDecisionThresholds:
                             (a_star + 0.5, Decision.PREFER_NO_INSURANCE)):
             u = [0.0, a]
             split = TriggeredSplit(EmpiricalSample(t), EmpiricalSample(u), p)
-            got = _fallback_decision(split, spec, util, rho, False, True)
+            got = _fallback_decision(_pure_system(split, spec, util), split, spec, rho,
+                                     False, True)
             assert got is expected
             assert got is _lower_violated_oracle(t, u, p, principle, rho, beta, w0)
 
@@ -343,8 +345,8 @@ class TestFallbackDecisionThresholds:
         for scale, expected in ((0.99, Decision.PREFER_INDEMNITY),
                                 (1.01, Decision.PREFER_LARGEST_ALPHA)):
             rho_indemnity = scale * ratio_star * rho
-            assert _fallback_decision(split, spec, util, rho_indemnity,
-                                      True, False) is expected
+            assert _fallback_decision(_pure_system(split, spec, util), split, spec,
+                                      rho_indemnity, True, False) is expected
 
 
 class TestClosedFormExponential:
@@ -403,3 +405,42 @@ class TestUtilityCurve:
         util = UtilityContext.exponential(beta=0.1)
         with pytest.raises(ValueError):
             utility_curve(sample, spec, util, [0.0, 0.5])
+
+
+class TestFallbackReusesTheSolvesSystem:
+    """A violated bound's decision reads the sides and moments of the solve's own system."""
+
+    @staticmethod
+    def counting_sides(monkeypatch):
+        calls = []
+        side = UtilityContext.side
+
+        def counted(self, s, w, per_row=False):
+            calls.append(np.size(s))
+            return side(self, s, w, per_row)
+
+        monkeypatch.setattr(UtilityContext, "side", counted)
+        return calls
+
+    @pytest.mark.parametrize("beta", [0.1, None], ids=["moment_sides", "row_sides"])
+    def test_lower_violated_prepares_each_side_once(self, monkeypatch, beta):
+        split, spec, _ = TestViolatedBoundaryDecisions().two_point(0.1, 4.0, 0.5)
+        util = (UtilityContext.exponential(beta=0.1, w0=10.0) if beta else
+                UtilityContext.custom(lambda x: 1.0 - np.exp(-0.1 * x),
+                                      lambda x: 0.1 * np.exp(-0.1 * x),
+                                      lambda x: -0.01 * np.exp(-0.1 * x), w0=10.0))
+        calls = self.counting_sides(monkeypatch)
+        sol = solve_gamma_star(split, spec, util)
+        assert sol.decision is Decision.PREFER_SMALLEST_ALPHA
+        assert calls == [2, 2]
+        calls.clear()
+        assert violated_boundary_decision(split, spec, util, 0.1) is Decision.PREFER_SMALLEST_ALPHA
+        assert calls == [2, 2]
+
+    def test_upper_violated_prepares_each_side_once(self, monkeypatch):
+        split, spec, util = TestViolatedBoundaryDecisions().upper_violated()
+        calls = self.counting_sides(monkeypatch)
+        assert solve_gamma_star(split, spec, util).decision is Decision.PREFER_INDEMNITY
+        assert violated_boundary_decision(split, spec, util, spec.rho) is (
+            Decision.PREFER_INDEMNITY)
+        assert calls == [2, 2, 2, 2]
