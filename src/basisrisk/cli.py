@@ -270,7 +270,7 @@ def _load_config(path):
             cfg = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed YAML: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a mapping")

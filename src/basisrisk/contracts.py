@@ -109,7 +109,7 @@ class LossIndexSample:
         if losses.shape != indices.shape or losses.ndim != 1 or losses.size == 0:
             raise ValueError("losses and indices must be equal-length non-empty 1d arrays")
         if not (np.all(np.isfinite(losses)) and np.all(np.isfinite(indices))):
-            raise DomainError("observations must be finite")  # as a sample overflows
+            raise DomainError("observations must be finite")  # e.g. a synthetic sample overflowed
         if np.any(losses < 0):
             raise ValueError("losses must be non-negative")
         self.losses = losses

@@ -138,7 +138,7 @@ def decompose(surface, gammas, thetas, *, tolerance: float = 1e-2,
         raise ValueError("need at least 3 gamma points and 2 theta bins")
     if np.any(np.diff(gammas) <= 0):
         raise ValueError("gamma grid must be strictly increasing")
-    if np.any(np.diff(thetas) <= 0):  # as tied index values fill two bins alike
+    if np.any(np.diff(thetas) <= 0):  # tied index values give two bins one centre
         raise DegenerateDataError("theta grid must be strictly increasing")
     i_half = int(np.argmin(np.abs(gammas - 0.5)))
     if abs(gammas[i_half] - 0.5) > 1e-9:

@@ -8,6 +8,7 @@ Every exception class the package defines derives from exactly one of
 its traceback.
 """
 
+import ast
 import importlib
 import inspect
 import os
@@ -53,9 +54,9 @@ def test_every_package_error_has_exactly_one_base():
 
 
 def test_main_catches_only_the_bases_and_oserror():
-    source = inspect.getsource(main)
-    handlers = [line.split("except ", 1)[1].split(" as ")[0]
-                for line in source.splitlines() if line.strip().startswith("except")]
+    tree = ast.parse(inspect.getsource(main))
+    handlers = [ast.unparse(h.type) for node in ast.walk(tree) if isinstance(node, ast.Try)
+                for h in node.handlers]
     assert handlers == ["ConfigError", "DegenerateDataError", "DomainError", "OSError"]
 
 
@@ -286,3 +287,12 @@ def test_dependence_report_builds_each_pair_once(tmp_path, monkeypatch):
     xi = np.genfromtxt(tmp_path / "out" / "xi.csv", delimiter=",", skip_header=1)[:, 1:]
     assert xi[1, 0] == dependence.chatterjee_xi(PairedObservations(winds[:, 1], winds[:, 0]),
                                                 seed=1)
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_bytes(b"seed: 1\nwind: {synthetic: {n: 10}}\n# \xff\xfe\n")
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: malformed YAML: 'utf-8' codec can't decode byte 0xff")
