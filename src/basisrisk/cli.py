@@ -19,6 +19,13 @@ import os
 import sys
 import tempfile
 
+# OpenBLAS reads this once, when numpy loads it, and by default starts a
+# worker thread per core that spins after it starts, costing every cold run
+# CPU or wall time; the package's one BLAS call (the SVD of the index
+# surface) is on a small matrix, so one thread loses nothing. An explicit
+# setting still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import yaml
 

@@ -418,8 +418,9 @@ def bootstrap(values, n: int, seed: int) -> EmpiricalSample:
 def loss_mean(thetas, params: LossModelParams) -> np.ndarray:
     """Conditional mean loss mu(theta); zero below the curve offset."""
     th = np.asarray(thetas, dtype=np.float64)
-    e = np.exp(-params.rate * (th - params.offset))
-    mu = params.v * (1.0 - e) / (1.0 + params.steepness * e)
+    with np.errstate(over="ignore", invalid="ignore"):  # LossIndexSample checks finiteness
+        e = np.exp(-params.rate * (th - params.offset))
+        mu = params.v * (1.0 - e) / (1.0 + params.steepness * e)
     return np.where(th >= params.offset, mu, 0.0)
 
 

@@ -350,6 +350,8 @@ class _FirstOrderSystem:
         v2 = (1.0 - q.p_trigger) * self.untriggered.u_prime_sum(w0 - pi, r)
         if not (math.isfinite(v1) and math.isfinite(v2)):
             raise UtilityDomainError(f"u' overflowed: V1 = {v1!r}, V2 = {v2!r} at k = {k!r}")
+        if v2 == 0.0:  # u' > 0 and r > 0, so only an underflowed u' sums to 0
+            raise UtilityDomainError(f"u' underflowed: V2 = 0.0 at k = {k!r}")
         return v1, v2
 
 

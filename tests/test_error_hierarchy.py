@@ -234,6 +234,23 @@ def test_overflowing_synthetic_sample_exits_4(tmp_path, capsys):
     assert err == "numeric domain error: observations must be finite\n"
 
 
+def test_underflowing_marginal_utility_exits_4(tmp_path, capsys):
+    cfg = yaml.safe_load((CONFIG_DIR / "two_point_case1.yaml").read_text())
+    cfg["utility"]["w0"] = 10000.0  # u' = exp(-0.1 * w) is 0.0 on both sides
+    code, err = _run(tmp_path, "fit-weighting", cfg, capsys)
+    assert code == 4
+    assert err == "numeric domain error: u' underflowed: V2 = 0.0 at k = 5.000000005\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_overflowing_loss_curve_exits_4_without_numpy_warnings(tmp_path, capsys):
+    cfg = yaml.safe_load((CONFIG_DIR / "simulate_synthetic.yaml").read_text())
+    cfg["loss_model"]["rate"] = -100.0
+    code, err = _run(tmp_path, "simulate", cfg, capsys)
+    assert code == 4
+    assert err == "numeric domain error: observations must be finite\n"
+
+
 def _overflowing_closed_form():
     cfg = yaml.safe_load((CONFIG_DIR / "two_point_case1.yaml").read_text())
     cfg["sample"]["two_point"]["triggered_values"] = [7000.0, 7200.0]

@@ -1,7 +1,7 @@
 """Every module under src/basisrisk uses each name it imports.
 
 A name counts as used when the module's code refers to it or lists it in
-``__all__``; ``__init__`` imports only to re-export and is exempt.
+``__all__``.
 """
 
 import ast
@@ -10,8 +10,7 @@ import pytest
 
 from conftest import REPO_ROOT
 
-MODULES = sorted(p for p in (REPO_ROOT / "src" / "basisrisk").glob("*.py")
-                 if p.name != "__init__.py")
+MODULES = sorted((REPO_ROOT / "src" / "basisrisk").glob("*.py"))
 
 
 def _imported_names(tree):
@@ -29,7 +28,7 @@ def _imported_names(tree):
 def _used_names(tree):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign)
+        if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
             used.update(ast.literal_eval(node.value))
     return used
