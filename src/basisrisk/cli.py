@@ -95,7 +95,8 @@ class _Key:
     """One config key: its type, its range, and whether it is required or defaulted.
 
     ``kind`` is "number" (never a bool or a string), "integer" (an int or an
-    integral float), "level" (a name in ``of``, read as its value if ``of``
+    integral float), "count" (an integer that sizes an array, so at most
+    ``_MAX_COUNT``), "level" (a name in ``of``, read as its value if ``of``
     is a dict), "text", "list" (non-empty, of ``of`` items) or "either" (``of``
     checks a list by its second key, anything else by its first). ``rng`` is
     (predicate, words), written so that NaN fails. Only a setting that no
@@ -125,10 +126,12 @@ class _Key:
             value = [of.check(v, f"{path}[{i}]") for i, v in enumerate(value)]
         elif isinstance(value, bool) or not isinstance(value, (int, float)) or (
                 isinstance(value, int) and abs(value) > sys.float_info.max) or (
-                kind == "integer" and isinstance(value, float) and not value.is_integer()):
+                kind != "number" and isinstance(value, float) and not value.is_integer()):
             _fail(path, "a number" if kind == "number" else "an integer", value)
         else:
             value = float(value) if kind == "number" else int(value)
+            if kind == "count" and value > _MAX_COUNT:
+                _fail(path, f"at most {_MAX_COUNT}, numpy's largest array length", raw)
         if self.rng is not None and not self.rng[0](value):
             _fail(path, self.rng[1], raw)
         return value
@@ -179,7 +182,9 @@ class _Table(_Key):
 _NUMBER = _Key("number")
 _POSITIVE = _Key("number", (lambda x: 0 < x < np.inf, "positive and finite"))
 _LEVEL = _Key("number", (lambda g: 0.0 < g < 1.0, "inside (0, 1)"))
-_COUNT = _Key("integer", (lambda n: n >= 1, ">= 1"))
+# numpy's largest float64 array: a larger count would fail in numpy itself
+_MAX_COUNT = np.iinfo(np.intp).max // 8
+_COUNT = _Key("count", (lambda n: n >= 1, ">= 1"))
 _NON_NEGATIVE = _Key("integer", (lambda n: n >= 0, ">= 0"))
 _TEXT = _Key("text", None)
 _LO_BELOW_HI = (lambda s: s["lo"] < s["hi"], "a mapping with lo < hi")
@@ -232,7 +237,7 @@ _SITE = _Table({
 _SEED = _NON_NEGATIVE.but(required=True)
 _CONDITIONER = _Table({"n_bins": _COUNT, "min_bin_count": _NON_NEGATIVE})
 _FIT_CONDITIONER = _Table({**_CONDITIONER.keys,  # decompose needs two theta bins
-                           "n_bins": _Key("integer", (lambda n: n >= 2, ">= 2"))})
+                           "n_bins": _Key("count", (lambda n: n >= 2, ">= 2"))})
 _PAYOUT_KEYS = {"seed": _SEED, "contract": _CONTRACT, "utility": _UTILITY,
         "payout_family": _Key("level", None, ("pure", "index"), default="pure")}
 

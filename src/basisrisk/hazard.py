@@ -11,7 +11,10 @@ are computed once per set. The track CSV is parsed into that layout in
 bounded blocks of whole lines, each checked and parsed at once. One
 cross-track kernel, ``_winds``, measures every track against a site over
 fixed chunks of whole tracks; ``min_distance_km`` runs the same distance
-kernel on one track.
+kernel on one track. A segment ab measures its cross-track distance when
+the perpendicular foot of the site p lies on the minor arc ab, that is when
+p.b >= (a.b)(p.a) and p.a >= (a.b)(p.b) (Lagrange's identity applied to
+(a x p).(a x b) and (p x b).(a x b)), and its nearer endpoint's otherwise.
 """
 
 from __future__ import annotations
@@ -270,16 +273,25 @@ def _distances(p, v, starts):
     to each track's polyline (an array, one per track).
 
     ``v`` holds the unit vectors of tracks stored flat, track ``i`` starting
-    at point ``starts[i]``. Per geodesic segment, the distance is the
-    cross-track distance, or the nearer endpoint's when the perpendicular
-    foot falls outside. A one-point track is the segment (v_0, v_0).
+    at point ``starts[i]``. Per geodesic segment ab, the distance is the
+    cross-track distance when the perpendicular foot of p lies on the minor
+    arc ab, else the nearer endpoint's. The foot is on the arc exactly when
+    (a x p).(a x b) >= 0 and (p x b).(a x b) >= 0; by Lagrange's identity
+    these read p.b >= (a.b)(p.a) and p.a >= (a.b)(p.b), so the test needs
+    only the point dot products and a.b. (The two left-hand sides are the
+    weights of b and a in p's projection onto the plane of a and b, times
+    |a x b|^2.) A one-point track is the segment (v_0, v_0).
     """
     px, py, pz = p
     vx, vy, vz = v
-    point = np.arccos(np.clip(px * vx + py * vy + pz * vz, -1.0, 1.0))
+    cos_p = px * vx + py * vy + pz * vz
+    point = np.arccos(np.clip(cos_p, -1.0, 1.0))
     # segment i joins points i and i + 1
     ax, ay, az = vx[:-1], vy[:-1], vz[:-1]
     bx, by, bz = vx[1:], vy[1:], vz[1:]
+    cos_pa, cos_pb = cos_p[:-1], cos_p[1:]
+    cos_ab = ax * bx + ay * by + az * bz
+    inside = (cos_pb >= cos_ab * cos_pa) & (cos_pa >= cos_ab * cos_pb)
     # segment great-circle normal a x b
     nx = ay * bz - az * by
     ny = az * bx - ax * bz
@@ -289,16 +301,6 @@ def _distances(p, v, starts):
     with np.errstate(invalid="ignore", divide="ignore"):
         sin_xt = np.clip((px * nx + py * ny + pz * nz) / nn, -1.0, 1.0)
         xtrack = np.abs(np.arcsin(sin_xt))
-        # foot of perpendicular: p projected onto the great-circle plane
-        fx = px - sin_xt * nx / nn
-        fy = py - sin_xt * ny / nn
-        fz = pz - sin_xt * nz / nn
-        fn = np.sqrt(fx * fx + fy * fy + fz * fz)
-        fx, fy, fz = fx / fn, fy / fn, fz / fn
-        arc_ab = np.arccos(np.clip(ax * bx + ay * by + az * bz, -1.0, 1.0))
-        arc_af = np.arccos(np.clip(ax * fx + ay * fy + az * fz, -1.0, 1.0))
-        arc_bf = np.arccos(np.clip(bx * fx + by * fy + bz * fz, -1.0, 1.0))
-    inside = (arc_af <= arc_ab + 1e-12) & (arc_bf <= arc_ab + 1e-12)
     degenerate = nn < 1e-15
     seg = np.empty_like(point)
     seg[:-1] = np.where(inside & ~degenerate, xtrack, end_dist)
@@ -310,21 +312,15 @@ def _distances(p, v, starts):
     return point, np.minimum.reduceat(seg, starts)
 
 
-def _track_distances(px, py, pz, vx, vy, vz):
-    """``_distances`` for one track: point distances and the polyline's."""
-    point, polyline = _distances((px, py, pz), (vx, vy, vz), _ONE_TRACK)
-    return point, float(polyline[0])
-
-
 def min_distance_km(track: Track, site: Site) -> float:
     """Minimum great-circle distance from the site to the track polyline.
 
     Cross-track distance per geodesic segment, clamped to the nearer endpoint
     when the perpendicular foot falls outside the segment; spherical earth.
     """
-    _, ang = _track_distances(*_unit_vectors(site.lat_deg, site.lon_deg),
-                              *_unit_vectors(track.lat_deg, track.lon_deg))
-    return ang * EARTH_RADIUS_KM
+    _, ang = _distances(_unit_vectors(site.lat_deg, site.lon_deg),
+                        _unit_vectors(track.lat_deg, track.lon_deg), _ONE_TRACK)
+    return float(ang[0]) * EARTH_RADIUS_KM
 
 
 def _winds(p, limit: float, v, wind, starts) -> np.ndarray:

@@ -180,6 +180,11 @@ class TestGumbelModel:
         pairs = sample_gumbel(1.0, 20_000, seed=8)
         assert abs(kendall_tau(pairs)) < 0.02
 
+    @pytest.mark.parametrize("eta", [0.999, 0.5, -2.0])
+    def test_sampler_rejects_eta_below_one(self, eta):
+        with pytest.raises(ValueError, match="eta must be >= 1"):
+            sample_gumbel(eta, 100, seed=1)
+
     def test_mle_recovery(self):
         pairs = sample_gumbel(2.0, 4000, seed=9)
         eta_hat = gumbel_mle(pairs)
@@ -212,6 +217,11 @@ class TestTailCI:
         half = z * math.sqrt(sigma_u_sq(2.0) / 100)
         assert hi - 0.5 == pytest.approx(half)
         assert 0.5 - lo == pytest.approx(half)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_validation(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            tail_ci(0.5, k=k, eta_hat=2.0)
 
 
 class TestTailEstimate:

@@ -9,6 +9,7 @@ its traceback.
 """
 
 import ast
+import copy
 import importlib
 import inspect
 import os
@@ -71,11 +72,14 @@ def _winds_cfg(tmp_path, winds, **keys):
     return _cfg(tmp_path, {"seed": 1, "winds_csv": str(path), **keys})
 
 
+def _synthetic_fit(**keys):
+    return {"seed": 7, "contract": {"t_lo": 83.0, "rho": 0.2},
+            "utility": {"family": "exponential", "beta": 0.15},
+            "sample": {"synthetic": {"kind": "wind_beta", "n": 2000}}, **keys}
+
+
 def _fit_cfg(tmp_path):
-    return _cfg(tmp_path, {
-        "seed": 7, "contract": {"t_lo": 83.0, "rho": 0.2},
-        "utility": {"family": "exponential", "beta": 0.15},
-        "sample": {"synthetic": {"kind": "wind_beta", "n": 2000}}})
+    return _cfg(tmp_path, _synthetic_fit())
 
 
 def _sim_cfg(tmp_path):
@@ -312,3 +316,52 @@ def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err.startswith(
         "config error: malformed YAML: 'utf-8' codec can't decode byte 0xff")
+
+
+def _with(cfg, path, value):
+    """A copy of ``cfg`` with the dotted key ``path`` set to ``value``."""
+    cfg = copy.deepcopy(cfg)
+    *parents, name = path.split(".")
+    block = cfg
+    for key in parents:
+        block = block[key]
+    block[name] = value
+    return cfg
+
+
+_SYNTHETIC_SIM = {"seed": 1, "wind": {"synthetic": {"n": 200}}}
+
+# (subcommand, config, count key): every count that sizes an array
+COUNT_KEYS = [
+    ("simulate", _SYNTHETIC_SIM, "wind.synthetic.n"),
+    ("simulate", _SYNTHETIC_SIM, "hist_bins"),
+    ("simulate", _SYNTHETIC_SIM, "envelope_bins"),
+    ("simulate", {"seed": 1, "wind": {"tracks_csv": "tracks.csv",
+                                      "site": {"lat_deg": 25.0, "lon_deg": -80.0}}},
+     "wind.bootstrap_n"),
+    ("fit-weighting", _synthetic_fit(), "sample.synthetic.n"),
+    ("fit-weighting", _synthetic_fit(), "gamma_grid"),
+    ("utility-curve", _synthetic_fit(), "gamma_grid"),
+    ("fit-weighting", _synthetic_fit(payout_family="index", conditioner={}),
+     "conditioner.n_bins"),
+    ("utility-curve", _synthetic_fit(payout_family="index", conditioner={}),
+     "conditioner.n_bins"),
+]
+
+
+@pytest.mark.parametrize("command,cfg,key", COUNT_KEYS)
+@pytest.mark.parametrize("count", [2_000_000_000_000_000_000, 1e19])
+def test_count_past_numpys_array_size_exits_2(tmp_path, capsys, command, cfg, key, count):
+    code, err = _run(tmp_path, command, _with(cfg, key, count), capsys)
+    assert code == 2
+    assert err == (f"config error: {key} must be at most {cli._MAX_COUNT}, numpy's largest "
+                   f"array length, got {count!r}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,cfg,key", COUNT_KEYS)
+def test_count_bound_is_numpys_largest_float64_array(command, cfg, key):
+    assert np.dtype(np.float64).itemsize * cli._MAX_COUNT <= np.iinfo(np.intp).max
+    cli._TABLES[command].check(_with(cfg, key, cli._MAX_COUNT), "")
+    with pytest.raises(ConfigError, match="must be at most"):
+        cli._TABLES[command].check(_with(cfg, key, cli._MAX_COUNT + 1), "")

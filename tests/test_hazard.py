@@ -533,6 +533,13 @@ class TestSimulatePortfolio:
             simulate_portfolio(self.make_tracks(), [Site(0.0, 0.0)],
                                [LossModelParams()], seed=9)
 
+    @pytest.mark.parametrize("n_params", [1, 3])
+    def test_requires_one_parameter_set_per_site(self, n_params):
+        sites = [Site(0.0, 0.0), Site(0.5, 1.0)]
+        with pytest.raises(ValueError, match="one LossModelParams per site"):
+            simulate_portfolio(self.make_tracks(), sites, [LossModelParams()] * n_params,
+                               seed=9)
+
 
 class TestStormConversion:
     def test_storm_text_to_track_csv(self, tmp_path):

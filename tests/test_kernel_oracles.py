@@ -5,7 +5,9 @@ from its name: plateau_k with its m x m matrix branch (m <= 4000) and its
 per-k loop (m > 4000), tail_lambda, the pairwise conditional_probabilities
 loop, the cross-track kernel with its one-point branch, the two-branch
 incident selection and the golden-section loop. The current kernels must
-give bitwise-equal results and the same warning records.
+give bitwise-equal results and the same warning records, except where a
+reference is wrong: the cross-track reference takes a foot on the major arc
+of a segment longer than 120 degrees as inside the segment.
 """
 
 import logging
@@ -32,7 +34,8 @@ from basisrisk.hazard import (
     Site,
     Track,
     TrackSet,
-    _track_distances,
+    _ONE_TRACK,
+    _distances,
     _unit_vectors,
     incident_windspeeds,
     simulate_losses,
@@ -351,8 +354,8 @@ def test_cross_track_and_incident_match_reference():
     seen = {"one_point_incident": 0, "between_samples": 0, "degenerate": 0, "miss": 0}
     for tr in tracks:
         v = _unit_vectors(tr.lat_deg, tr.lon_deg)
-        point, polyline = _track_distances(*p, *v)
-        assert _same_bits(polyline, _ref_xtrack_min_distance(*p, *v))
+        point, polyline = _distances(p, v, _ONE_TRACK)
+        assert _same_bits(polyline[0], _ref_xtrack_min_distance(*p, *v))
         ref = _ref_incident_wind(tr, p, limit)
         got = incident_wind(tr, p, limit)
         if ref is None:
@@ -365,6 +368,59 @@ def test_cross_track_and_incident_match_reference():
         seen["degenerate"] += bool(np.any((np.diff(tr.lat_deg) == 0)
                                           & (np.diff(tr.lon_deg) == 0)))
     assert min(seen.values()) >= 5, seen
+
+
+def _equator_segment(lon_a, lon_b):
+    return _unit_vectors(np.zeros(2), np.array([lon_a, lon_b], dtype=np.float64))
+
+
+@pytest.mark.parametrize("site,lon_b,inside", [
+    ((30.0, 60.0), 120.0, True),     # a segment longer than 90 degrees, foot inside
+    ((30.0, -30.0), 120.0, False),   # ... foot beyond a
+    ((-10.0, -150.0), 120.0, False),  # ... foot beyond a, on the far side
+    ((30.0, 150.0), 120.0, False),   # ... foot beyond b
+    ((0.0, 50.0), 30.0, False),      # on the segment's great circle, beyond b
+    ((0.0, -20.0), 30.0, False),     # ... beyond a
+    ((0.0, 160.0), 120.0, False),    # ... beyond b of a segment longer than 90 degrees
+    ((0.0, -40.0), 120.0, False),    # ... beyond a of it
+    ((1.0, 29.99), 30.0, True),      # foot just inside b
+    ((1.0, 30.01), 30.0, False),     # foot just beyond b
+])
+def test_segment_test_matches_reference_at_its_edges(site, lon_b, inside):
+    p = _unit_vectors(*site)
+    v = _equator_segment(0.0, lon_b)
+    point, polyline = _distances(p, v, _ONE_TRACK)
+    assert _same_bits(polyline[0], _ref_xtrack_min_distance(*p, *v))
+    assert (polyline[0] < point.min()) == inside
+    if lon_b > 90.0:
+        assert np.dot([c[0] for c in v], [c[1] for c in v]) < 0.0
+
+
+@pytest.mark.parametrize("site", [(0.0, -95.0), (10.0, -95.0), (-20.0, -120.0)])
+def test_foot_on_the_major_arc_of_a_long_segment_is_outside(site):
+    # On a segment longer than 120 degrees, a foot on the major arc can lie
+    # within arc_ab of both endpoints; the reference's arc test takes it as
+    # inside and returns the cross-track distance. The sign test does not.
+    p = _unit_vectors(*site)
+    v = _equator_segment(0.0, 170.0)
+    point, polyline = _distances(p, v, _ONE_TRACK)
+    assert _same_bits(polyline[0], point.min())
+    t = np.radians(np.linspace(0.0, 170.0, 170001))  # the minor arc, every 0.001 degrees
+    walk = np.arccos(np.clip(np.cos(t) * p[0] + np.sin(t) * p[1], -1.0, 1.0))
+    assert abs(polyline[0] - walk.min()) <= 1e-12
+    assert _ref_xtrack_min_distance(*p, *v) < polyline[0] - 0.5
+
+
+@pytest.mark.parametrize("pole", [1.0, -1.0])
+def test_site_at_the_segments_pole_measures_a_quarter_turn(pole):
+    # Every point of the great circle is a foot, so the reference's foot is
+    # 0 / 0 and it falls back to the endpoint distance, pi / 2 = xtrack.
+    p = (0.0, 0.0, pole)
+    v = (np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.zeros(2))
+    _, polyline = _distances(p, v, _ONE_TRACK)
+    ref = _ref_xtrack_min_distance(*p, *v)
+    assert abs(polyline[0] - ref) <= 1e-15
+    assert abs(ref - math.pi / 2) <= 1e-15
 
 
 def test_incident_windspeeds_and_portfolio_match_reference():
