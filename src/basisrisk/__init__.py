@@ -13,6 +13,7 @@ import importlib
 import sys
 import types
 
+# The one list of public names: each submodule's ``__all__`` is read from here.
 _EXPORTS = {
     "contracts": (
         "AnalyticConditioner",

@@ -2,8 +2,10 @@
 
 All randomness is seeded from the config (or the --seed override); outputs
 are fully deterministic (stable JSON key order, repr-formatted floats, LF
-line endings) and written atomically only after the whole run succeeds, so
-failed runs leave no partial outputs.
+line endings). They are rendered in memory before any file is written, and
+each file is then replaced atomically (temp file + rename). A failure
+during the writes can leave the files already written; files of an earlier
+run that this run does not write stay in place.
 
 Exit codes: 0 success, 1 a program bug (with its traceback), 2 config error,
 3 I/O error, 4 numeric-domain error (DomainError), 5 degenerate data

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .expectile import (
     BasisRiskWeight,
     DegenerateDataError,
@@ -28,23 +29,7 @@ from .expectile import (
 
 logger = logging.getLogger(__name__)
 
-__all__ = [
-    "PremiumPrinciple",
-    "ContractSpec",
-    "PayoutVector",
-    "LossIndexSample",
-    "DegenerateTriggerError",
-    "split_by_trigger",
-    "pure_parametric_payout",
-    "index_payout",
-    "premium",
-    "basis_risk",
-    "asymmetric_objective",
-    "fit_piecewise_linear",
-    "ExponentialConditioner",
-    "AnalyticConditioner",
-    "EmpiricalBinConditioner",
-]
+__all__ = list(_EXPORTS["contracts"])
 
 
 class DegenerateTriggerError(DegenerateDataError):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .contracts import _golden_section, _rng
 from .expectile import DegenerateDataError, DegenerateSampleError
 
@@ -21,23 +22,7 @@ logger = logging.getLogger(__name__)
 
 _ETA_MAX = 50.0  # upper end of the Gumbel parameter search
 
-__all__ = [
-    "PairedObservations",
-    "TailEstimate",
-    "conditional_probabilities",
-    "kendall_tau",
-    "chatterjee_xi",
-    "tail_lambda",
-    "plateau_k",
-    "gumbel_mle",
-    "gumbel_lambda_u",
-    "sigma_u_sq",
-    "normal_quantile",
-    "tail_ci",
-    "tail_estimate",
-    "eta_from_tau",
-    "sample_gumbel",
-]
+__all__ = list(_EXPORTS["dependence"])
 
 
 class PairedObservations:

@@ -16,17 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "EmpiricalSample",
-    "Level",
-    "BasisRiskWeight",
-    "gamma_from_alpha",
-    "alpha_from_gamma",
-    "expectile",
-    "expectile_derivative",
-    "lambert_w0",
-    "expectile_exponential",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["expectile"])
 
 
 class DomainError(ValueError):

@@ -24,27 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .contracts import (_CSV_BLOCK_CHARS, LossIndexSample, _csv_text, _line_blocks,
                         _parse_lines, _rng)
 from .expectile import EmpiricalSample
 
 logger = logging.getLogger(__name__)
 
-__all__ = [
-    "Track",
-    "TrackSet",
-    "Site",
-    "LossModelParams",
-    "min_distance_km",
-    "incident_windspeeds",
-    "storm_wind_convert",
-    "bootstrap",
-    "loss_mean",
-    "loss_sigma",
-    "simulate_losses",
-    "simulate_portfolio",
-    "storm_to_track_csv",
-]
+__all__ = list(_EXPORTS["hazard"])
 
 EARTH_RADIUS_KM = 6371.0
 KNOTS_PER_MS = 1.943844

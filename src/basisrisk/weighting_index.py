@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .contracts import (
     ContractSpec,
     LossIndexSample,
@@ -30,20 +31,13 @@ from .weighting_pure import (
     UtilityContext,
     WeightingSolution,
     _boundary_scan,
+    _check_one_bound_violated,
     _FirstOrderSystem,
+    _LEVEL_RANGE,
     _solve_system,
 )
 
-__all__ = [
-    "SeparabilityError",
-    "SeparableDecomposition",
-    "IndexQuantities",
-    "build_surface",
-    "decompose",
-    "index_quantities",
-    "solve_gamma_star_index",
-    "violated_boundary_decision_index",
-]
+__all__ = list(_EXPORTS["weighting_index"])
 
 
 class SeparabilityError(DegenerateDataError):
@@ -82,13 +76,13 @@ class SeparableDecomposition:
 
     @property
     def h2_0(self) -> float:
-        return self.eval_h2(1e-9)
+        return self.eval_h2(_LEVEL_RANGE[0])
 
     @property
     def h2_1(self) -> float:
         if self.h2_unbounded:
             return np.inf
-        return self.eval_h2(1.0 - 1e-9)
+        return self.eval_h2(_LEVEL_RANGE[1])
 
     def eval_h2(self, gamma: float) -> float:
         if self.h2_eval is not None:
@@ -259,7 +253,7 @@ def solve_gamma_star_index(sample: LossIndexSample, spec: ContractSpec,
     to violated_boundary_decision_index.
     """
     system = _index_system(sample, spec, utility, decomp)
-    g_lo, g_hi = 1e-9, 1.0 - 1e-9
+    g_lo, g_hi = _LEVEL_RANGE
     gammas = np.linspace(g_lo, g_hi, grid_size)
     rho_i = spec.rho if rho_indemnity is None else rho_indemnity
     return _solve_system(
@@ -290,10 +284,7 @@ def _fallback_decision_index(sample: LossIndexSample, spec: ContractSpec,
                              decomp: SeparableDecomposition, rho_indemnity: float,
                              lower: bool, upper: bool) -> Decision:
     """violated_boundary_decision_index given the boundary conditions' outcome."""
-    if lower and upper:
-        raise ValueError("both boundary conditions hold; no fallback needed")
-    if not lower and not upper:
-        raise RuntimeError("internal inconsistency: both bounds reported violated")
+    _check_one_bound_violated(lower, upper)
     if lower and decomp.h2_unbounded:  # upper violated with H2(1) = +inf
         return Decision.PREFER_INDEMNITY
     # triggered losses binned by nearest decomposition center

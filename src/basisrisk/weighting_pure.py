@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .contracts import (
     ContractSpec,
     LossIndexSample,
@@ -40,19 +41,7 @@ from .expectile import (
     expectile_grid,
 )
 
-__all__ = [
-    "UtilityContext",
-    "UtilityDomainError",
-    "TriggeredSplit",
-    "Decision",
-    "WeightingSolution",
-    "v1_v2",
-    "check_bounds",
-    "solve_gamma_star",
-    "violated_boundary_decision",
-    "closed_form_exponential",
-    "utility_curve",
-]
+__all__ = list(_EXPORTS["weighting_pure"])
 
 
 class UtilityDomainError(DomainError):
@@ -426,6 +415,7 @@ def _check_monotone(v1, v2):
 
 
 _BISECTION_TOL = 1e-10  # bisection stops at this gamma bracket or relative |V1 - V2|
+_LEVEL_RANGE = (1e-9, 1.0 - 1e-9)  # the levels a solve traces and brackets, inside (0, 1)
 
 
 def _solve_system(system: _FirstOrderSystem, gammas, ks, k_of, bracket, k_bounds,
@@ -481,7 +471,7 @@ def solve_gamma_star(split: TriggeredSplit, spec: ContractSpec,
     violated_boundary_decision (or, under a restricted level interval, to
     the matching endpoint).
     """
-    g_lo, g_hi = (1e-9, 1.0 - 1e-9) if restrict is None else restrict
+    g_lo, g_hi = _LEVEL_RANGE if restrict is None else restrict
     if not (0.0 < g_lo < g_hi < 1.0):
         raise ValueError("restriction must satisfy 0 < lo < hi < 1")
     system = _pure_system(split, spec, utility)
@@ -533,13 +523,18 @@ def violated_boundary_decision(split: TriggeredSplit, spec: ContractSpec,
     return _fallback_decision(system, split, spec, rho_indemnity, lower, upper)
 
 
-def _fallback_decision(system: _FirstOrderSystem, split: TriggeredSplit, spec: ContractSpec,
-                       rho_indemnity: float, lower: bool, upper: bool) -> Decision:
-    """violated_boundary_decision given the split's system and its bounds' outcome."""
+def _check_one_bound_violated(lower: bool, upper: bool) -> None:
+    """Raise unless exactly one boundary condition failed, as a fallback needs."""
     if lower and upper:
         raise ValueError("both boundary conditions hold; no fallback needed")
     if not lower and not upper:
         raise RuntimeError("internal inconsistency: both bounds reported violated")
+
+
+def _fallback_decision(system: _FirstOrderSystem, split: TriggeredSplit, spec: ContractSpec,
+                       rho_indemnity: float, lower: bool, upper: bool) -> Decision:
+    """violated_boundary_decision given the split's system and its bounds' outcome."""
+    _check_one_bound_violated(lower, upper)
     if not lower:
         sides, quants = (system.triggered, system.untriggered), system.quants
         w0 = system.utility.w0
@@ -560,7 +555,7 @@ def _fallback_decision(system: _FirstOrderSystem, split: TriggeredSplit, spec: C
     if spec.principle is PremiumPrinciple.EXPECTED_VALUE:
         prefers = ess_sup > ratio * split.mean_loss() / p
     elif spec.principle is PremiumPrinciple.STD_DEV:
-        prefers = ess_sup > ratio ** 2 * split.var_loss() / (p * (1.0 - p))
+        prefers = ess_sup ** 2 > ratio ** 2 * split.var_loss() / (p * (1.0 - p))
     else:
         prefers = ess_sup ** 2 > ratio * split.var_loss() / (p * (1.0 - p))
     return Decision.PREFER_INDEMNITY if prefers else Decision.PREFER_LARGEST_ALPHA

@@ -33,40 +33,13 @@ ALLOWED = {
         "a block fails but no line fails alone; no input found reaches it",
     ("contracts.py", "_numeric_csv", "raise"):
         "_raise_bad_line names a line for every bad file found so far",
-    ("contracts.py", "EmpiricalBinConditioner.__init__",
-     'raise ValueError("n_bins must be >= 1")'):
-        "library guard; the CLI's table takes n_bins >= 1",
-    ("contracts.py", "basis_risk", 'raise ValueError("losses and payments must align")'):
-        "library guard of a public function that no module of the package calls",
-    ("contracts.py", "fit_piecewise_linear", 'raise TypeError(f"unknown fit mode {mode!r}")'):
-        "library guard; every caller passes one of the three fit modes",
-    ("expectile.py", "lambert_w0", "x = -inv_e"):
-        "x within 1e-12 below -1/e; the closed form's argument stays above -1/e",
     ("expectile.py", "lambert_w0",
      'raise ArithmeticError(f"lambert_w0 failed to converge for x={x}")'):
         "Halley's iteration has converged on every argument tried",
-    ("weighting_index.py", "decompose",
-     'raise ValueError("gamma grid must be strictly increasing")'):
-        "library guard; the CLI passes its fixed increasing grid of 49 levels",
-    ("weighting_index.py", "_fallback_decision_index",
+    ("weighting_pure.py", "_check_one_bound_violated",
      'raise RuntimeError("internal inconsistency: both bounds reported violated")'):
-        "needs V1 = V2 exactly at the lower end of the boundary scan",
-    ("weighting_pure.py", "_fallback_decision",
-     'raise RuntimeError("internal inconsistency: both bounds reported violated")'):
-        "needs V1 = V2 exactly at the lower end of the boundary scan; v_pair "
-        "rejects the underflowed u' that once reached it",
-    ("weighting_pure.py", "UtilityContext.check_support",
-     'raise UtilityDomainError("marginal utility must be strictly positive")'):
-        "library guard; both utility families have u' > 0, and v_pair rejects an "
-        "underflowed u' first",
-    ("weighting_pure.py", "solve_gamma_star",
-     'raise ValueError("restriction must satisfy 0 < lo < hi < 1")'):
-        "library guard; the CLI's table takes two levels lo < hi inside (0, 1)",
-    ("weighting_pure.py", "closed_form_exponential", 'raise ValueError("beta must be positive")'):
-        "library guard; the CLI's table takes a positive beta",
-    ("weighting_pure.py", "closed_form_exponential",
-     'raise PremiumDominatesError("premium dominates payout (c >= 1)")'):
-        "the CLI calls the closed form only after an interior optimum",
+        "needs V1 = V2 exactly at the lower end of a pure or index boundary scan; "
+        "v_pair rejects the underflowed u' that once reached it",
 }
 
 

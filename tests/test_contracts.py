@@ -132,6 +132,10 @@ class TestBasisRisk:
         # positive = overcompensation
         assert b.tolist() == [2.0, -2.0]
 
+    def test_misaligned_lengths_rejected(self):
+        with pytest.raises(ValueError, match="must align"):
+            basis_risk(np.array([3.0, 2.0, 1.0]), PayoutVector(np.array([5.0, 0.0])))
+
     def test_asymmetric_objective_oracle(self):
         losses = np.array([4.0, 1.0])
         pay = PayoutVector(np.array([1.0, 3.0]))
@@ -164,6 +168,11 @@ class TestEmpiricalBinConditioner:
         trig = LossIndexSample(r.random(100), r.uniform(83, 140, 100))
         with pytest.raises(InsufficientConditionalDataError):
             EmpiricalBinConditioner(trig, n_bins=10, min_bin_count=50)
+
+    def test_n_bins_validated(self):
+        trig = LossIndexSample(np.ones(10), np.linspace(83, 140, 10))
+        with pytest.raises(ValueError, match="n_bins must be >= 1"):
+            EmpiricalBinConditioner(trig, n_bins=0)
 
     def test_piecewise_constant_expectiles(self):
         r = rng(9)
@@ -243,6 +252,10 @@ class TestFitPiecewiseLinear:
         spec = ContractSpec(t_lo=83.0)
         with pytest.raises(ValueError):
             fit_piecewise_linear(sample, spec, BasisRiskOptimal(gamma_star=1.5))
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(TypeError, match="unknown fit mode"):
+            fit_piecewise_linear(toy_sample(), ContractSpec(t_lo=83.0), object())
 
     def test_no_data_beyond_attachment(self):
         sample = LossIndexSample([1.0, 2.0], [10.0, 20.0])

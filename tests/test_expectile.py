@@ -352,7 +352,10 @@ class TestLambertW:
             assert lambert_w0(float(x)) == pytest.approx(ref, abs=1e-10, rel=1e-10)
 
     def test_branch_point(self):
-        assert lambert_w0(-math.exp(-1.0)) == pytest.approx(-1.0, abs=1e-6)
+        inv_e = math.exp(-1.0)
+        assert lambert_w0(-inv_e) == pytest.approx(-1.0, abs=1e-6)
+        # within 1e-12 below -1/e counts as rounding and is read as -1/e
+        assert lambert_w0(-inv_e - 5e-13) == lambert_w0(-inv_e)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):

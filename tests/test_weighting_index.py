@@ -101,6 +101,8 @@ class TestDecompose:
             decompose(np.zeros((THETAS.size, no_half.size)), no_half, THETAS)
         with pytest.raises(ValueError):
             decompose(np.zeros((1, GAMMAS.size)), GAMMAS, THETAS[:1])
+        with pytest.raises(ValueError, match="gamma grid must be strictly increasing"):
+            decompose(surface, GAMMAS[::-1], THETAS)
 
     def test_h2_unbounded_flag(self):
         a = 2.0 * THETAS

@@ -62,6 +62,12 @@ class TestUtilityContext:
         assert UtilityContext.exponential(beta=big).beta == big
         UtilityContext.power(eta=big, w0=10.0)
 
+    def test_check_support_rejects_non_increasing(self):
+        u = UtilityContext.custom(u=lambda x: -x, u_prime=lambda x: -np.ones_like(x),
+                                  u_second=lambda x: np.zeros_like(x), w0=0.0)
+        with pytest.raises(UtilityDomainError, match="marginal utility"):
+            u.check_support(np.array([1.0, 2.0]))
+
     def test_check_support_rejects_convex(self):
         u = UtilityContext.custom(u=lambda x: x ** 2, u_prime=lambda x: 2 * x,
                                   u_second=lambda x: 2.0 * np.ones_like(x), w0=0.0)
@@ -186,6 +192,13 @@ class TestSolveGammaStar:
                                   restrict=(g_star - 0.05, g_star + 0.05))
         assert sol_in.decision is Decision.INTERIOR_OPTIMUM
         assert sol_in.gamma_star == pytest.approx(g_star, abs=1e-6)
+
+    def test_restrict_validated(self):
+        split = smooth_split()
+        spec = ContractSpec(t_lo=83.0, rho=0.2)
+        util = UtilityContext.exponential(beta=0.1)
+        with pytest.raises(ValueError, match="restriction must satisfy"):
+            solve_gamma_star(split, spec, util, restrict=(0.6, 0.4))
 
     def test_monotonicity_error_on_convex_utility(self):
         split = smooth_split()
@@ -339,7 +352,7 @@ class TestFallbackDecisionThresholds:
         # the loading ratio rho_indemnity / rho above which indemnity is not preferred
         ratio_star = {
             PremiumPrinciple.EXPECTED_VALUE: sup * p / mean,
-            PremiumPrinciple.STD_DEV: math.sqrt(sup * p * (1.0 - p) / var),
+            PremiumPrinciple.STD_DEV: sup * math.sqrt(p * (1.0 - p) / var),
             PremiumPrinciple.VARIANCE: sup * sup * p * (1.0 - p) / var,
         }[principle]
         for scale, expected in ((0.99, Decision.PREFER_INDEMNITY),
@@ -347,6 +360,29 @@ class TestFallbackDecisionThresholds:
             rho_indemnity = scale * ratio_star * rho
             assert _fallback_decision(_pure_system(split, spec, util), split, spec,
                                       rho_indemnity, True, False) is expected
+
+    @pytest.mark.parametrize("principle", list(PremiumPrinciple))
+    @pytest.mark.parametrize("lower_holds", [False, True])
+    def test_decision_does_not_depend_on_the_unit_of_loss(self, principle, lower_holds):
+        # Losses times 10 with beta / 10 leave the utility of each outcome
+        # unchanged; the variance principle's loading rho * Var needs rho / 10
+        # as well, and rho_indemnity with it.
+        t, u, p, rho = [4.0, 9.0], [0.0, 2.0], 0.3, 0.2
+
+        def decide(scale, ratio):
+            split = TriggeredSplit(EmpiricalSample([scale * s for s in t]),
+                                   EmpiricalSample([scale * s for s in u]), p)
+            r = rho / scale if principle is PremiumPrinciple.VARIANCE else rho
+            spec = ContractSpec(t_lo=83.0, rho=r, principle=principle)
+            util = UtilityContext.exponential(beta=0.1 / scale)
+            return _fallback_decision(_pure_system(split, spec, util), split, spec,
+                                      ratio * r, lower_holds, not lower_holds)
+
+        ratios = np.geomspace(0.1, 10.0, 9)  # rho_indemnity / rho
+        decisions = [decide(1.0, ratio) for ratio in ratios]
+        assert [decide(10.0, ratio) for ratio in ratios] == decisions
+        if lower_holds:  # the upper branch, on both sides of its threshold
+            assert set(decisions) == {Decision.PREFER_INDEMNITY, Decision.PREFER_LARGEST_ALPHA}
 
 
 class TestClosedFormExponential:
@@ -375,6 +411,17 @@ class TestClosedFormExponential:
         spec = ContractSpec(t_lo=83.0, rho=0.2, principle=PremiumPrinciple.VARIANCE)
         with pytest.raises(ValueError):
             closed_form_exponential(split, spec, 0.1)
+
+    @pytest.mark.parametrize("beta", [0.0, np.nan])
+    def test_beta_validated(self, beta):
+        with pytest.raises(ValueError, match="beta must be positive"):
+            closed_form_exponential(smooth_split(), ContractSpec(t_lo=83.0, rho=0.2), beta)
+
+    def test_premium_dominates(self):
+        # c = (1 + rho) p = 1.08
+        split = smooth_split(p_scale=3.0)
+        with pytest.raises(PremiumDominatesError):
+            closed_form_exponential(split, ContractSpec(t_lo=83.0, rho=0.2), 0.1)
 
     def test_raises_outside_support(self):
         split, spec, _ = TestViolatedBoundaryDecisions().upper_violated()
