@@ -8,8 +8,8 @@ during the writes can leave the files already written; files of an earlier
 run that this run does not write stay in place.
 
 Exit codes: 0 success, 1 a program bug (with its traceback), 2 config error,
-3 I/O error, 4 numeric-domain error (DomainError), 5 degenerate data
-(DegenerateDataError).
+3 I/O error, 4 numeric-domain error (DomainError) or an allocation that
+exceeds memory (MemoryError), 5 degenerate data (DegenerateDataError).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .contracts import (
     _csv_text,
     _numeric_csv,
     _rng,
-    split_by_trigger,
+    _trigger_mask,
 )
 from .dependence import (
     PairedObservations,
@@ -332,8 +332,9 @@ def _sample_from(cfg, seed) -> LossIndexSample:
 
 def _conditioner_from(cfg, sample, spec) -> EmpiricalBinConditioner:
     """The index payout's per-bin conditioner over the triggered rows."""
-    triggered, _ = split_by_trigger(sample, spec)
-    return EmpiricalBinConditioner(triggered, **cfg.get("conditioner", {}))
+    mask = _trigger_mask(sample, spec)
+    return EmpiricalBinConditioner(LossIndexSample(sample.losses[mask], sample.indices[mask]),
+                                   **cfg.get("conditioner", {}))
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +622,9 @@ def main(argv=None) -> int:
         return EXIT_DEGENERATE
     except DomainError as exc:
         print(f"numeric domain error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except MemoryError as exc:  # a count the config table accepts can still exceed memory
+        print(f"numeric domain error: out of memory: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -215,10 +215,14 @@ def tail_lambda(pairs: PairedObservations, k: int) -> float:
     (1/k) * #{j : rank(x_j) > m - k and rank(y_j) > m - k} with strict
     integer ranks (ties resolved in input order).
     """
-    m = pairs.m
-    if not (1 <= k < m):
+    return _lambda_of(_tail_counts(pairs), k)
+
+
+def _lambda_of(counts, k: int) -> float:
+    """tail_lambda at k from the m - 1 counts of _tail_counts."""
+    if not (1 <= k <= counts.size):
         raise ValueError("k must satisfy 1 <= k < m")
-    return float(_tail_counts(pairs)[k - 1] / k)
+    return float(counts[k - 1] / k)
 
 
 def plateau_k(pairs: PairedObservations, range_factor: float = 2.0) -> int:
@@ -230,11 +234,16 @@ def plateau_k(pairs: PairedObservations, range_factor: float = 2.0) -> int:
     range_factor times the standard deviation of the smoothed series. Falls
     back to floor(sqrt(m)) with a warning when no plateau exists.
     """
-    m = pairs.m
+    return _plateau_of(_tail_counts(pairs), range_factor)
+
+
+def _plateau_of(counts, range_factor: float = 2.0) -> int:
+    """plateau_k from the m - 1 counts of _tail_counts."""
+    m = counts.size + 1
     if m < 30:
         raise DegenerateDataError("insufficient data for plateau selection")
     b = max(1, m // 200)
-    lam = _tail_counts(pairs) / np.arange(1, m)
+    lam = counts / np.arange(1, m)
     kernel = np.ones(2 * b + 1) / (2 * b + 1)
     smooth = np.convolve(lam, kernel, mode="valid")  # indices k = b+1 .. m-1-b
     w = max(2, min(int(math.isqrt(m - 2 * b)), smooth.size))
@@ -246,14 +255,23 @@ def plateau_k(pairs: PairedObservations, range_factor: float = 2.0) -> int:
     return int(math.isqrt(m))
 
 
-def _gumbel_log_density(u, v, eta):
+def _gumbel_nll(u, v):
+    """The Gumbel copula's negative log-likelihood at (u, v), as a function of eta.
+
+    -log u, -log v and the sum of their logs do not depend on eta, so they
+    are computed once, not once per evaluation.
+    """
     lu = -np.log(u)
     lv = -np.log(v)
-    s = lu ** eta + lv ** eta
-    s_pow = s ** (1.0 / eta)
-    # c(u,v) = C(u,v)/(uv) * (lu*lv)^(eta-1) * s^(1/eta - 2) * (s^(1/eta) + eta - 1)
-    return (-s_pow + lu + lv + (eta - 1.0) * (np.log(lu) + np.log(lv))
-            + (1.0 / eta - 2.0) * np.log(s) + np.log(s_pow + eta - 1.0))
+    log_lu_lv = np.log(lu) + np.log(lv)
+
+    def nll(eta):
+        s = lu ** eta + lv ** eta
+        s_pow = s ** (1.0 / eta)
+        # c(u,v) = C(u,v)/(uv) * (lu*lv)^(eta-1) * s^(1/eta - 2) * (s^(1/eta) + eta - 1)
+        return -float(np.sum(-s_pow + lu + lv + (eta - 1.0) * log_lu_lv
+                             + (1.0 / eta - 2.0) * np.log(s) + np.log(s_pow + eta - 1.0)))
+    return nll
 
 
 def gumbel_mle(pairs: PairedObservations) -> float:
@@ -268,11 +286,7 @@ def gumbel_mle(pairs: PairedObservations) -> float:
         raise DegenerateDataError("need m >= 10 for the copula MLE")
     u = _ranks(pairs.x, "average") / (m + 1)
     v = _ranks(pairs.y, "average") / (m + 1)
-
-    def nll(eta):
-        return -float(np.sum(_gumbel_log_density(u, v, eta)))
-
-    eta_hat = _golden_section(nll, 1.0, _ETA_MAX, 1e-8)
+    eta_hat = _golden_section(_gumbel_nll(u, v), 1.0, _ETA_MAX, 1e-8)
     if eta_hat > _ETA_MAX - 1e-3:
         logger.warning("near-degenerate dependence: MLE at the eta upper boundary")
     return float(eta_hat)
@@ -336,9 +350,13 @@ def tail_ci(lambda_hat: float, k: int, eta_hat: float, level: float = 0.95):
 
 
 def tail_estimate(pairs: PairedObservations, k: int | None = None) -> TailEstimate:
-    """Full upper-tail summary: plateau k (unless given), MLE eta, 95% CI."""
-    k = plateau_k(pairs) if k is None else k
-    lam = tail_lambda(pairs, k)
+    """Full upper-tail summary: plateau k (unless given), MLE eta, 95% CI.
+
+    The tail counts are computed once, for both k and lambda_hat(k).
+    """
+    counts = _tail_counts(pairs)
+    k = _plateau_of(counts) if k is None else k
+    lam = _lambda_of(counts, k)
     eta = gumbel_mle(pairs)
     s2 = sigma_u_sq(eta)
     low, high = tail_ci(lam, k, eta)

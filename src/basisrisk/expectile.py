@@ -266,24 +266,35 @@ def expectile_derivative(sample: EmpiricalSample, gamma: Level | float) -> float
 
 
 def lambert_w0(x: float) -> float:
-    """Principal branch of the Lambert W function for x >= -1/e.
+    """Principal branch of the Lambert W function for x >= -1/e, and W(inf) = inf.
 
-    Halley iteration from a piecewise initial guess: log-based for large x,
-    a rational approximation near 0, and the branch-point series near -1/e.
-    Converges to |W e^W - x| <= 1e-12 well inside the 20-iteration cap.
+    Above e, Newton's iteration on w + ln w = ln x from w = ln x - ln ln x;
+    unlike w e^w, no finite x overflows it. Elsewhere, Halley's iteration on
+    w e^w = x from a rational guess near 0 or the branch-point series near
+    -1/e. Both converge well inside their 20-iteration caps (to
+    |W e^W - x| <= 1e-12 max(1, |x|), and w + ln w = ln x to rounding). NaN
+    raises ValueError.
     """
     x = float(x)
     inv_e = math.exp(-1.0)
-    if x < -inv_e - 1e-12:
+    if not x >= -inv_e - 1e-12:  # NaN fails too
         raise ValueError(f"lambert_w0 domain is x >= -1/e, got {x}")
     if x < -inv_e:
         x = -inv_e
     if x == 0.0:
         return 0.0
+    if x == math.inf:
+        return x
     if x > math.e:
         lx = math.log(x)
         w = lx - math.log(lx)
-    elif x > -0.25 * inv_e:
+        for _ in range(20):
+            step = (w + math.log(w) - lx) * w / (w + 1.0)
+            w -= step
+            if abs(step) <= 1e-15 * w:
+                break
+        return w
+    if x > -0.25 * inv_e:
         # Pade-style rational guess, good on a neighbourhood of 0
         w = x * (1.0 + 1.5 * x) / (1.0 + x * (2.5 + 0.875 * x))
     else:
@@ -303,8 +314,6 @@ def lambert_w0(x: float) -> float:
         w -= step
         if abs(step) <= 1e-15 * (1.0 + abs(w)):
             break
-    if abs(w * math.exp(w) - x) > 1e-12 * max(1.0, abs(x)):
-        raise ArithmeticError(f"lambert_w0 failed to converge for x={x}")
     return w
 
 

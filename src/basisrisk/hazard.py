@@ -425,7 +425,7 @@ def simulate_losses(windspeeds, params: LossModelParams, seed: int,
     scale = min((params.p + params.q) / params.p, (params.p + params.q) / params.q)
     shift = min(1.0, params.p / params.q)
     mu = loss_mean(th, params)
-    sig = loss_sigma(th, params)
+    sig = mu * (1.0 - mu / params.v)  # loss_sigma, from this mu
     s = mu + sig * (scale * z - shift)
     s = np.clip(s, 0.0, params.v)  # guards float roundoff at the edges
     return LossIndexSample(s, th)

@@ -33,6 +33,7 @@ from .weighting_pure import (
     _boundary_scan,
     _check_one_bound_violated,
     _FirstOrderSystem,
+    _indemnity_decision,
     _LEVEL_RANGE,
     _solve_system,
 )
@@ -80,9 +81,7 @@ class SeparableDecomposition:
 
     @property
     def h2_1(self) -> float:
-        if self.h2_unbounded:
-            return np.inf
-        return self.eval_h2(_LEVEL_RANGE[1])
+        return np.inf if self.h2_unbounded else self.eval_h2(_LEVEL_RANGE[1])
 
     def eval_h2(self, gamma: float) -> float:
         if self.h2_eval is not None:
@@ -93,8 +92,7 @@ class SeparableDecomposition:
     def eval_theta(self, thetas):
         """(h1, H3) at arbitrary index values, linear between bin centers."""
         t = np.asarray(thetas, dtype=np.float64)
-        return (np.interp(t, self.thetas, self.h1),
-                np.interp(t, self.thetas, self.h3))
+        return np.interp(t, self.thetas, self.h1), np.interp(t, self.thetas, self.h3)
 
 
 def build_surface(conditioner, thetas, gammas) -> np.ndarray:
@@ -165,10 +163,7 @@ def decompose(surface, gammas, thetas, *, tolerance: float = 1e-2,
 
     h2_eval = None
     if conditioner is not None:
-        theta_ref = float(thetas[ref])
-        h3_ref = float(h3[ref])
-
-        def h2_eval(g, _c=conditioner, _t=theta_ref, _h3=h3_ref):
+        def h2_eval(g, _c=conditioner, _t=float(thetas[ref]), _h3=float(h3[ref])):
             val = _c.conditional_expectile(np.array([_t]), Level(float(g)))
             return float(val[0]) - _h3
 
@@ -190,13 +185,11 @@ def _index_moments(sample: LossIndexSample, spec: ContractSpec,
         raise UnsupportedPrincipleError(
             "standard-deviation principle is not supported for index insurance")
     mask = _trigger_mask(sample, spec)
-    n = mask.size
     h1, h3 = decomp.eval_theta(sample.indices[mask])
     p = float(mask.mean())
-    h1_ind, h3_ind = np.zeros(n), np.zeros(n)
+    h1_ind, h3_ind = np.zeros(mask.size), np.zeros(mask.size)
     h1_ind[mask], h3_ind[mask] = h1, h3
-    int_h1 = float(h1_ind.mean())
-    int_h3 = float(h3_ind.mean())
+    int_h1, int_h3 = float(h1_ind.mean()), float(h3_ind.mean())
     quants = IndexQuantities(
         p_trigger=p, int_h1=int_h1, int_h3=int_h3, v1=float(h1_ind.var()),
         v3=float(h3_ind.var()), v13=float(np.mean(h1_ind * h3_ind) - int_h1 * int_h3),
@@ -290,25 +283,18 @@ def _fallback_decision_index(sample: LossIndexSample, spec: ContractSpec,
     # triggered losses binned by nearest decomposition center
     mask = _trigger_mask(sample, spec)
     edges = 0.5 * (decomp.thetas[:-1] + decomp.thetas[1:])
-    bins = np.searchsorted(edges, sample.indices, side="right")
-    # per-bin extrema of the triggered losses; an empty bin keeps its +-inf
-    mins, maxs = np.full(decomp.thetas.size, np.inf), np.full(decomp.thetas.size, -np.inf)
-    np.minimum.at(mins, bins[mask], sample.losses[mask])
-    np.maximum.at(maxs, bins[mask], sample.losses[mask])
+    bins = np.searchsorted(edges, sample.indices[mask], side="right")
+    # each branch reads one per-bin extremum of the triggered losses
     if not lower:
-        observed = mins[np.isfinite(mins)]
+        mins = np.full(decomp.thetas.size, np.inf)  # an empty bin keeps its inf
+        np.minimum.at(mins, bins, sample.losses[mask])
         tol = 1e-9 * max(float(sample.losses.max()), 1.0)
-        if observed.size and np.all(observed <= tol):
-            return Decision.PREFER_NO_INSURANCE
-        return Decision.PREFER_SMALLEST_ALPHA
-    # upper violated
-    sup_all = maxs[bins]
-    sup_ind = np.where(mask & np.isfinite(sup_all), sup_all, 0.0)
-    ratio = rho_indemnity / spec.rho
-    if spec.principle is PremiumPrinciple.EXPECTED_VALUE:
-        p = float(mask.mean())
-        e_sup_cond = float(sup_ind.mean()) / p
-        prefers = e_sup_cond > ratio * float(sample.losses.mean()) / p
-    else:
-        prefers = float(sup_ind.var()) > ratio * float(sample.losses.var())
-    return Decision.PREFER_INDEMNITY if prefers else Decision.PREFER_LARGEST_ALPHA
+        return (Decision.PREFER_NO_INSURANCE if np.all(mins[np.isfinite(mins)] <= tol)
+                else Decision.PREFER_SMALLEST_ALPHA)
+    # upper violated: Y = sup 1_T, with sup the largest triggered loss of the row's bin
+    maxs = np.full(decomp.thetas.size, -np.inf)
+    np.maximum.at(maxs, bins, sample.losses[mask])
+    sup = np.zeros(mask.size)
+    sup[mask] = maxs[bins]
+    return _indemnity_decision(spec.principle, rho_indemnity / spec.rho,
+                               sup.mean, sup.var, sample.losses.mean, sample.losses.var)

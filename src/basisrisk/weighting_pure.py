@@ -232,9 +232,8 @@ class TriggeredSplit:
         return self.p * self.triggered.mean + (1.0 - self.p) * self.untriggered.mean
 
     def var_loss(self) -> float:
-        e2 = (self.p * float(np.sum(self.triggered.weights * self.triggered.values ** 2))
-              + (1.0 - self.p) * float(np.sum(self.untriggered.weights
-                                              * self.untriggered.values ** 2)))
+        st, su = self.triggered, self.untriggered
+        e2 = self.p * _wmean(st, st.values ** 2) + (1.0 - self.p) * _wmean(su, su.values ** 2)
         return e2 - self.mean_loss() ** 2
 
 
@@ -376,38 +375,42 @@ def v1_v2(split: TriggeredSplit, spec: ContractSpec, utility: UtilityContext,
 
 
 def _boundary_scan(system: _FirstOrderSystem, k_lo: float, k_hi: float):
-    """Existence boundary conditions on [k_lo, k_hi], as in check_bounds."""
+    """Existence boundary conditions on [k_lo, k_hi], as in check_bounds.
+
+    V1 <= V2 at k_lo, a tie included, fails the lower bound and holds the
+    upper one there (V1 falls and V2 rises above k_lo); only V1 > V2 scans.
+    """
     v1, v2 = system.v_pair(k_lo)
-    lower = v1 > v2
     witnesses = {"lower_k": k_lo, "lower_v1": v1, "lower_v2": v2}
-    # log-spaced toward k_hi: k_hi - (k_hi - k_lo)*10^-t
-    ts = np.linspace(0.0, 9.0, 50)
-    ks = np.append(k_hi - (k_hi - k_lo) * 10.0 ** (-ts), k_hi)
-    upper = False
-    for k in ks:
-        v1k, v2k = system.v_pair(float(k))
+    if not v1 > v2:
+        witnesses.update(upper_k=k_lo, upper_v1=v1, upper_v2=v2)
+        return False, True, witnesses
+    # log-spaced toward k_hi: k_hi - (k_hi - k_lo)*10^-t, past t = 0 (k_lo itself)
+    ts = np.linspace(0.0, 9.0, 50)[1:]
+    for k in np.append(k_hi - (k_hi - k_lo) * 10.0 ** (-ts), k_hi).tolist():
+        v1k, v2k = system.v_pair(k)
         if v1k < v2k:
-            upper = True
-            witnesses.update(upper_k=float(k), upper_v1=v1k, upper_v2=v2k)
-            break
-    return lower, upper, witnesses
+            witnesses.update(upper_k=k, upper_v1=v1k, upper_v2=v2k)
+            return True, True, witnesses
+    return True, False, witnesses
 
 
 def check_bounds(split: TriggeredSplit, spec: ContractSpec, utility: UtilityContext):
     """Evaluate the two existence boundary conditions.
 
-    The lower bound is checked at the empirical essential infimum of the
-    triggered losses. The upper bound holds if V1 < V2 for *some* k, scanned
-    over a log-spaced grid crowded toward the supremum, including the limit
-    point. Returns (lower_holds, upper_holds, witnesses).
+    The lower bound holds if V1 > V2 at the empirical essential infimum of
+    the triggered losses. The upper bound holds if V1 < V2 for *some* k,
+    scanned over a log-spaced grid crowded toward the supremum, including
+    the limit point. An exact tie V1 = V2 at the infimum fails the lower
+    bound and holds the upper one there, so exactly one bound fails or none
+    does. Returns (lower_holds, upper_holds, witnesses).
     """
     st = split.triggered
     return _boundary_scan(_pure_system(split, spec, utility), st.min, st.max)
 
 
 def _check_monotone(v1, v2):
-    scale = max(np.abs(v1).max(), np.abs(v2).max(), 1e-300)
-    slack = 1e-12 * scale
+    slack = 1e-12 * max(np.abs(v1).max(), np.abs(v2).max(), 1e-300)
     if np.any(np.diff(v1) > slack) or np.any(np.diff(v2) < -slack):
         raise MonotonicityError(
             "monotonicity violated: V1 must decrease and V2 increase in gamma "
@@ -524,11 +527,27 @@ def violated_boundary_decision(split: TriggeredSplit, spec: ContractSpec,
 
 
 def _check_one_bound_violated(lower: bool, upper: bool) -> None:
-    """Raise unless exactly one boundary condition failed, as a fallback needs."""
+    """Raise when both bounds hold; _boundary_scan never reports both failed."""
     if lower and upper:
         raise ValueError("both boundary conditions hold; no fallback needed")
-    if not lower and not upper:
-        raise RuntimeError("internal inconsistency: both bounds reported violated")
+
+
+def _indemnity_decision(principle: PremiumPrinciple, ratio: float,
+                        mean_y, var_y, mean_s, var_s) -> Decision:
+    """Full indemnity or the largest weighting, when the upper bound fails.
+
+    Y = sup 1_T, with sup the triggered losses' essential supremum (per bin
+    on an index contract); S is the loss and ratio = rho_indemnity / rho.
+    Indemnity when E[Y] > ratio E[S] (expected value), Var(Y) > ratio^2
+    Var(S) (standard deviation) or Var(Y) > ratio Var(S) (variance); only
+    the moment the principle reads is called.
+    """
+    if principle is PremiumPrinciple.EXPECTED_VALUE:
+        prefers = mean_y() > ratio * mean_s()
+    else:
+        factor = ratio ** 2 if principle is PremiumPrinciple.STD_DEV else ratio
+        prefers = var_y() > factor * var_s()
+    return Decision.PREFER_INDEMNITY if prefers else Decision.PREFER_LARGEST_ALPHA
 
 
 def _fallback_decision(system: _FirstOrderSystem, split: TriggeredSplit, spec: ContractSpec,
@@ -548,17 +567,11 @@ def _fallback_decision(system: _FirstOrderSystem, split: TriggeredSplit, spec: C
         u_none = sum(_constant_payout_utilities(sides, quants, w0, 0.0))
         return (Decision.PREFER_SMALLEST_ALPHA if u_limit > u_none
                 else Decision.PREFER_NO_INSURANCE)
-    # upper violated
-    ess_sup = split.triggered.max
-    ratio = rho_indemnity / spec.rho
-    p = split.p
-    if spec.principle is PremiumPrinciple.EXPECTED_VALUE:
-        prefers = ess_sup > ratio * split.mean_loss() / p
-    elif spec.principle is PremiumPrinciple.STD_DEV:
-        prefers = ess_sup ** 2 > ratio ** 2 * split.var_loss() / (p * (1.0 - p))
-    else:
-        prefers = ess_sup ** 2 > ratio * split.var_loss() / (p * (1.0 - p))
-    return Decision.PREFER_INDEMNITY if prefers else Decision.PREFER_LARGEST_ALPHA
+    # upper violated: Y = sup 1_T has mean p sup and variance sup^2 p (1 - p)
+    sup, p = split.triggered.max, split.p
+    return _indemnity_decision(spec.principle, rho_indemnity / spec.rho,
+                               lambda: p * sup, lambda: sup ** 2 * (p * (1.0 - p)),
+                               split.mean_loss, split.var_loss)
 
 
 def closed_form_exponential(split: TriggeredSplit, spec: ContractSpec, beta: float):

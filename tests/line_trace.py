@@ -33,13 +33,6 @@ ALLOWED = {
         "a block fails but no line fails alone; no input found reaches it",
     ("contracts.py", "_numeric_csv", "raise"):
         "_raise_bad_line names a line for every bad file found so far",
-    ("expectile.py", "lambert_w0",
-     'raise ArithmeticError(f"lambert_w0 failed to converge for x={x}")'):
-        "Halley's iteration has converged on every argument tried",
-    ("weighting_pure.py", "_check_one_bound_violated",
-     'raise RuntimeError("internal inconsistency: both bounds reported violated")'):
-        "needs V1 = V2 exactly at the lower end of a pure or index boundary scan; "
-        "v_pair rejects the underflowed u' that once reached it",
 }
 
 

@@ -2,10 +2,10 @@
 
 Every exception class the package defines derives from exactly one of
 ``ConfigError`` (exit 2), ``DomainError`` (exit 4) and
-``DegenerateDataError`` (exit 5). ``main`` catches only those and
-``OSError`` (exit 3), so a builtin ``ValueError``, ``ArithmeticError`` or
-``RuntimeError`` raised inside a command ends the process with exit 1 and
-its traceback.
+``DegenerateDataError`` (exit 5). ``main`` catches only those,
+``MemoryError`` (exit 4) and ``OSError`` (exit 3), so a builtin
+``ValueError``, ``ArithmeticError`` or ``RuntimeError`` raised inside a
+command ends the process with exit 1 and its traceback.
 """
 
 import ast
@@ -53,11 +53,12 @@ def test_every_package_error_has_exactly_one_base():
         assert sum(issubclass(cls, base) for base in BASES) == 1, cls
 
 
-def test_main_catches_only_the_bases_and_oserror():
+def test_main_catches_only_the_bases_memoryerror_and_oserror():
     tree = ast.parse(inspect.getsource(main))
     handlers = [ast.unparse(h.type) for node in ast.walk(tree) if isinstance(node, ast.Try)
                 for h in node.handlers]
-    assert handlers == ["ConfigError", "DegenerateDataError", "DomainError", "OSError"]
+    assert handlers == ["ConfigError", "DegenerateDataError", "DomainError", "MemoryError",
+                        "OSError"]
 
 
 def _cfg(tmp_path, cfg):
@@ -115,6 +116,17 @@ def test_injected_builtin_escapes_main(tmp_path, monkeypatch, command, exc_type)
     out = tmp_path / "out"
     with pytest.raises(exc_type, match="injected fault"):
         main([command, "--config", str(make_cfg(tmp_path)), "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(INJECTION_SITES))
+def test_injected_memory_error_exits_4_with_one_line(tmp_path, monkeypatch, capsys, command):
+    make_cfg, name = INJECTION_SITES[command]
+    monkeypatch.setattr(cli, name, _raising(MemoryError))
+    out = tmp_path / "out"
+    code = main([command, "--config", str(make_cfg(tmp_path)), "--out", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err == "numeric domain error: out of memory: injected fault\n"
     assert not out.exists()
 
 
@@ -236,6 +248,38 @@ def test_overflowing_synthetic_sample_exits_4(tmp_path, capsys):
     code, err = _run(tmp_path, "simulate", cfg, capsys)
     assert code == 4
     assert err == "numeric domain error: observations must be finite\n"
+
+
+_UNDER_ADDRESS_LIMIT = """\
+import resource
+import sys
+
+limit = 2 << 30  # bytes of address space: ample for the interpreter and numpy
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+if hard != resource.RLIM_INFINITY:
+    limit = min(limit, hard)
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from basisrisk.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_allocation_past_memory_exits_4_with_one_line(tmp_path):
+    # 10^12 winds pass the count bound but need 8 TB; the address-space
+    # limit, set in the child only, makes the allocation fail at once
+    cfg = _cfg(tmp_path, _with(_SYNTHETIC_SIM, "wind.synthetic.n", 1_000_000_000_000))
+    env = dict(os.environ)
+    src = str(REPO_ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", _UNDER_ADDRESS_LIMIT, "simulate", "--config", str(cfg),
+         "--out", str(out)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("numeric domain error: out of memory: Unable to allocate")
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()
 
 
 def test_underflowing_marginal_utility_exits_4(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -360,6 +361,30 @@ class TestLambertW:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             lambert_w0(-0.5)
+        for x in (math.nan, -math.inf):
+            with pytest.raises(ValueError, match="lambert_w0 domain"):
+                lambert_w0(x)
+
+    def test_infinity(self):
+        assert lambert_w0(math.inf) == math.inf
+
+    @pytest.mark.parametrize("x", [3e307, 1e308, sys.float_info.max])
+    def test_largest_arguments_converge(self, x):
+        # w e^w overflows near these x; the iteration on w + ln w = ln x does not
+        w = lambert_w0(x)
+        assert w == pytest.approx(float(np.real(scipy_lambertw(x))), rel=1e-14)
+        assert w + math.log(w) == pytest.approx(math.log(x), rel=1e-15)
+
+    def test_residual_on_the_whole_domain(self):
+        inv_e = math.exp(-1.0)
+        near = np.concatenate([-inv_e + np.geomspace(1e-300, inv_e, 2000),
+                               np.linspace(-inv_e, math.e, 4001), np.geomspace(1e-300, 1.0, 600)])
+        for x in near.tolist():
+            w = lambert_w0(x)
+            assert abs(w * math.exp(w) - max(x, -inv_e)) <= 1e-12 * max(1.0, abs(x))
+        for x in np.logspace(math.log10(math.e) + 1e-12, 308.25, 4001).tolist():
+            w = lambert_w0(x)
+            assert w + math.log(w) == pytest.approx(math.log(x), rel=4e-16)
 
 
 class TestExpectileExponential:

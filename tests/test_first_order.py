@@ -370,3 +370,84 @@ def test_boundary_scan_runs_once_per_fallback_solve(monkeypatch):
                                  UtilityContext.exponential(beta=0.05), fb_decomp)
     assert sol.decision is Decision.PREFER_NO_INSURANCE
     assert len(calls) == 1
+
+
+def _old_boundary_scan(system, k_lo, k_hi):
+    """The boundary scan before it decided both bounds from one pair at k_lo,
+    verbatim apart from its name."""
+    v1, v2 = system.v_pair(k_lo)
+    lower = v1 > v2
+    witnesses = {"lower_k": k_lo, "lower_v1": v1, "lower_v2": v2}
+    # log-spaced toward k_hi: k_hi - (k_hi - k_lo)*10^-t
+    ts = np.linspace(0.0, 9.0, 50)
+    ks = np.append(k_hi - (k_hi - k_lo) * 10.0 ** (-ts), k_hi)
+    upper = False
+    for k in ks:
+        v1k, v2k = system.v_pair(float(k))
+        if v1k < v2k:
+            upper = True
+            witnesses.update(upper_k=float(k), upper_v1=v1k, upper_v2=v2k)
+            break
+    return lower, upper, witnesses
+
+
+class _CountingSystem:
+    def __init__(self, system):
+        self.system, self.calls = system, 0
+
+    def v_pair(self, k):
+        self.calls += 1
+        return self.system.v_pair(k)
+
+
+def _scan_cases():
+    """(id, system, k_lo, k_hi): the oracle inputs above and the fallback fixtures."""
+    for name, make_split, utility in PURE_CASES:
+        for principle, rho in PRINCIPLES:
+            split = make_split()
+            spec = ContractSpec(t_lo=83.0, rho=rho, principle=principle)
+            yield (f"{name}-{principle.value}", _pure_system(split, spec, utility),
+                   split.triggered.min, split.triggered.max)
+    lower_violated = weighted_two_point()
+    yield ("lower_violated", _pure_system(lower_violated, ContractSpec(t_lo=83.0, rho=0.3),
+                                          UtilityContext.exponential(beta=0.1, w0=10.0)),
+           lower_violated.triggered.min, lower_violated.triggered.max)
+    upper_violated = TriggeredSplit(EmpiricalSample([9.9, 10.0]),
+                                    EmpiricalSample([-2.0, -2.0]), 0.3)
+    yield ("upper_violated", _pure_system(upper_violated, ContractSpec(t_lo=83.0, rho=0.01),
+                                          UtilityContext.exponential(beta=2.0)), 9.9, 10.0)
+    decomp = separable_decomposition()
+    for principle, rho in [(EV, 0.1), (VAR, 0.002)]:
+        spec = ContractSpec(t_lo=2.2, rho=rho, principle=principle)
+        yield (f"index-{principle.value}",
+               _index_system(shifted_separable_sample(), spec,
+                             UtilityContext.exponential(beta=0.05), decomp),
+               decomp.h2_0, decomp.h2_1)
+    fb_sample, fb_spec, fb_decomp = no_insurance_fixture()
+    yield ("index_lower_violated",
+           _index_system(fb_sample, fb_spec, UtilityContext.exponential(beta=0.05), fb_decomp),
+           fb_decomp.h2_0, fb_decomp.h2_1)
+
+
+SCAN_CASES = list(_scan_cases())
+
+
+@pytest.mark.parametrize("name,system,k_lo,k_hi", SCAN_CASES, ids=[c[0] for c in SCAN_CASES])
+def test_boundary_scan_decides_as_before_with_one_pair_fewer(name, system, k_lo, k_hi):
+    new, old = _CountingSystem(system), _CountingSystem(system)
+    lower, upper, witnesses = weighting_pure._boundary_scan(new, k_lo, k_hi)
+    old_lower, old_upper, old_witnesses = _old_boundary_scan(old, k_lo, k_hi)
+    assert (lower, upper) == (old_lower, old_upper)
+    assert new.calls == old.calls - 1
+    if lower:
+        assert witnesses == old_witnesses
+    else:  # the upper witness is k_lo itself, not the scan's first point
+        assert witnesses["upper_k"] == k_lo
+        assert (witnesses["upper_v1"], witnesses["upper_v2"]) == (
+            witnesses["lower_v1"], witnesses["lower_v2"])
+
+
+def test_scan_cases_reach_every_outcome():
+    outcomes = {weighting_pure._boundary_scan(system, k_lo, k_hi)[:2]
+                for _, system, k_lo, k_hi in SCAN_CASES}
+    assert outcomes == {(True, True), (False, True), (True, False)}

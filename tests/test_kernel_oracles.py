@@ -4,7 +4,8 @@ Each reference below is the earlier implementation, kept verbatim apart
 from its name: plateau_k with its m x m matrix branch (m <= 4000) and its
 per-k loop (m > 4000), tail_lambda, the pairwise conditional_probabilities
 loop, the cross-track kernel with its one-point branch, the two-branch
-incident selection and the golden-section loop. The current kernels must
+incident selection, the golden-section loop and the Gumbel log-density that
+recomputed its eta-free logs at every eta. The current kernels must
 give bitwise-equal results and the same warning records, except where a
 reference is wrong: the cross-track reference takes a foot on the major arc
 of a segment longer than 120 degrees as inside the segment.
@@ -16,16 +17,17 @@ import math
 import numpy as np
 import pytest
 
+from basisrisk import dependence
 from basisrisk.contracts import _golden_section
 from basisrisk.dependence import (
     PairedObservations,
-    _gumbel_log_density,
     _strict_ranks,
     _tail_counts,
     conditional_probabilities,
     gumbel_mle,
     plateau_k,
     sample_gumbel,
+    tail_estimate,
     tail_lambda,
 )
 from basisrisk.hazard import (
@@ -187,6 +189,16 @@ def _ref_golden(f, a, b, tol):
     return 0.5 * (a + b)
 
 
+def _ref_gumbel_log_density(u, v, eta):
+    lu = -np.log(u)
+    lv = -np.log(v)
+    s = lu ** eta + lv ** eta
+    s_pow = s ** (1.0 / eta)
+    # c(u,v) = C(u,v)/(uv) * (lu*lv)^(eta-1) * s^(1/eta - 2) * (s^(1/eta) + eta - 1)
+    return (-s_pow + lu + lv + (eta - 1.0) * (np.log(lu) + np.log(lv))
+            + (1.0 / eta - 2.0) * np.log(s) + np.log(s_pow + eta - 1.0))
+
+
 def _same_bits(a, b):
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
@@ -248,6 +260,28 @@ def test_plateau_k_matches_reference(kind, m, range_factor, caplog):
     assert type(got) is int
     assert got == expected
     assert records == ref_records
+
+
+@pytest.mark.parametrize("m", [30, 999, 5172])
+@pytest.mark.parametrize("kind", KINDS)
+def test_tail_estimate_counts_once_and_matches_its_parts(kind, m, monkeypatch):
+    pairs = _pairs(kind, m, seed=m + 2)
+    k = plateau_k(pairs)
+    calls = []
+    counts = dependence._tail_counts
+
+    def counted(p):
+        calls.append(p.m)
+        return counts(p)
+
+    monkeypatch.setattr(dependence, "_tail_counts", counted)
+    for given in (None, k, 1, m - 1):
+        calls.clear()
+        est = tail_estimate(pairs, given)
+        assert calls == [m]
+        k_used = k if given is None else given
+        assert est.k == k_used
+        assert _same_bits(est.lambda_hat, _ref_tail_lambda(pairs, k_used))
 
 
 def test_plateau_fallback_matches_reference(caplog):
@@ -463,6 +497,6 @@ def test_gumbel_mle_matches_reference_loop(eta, seed):
     v = rankdata(pairs.y, method="average") / (m + 1)
 
     def nll(e):
-        return -float(np.sum(_gumbel_log_density(u, v, e)))
+        return -float(np.sum(_ref_gumbel_log_density(u, v, e)))
 
     assert _same_bits(gumbel_mle(pairs), _ref_golden(nll, 1.0, 50.0, 1e-8))

@@ -9,6 +9,7 @@ from basisrisk.contracts import (
     ExponentialConditioner,
     LossIndexSample,
     PremiumPrinciple,
+    _trigger_mask,
 )
 from basisrisk.expectile import EmpiricalSample, expectile
 from basisrisk.weighting_index import (
@@ -298,6 +299,86 @@ def bin_sup_oracle(indices, losses, t_lo):
             b = nearest(x)
             sup[b] = max(sup.get(b, s), s)
     return [sup[nearest(x)] if x >= t_lo else 0.0 for x in indices]
+
+
+def _old_fallback_decision_index(sample, spec, decomp, rho_indemnity, lower):
+    """The index fallback before both contracts shared one indemnity test,
+    verbatim apart from its name, its signature and the bound-outcome check."""
+    if lower and decomp.h2_unbounded:  # upper violated with H2(1) = +inf
+        return Decision.PREFER_INDEMNITY
+    # triggered losses binned by nearest decomposition center
+    mask = _trigger_mask(sample, spec)
+    edges = 0.5 * (decomp.thetas[:-1] + decomp.thetas[1:])
+    bins = np.searchsorted(edges, sample.indices, side="right")
+    # per-bin extrema of the triggered losses; an empty bin keeps its +-inf
+    mins, maxs = np.full(decomp.thetas.size, np.inf), np.full(decomp.thetas.size, -np.inf)
+    np.minimum.at(mins, bins[mask], sample.losses[mask])
+    np.maximum.at(maxs, bins[mask], sample.losses[mask])
+    if not lower:
+        observed = mins[np.isfinite(mins)]
+        tol = 1e-9 * max(float(sample.losses.max()), 1.0)
+        if observed.size and np.all(observed <= tol):
+            return Decision.PREFER_NO_INSURANCE
+        return Decision.PREFER_SMALLEST_ALPHA
+    # upper violated
+    sup_all = maxs[bins]
+    sup_ind = np.where(mask & np.isfinite(sup_all), sup_all, 0.0)
+    ratio = rho_indemnity / spec.rho
+    if spec.principle is PremiumPrinciple.EXPECTED_VALUE:
+        p = float(mask.mean())
+        e_sup_cond = float(sup_ind.mean()) / p
+        prefers = e_sup_cond > ratio * float(sample.losses.mean()) / p
+    else:
+        prefers = float(sup_ind.var()) > ratio * float(sample.losses.var())
+    return Decision.PREFER_INDEMNITY if prefers else Decision.PREFER_LARGEST_ALPHA
+
+
+def _random_index_case(r):
+    """Gamma losses over a uniform index, 2 to 8 bin centers, a trigger
+    inside the index range; each row's loss is 0 with a random probability,
+    so some samples put a zero in every triggered bin."""
+    n = int(r.integers(10, 400))
+    idx = r.uniform(0.0, 10.0, n)
+    losses = r.gamma(r.uniform(0.5, 4.0), r.uniform(0.5, 20.0), n)
+    losses[r.random(n) < r.choice([0.0, 0.3, 0.9])] = 0.0
+    thetas = np.sort(r.uniform(0.0, 10.0, int(r.integers(2, 9))))
+    decomp = SeparableDecomposition(
+        thetas=thetas, h1=np.ones(thetas.size), h3=np.zeros(thetas.size), gammas=GAMMAS,
+        h2_grid=logit(GAMMAS), residual=0.0, ref_index=0)
+    t_lo = float(np.quantile(idx, r.uniform(0.2, 0.9)))
+    return LossIndexSample(losses, idx), t_lo, decomp
+
+
+@pytest.mark.parametrize("principle", [PremiumPrinciple.EXPECTED_VALUE,
+                                       PremiumPrinciple.VARIANCE])
+def test_shared_indemnity_test_decides_as_the_old_index_one(principle):
+    r = rng(72)
+    lower_decisions = set()
+    for _ in range(300):
+        sample, t_lo, decomp = _random_index_case(r)
+        spec = ContractSpec(t_lo=t_lo, rho=r.uniform(0.01, 0.3), principle=principle)
+        # per row, the largest triggered loss of its nearest center's bin; 0 off trigger
+        mask = spec.in_trigger(sample.indices)
+        nearest = np.abs(sample.indices[:, None] - decomp.thetas[None, :]).argmin(axis=1)
+        sup = np.array([sample.losses[mask & (nearest == b)].max() if t else 0.0
+                        for t, b in zip(mask, nearest)])
+        with np.errstate(invalid="ignore"):  # NaN when every loss is 0
+            star = (sup.mean() / sample.losses.mean()
+                    if principle is PremiumPrinciple.EXPECTED_VALUE
+                    else sup.var() / sample.losses.var())
+        # rho_indemnity / rho: spread out, and just either side of the switch
+        ratios = [*r.lognormal(0.0, 1.5, size=3), star * (1.0 - 1e-6), star * (1.0 + 1e-6)]
+        for lower in (False, True):
+            got = [_fallback_decision_index(sample, spec, decomp, ratio * spec.rho,
+                                            lower, not lower) for ratio in ratios]
+            assert got == [_old_fallback_decision_index(sample, spec, decomp,
+                                                        ratio * spec.rho, lower)
+                           for ratio in ratios]
+            if not lower:
+                lower_decisions.add(got[0])
+            elif star > 0.0:  # every triggered loss, or every loss, can be 0
+                assert got[-2:] == [Decision.PREFER_INDEMNITY, Decision.PREFER_LARGEST_ALPHA]
+    assert lower_decisions == {Decision.PREFER_NO_INSURANCE, Decision.PREFER_SMALLEST_ALPHA}
 
 
 class TestFallbackDecisionIndexThresholds:

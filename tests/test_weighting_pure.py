@@ -14,6 +14,7 @@ from basisrisk.weighting_pure import (
     UtilityContext,
     UtilityDomainError,
     _fallback_decision,
+    _FirstOrderSystem,
     _pure_system,
     check_bounds,
     closed_form_exponential,
@@ -383,6 +384,98 @@ class TestFallbackDecisionThresholds:
         assert [decide(10.0, ratio) for ratio in ratios] == decisions
         if lower_holds:  # the upper branch, on both sides of its threshold
             assert set(decisions) == {Decision.PREFER_INDEMNITY, Decision.PREFER_LARGEST_ALPHA}
+
+
+def _old_upper_violated_decision(split, spec, rho_indemnity):
+    """The pure contract's upper-violated test before both contracts shared one,
+    verbatim apart from its name and signature."""
+    ess_sup = split.triggered.max
+    ratio = rho_indemnity / spec.rho
+    p = split.p
+    if spec.principle is PremiumPrinciple.EXPECTED_VALUE:
+        prefers = ess_sup > ratio * split.mean_loss() / p
+    elif spec.principle is PremiumPrinciple.STD_DEV:
+        prefers = ess_sup ** 2 > ratio ** 2 * split.var_loss() / (p * (1.0 - p))
+    else:
+        prefers = ess_sup ** 2 > ratio * split.var_loss() / (p * (1.0 - p))
+    return Decision.PREFER_INDEMNITY if prefers else Decision.PREFER_LARGEST_ALPHA
+
+
+def _random_split(r):
+    """Gamma losses on both sides, weighted on trigger half the time."""
+    n_t, n_u = (int(n) for n in r.integers(2, 300, size=2))
+    t = r.gamma(r.uniform(0.5, 4.0), r.uniform(0.5, 20.0), n_t) + r.uniform(0.0, 5.0)
+    w = r.dirichlet(np.ones(n_t)) if r.random() < 0.5 else None
+    u = r.gamma(r.uniform(0.5, 4.0), r.uniform(0.1, 5.0), n_u)
+    return TriggeredSplit(EmpiricalSample(t, w), EmpiricalSample(u), r.uniform(0.05, 0.6))
+
+
+def _pure_ratio_star(split, principle):
+    """The loading ratio rho_indemnity / rho at which the pure decision switches."""
+    sup, p = split.triggered.max, split.p
+    return {
+        PremiumPrinciple.EXPECTED_VALUE: sup * p / split.mean_loss(),
+        PremiumPrinciple.STD_DEV: sup * math.sqrt(p * (1.0 - p) / split.var_loss()),
+        PremiumPrinciple.VARIANCE: sup * sup * p * (1.0 - p) / split.var_loss(),
+    }[principle]
+
+
+@pytest.mark.parametrize("principle", list(PremiumPrinciple))
+def test_shared_indemnity_test_decides_as_the_old_pure_one(principle):
+    r = rng(71)
+    util = UtilityContext.exponential(beta=0.05)
+    for _ in range(300):
+        split = _random_split(r)
+        spec = ContractSpec(t_lo=83.0, rho=r.uniform(0.01, 0.3), principle=principle)
+        system = _pure_system(split, spec, util)
+        star = _pure_ratio_star(split, principle)
+        # rho_indemnity / rho: spread out, and just either side of the switch
+        ratios = [*r.lognormal(0.0, 1.5, size=3), star * (1.0 - 1e-6), star * (1.0 + 1e-6)]
+        got = [_fallback_decision(system, split, spec, ratio * spec.rho, True, False)
+               for ratio in ratios]
+        assert got == [_old_upper_violated_decision(split, spec, ratio * spec.rho)
+                       for ratio in ratios]
+        assert got[-2:] == [Decision.PREFER_INDEMNITY, Decision.PREFER_LARGEST_ALPHA]
+
+
+def _tied_at_zero():
+    """V1 = V2 exactly at k_lo = 0 under the variance principle.
+
+    With p = 1/2 the premium's slope at 0 is exactly 1/2, so both sides
+    weigh u' by 1/2, and both sides hold the same losses at the same wealth.
+    """
+    split = TriggeredSplit(EmpiricalSample([0.0, 3.0]), EmpiricalSample([0.0, 3.0]), 0.5)
+    spec = ContractSpec(t_lo=83.0, rho=0.1, principle=PremiumPrinciple.VARIANCE)
+    return split, spec, UtilityContext.exponential(beta=0.1, w0=10.0)
+
+
+class TestTieAtTheLowerEnd:
+    def test_an_exact_tie_fails_the_lower_bound_only(self):
+        split, spec, util = _tied_at_zero()
+        v1, v2 = _pure_system(split, spec, util).v_pair(split.triggered.min)
+        assert v1 == v2
+        lower, upper, witnesses = check_bounds(split, spec, util)
+        assert (lower, upper) == (False, True)
+        assert witnesses["upper_k"] == witnesses["lower_k"] == 0.0
+        sol = solve_gamma_star(split, spec, util)
+        assert (sol.lower_bound_holds, sol.upper_bound_holds) == (False, True)
+        assert sol.decision is Decision.PREFER_NO_INSURANCE
+
+    def test_tie_with_no_point_above_it_is_one_decision(self, monkeypatch):
+        # V1 raised to V2 at every k: a tie at k_lo and V1 < V2 nowhere, the
+        # state a scan that did not decide both bounds at k_lo reported as
+        # both bounds violated
+        split, spec, util = _tied_at_zero()
+        v_pair = _FirstOrderSystem.v_pair
+
+        def tied(self, k):
+            v1, v2 = v_pair(self, k)
+            return max(v1, v2), v2
+
+        monkeypatch.setattr(_FirstOrderSystem, "v_pair", tied)
+        assert check_bounds(split, spec, util)[:2] == (False, True)
+        assert violated_boundary_decision(split, spec, util, spec.rho) is (
+            Decision.PREFER_NO_INSURANCE)
 
 
 class TestClosedFormExponential:
