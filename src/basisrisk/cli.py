@@ -54,10 +54,10 @@ from .hazard import (
     LossModelParams,
     Site,
     TrackSet,
+    _wind_matrix,
     bootstrap,
     incident_windspeeds,
     simulate_losses,
-    simulate_portfolio,
 )
 from .weighting_index import (
     build_surface,
@@ -65,6 +65,7 @@ from .weighting_index import (
     solve_gamma_star_index,
 )
 from .weighting_pure import (
+    Decision,
     TriggeredSplit,
     UtilityContext,
     closed_form_exponential,
@@ -423,7 +424,7 @@ def cmd_fit_weighting(cfg, seed) -> dict[str, str]:
         record = _solution_record(sol)
         if (utility.beta is not None
                 and spec.principle is PremiumPrinciple.EXPECTED_VALUE
-                and sol.gamma_star is not None):
+                and sol.decision is Decision.INTERIOR_OPTIMUM):
             alpha_c, gamma_c, x_exp = closed_form_exponential(split, spec, utility.beta)
             record["closed_form"] = {
                 "alpha_star": _jsonable(alpha_c), "gamma_star": _jsonable(gamma_c),
@@ -521,11 +522,9 @@ def cmd_dependence_report(cfg, seed) -> dict[str, str]:
         winds = _read(path, "wind matrix", _numeric_csv)
         if not np.all(np.isfinite(winds)):
             raise ConfigError(f"wind matrix file {path} has a non-numeric or non-finite cell")
-    else:
-        tracks = _read(cfg["tracks_csv"], "track", TrackSet.from_csv)
-        sites = cfg["sites"]
-        params = [cfg.get("loss_model", LossModelParams())] * len(sites)
-        winds, _ = simulate_portfolio(tracks, sites, params, seed)
+    else:  # loss_model is checked, but the report reads only the winds
+        winds = _wind_matrix(_read(cfg["tracks_csv"], "track", TrackSet.from_csv),
+                             cfg["sites"])
     if winds.ndim != 2 or winds.shape[1] < 2:
         raise DegenerateDataError("dependence report needs >= 2 sites")
 

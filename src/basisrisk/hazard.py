@@ -431,6 +431,14 @@ def simulate_losses(windspeeds, params: LossModelParams, seed: int,
     return LossIndexSample(s, th)
 
 
+def _wind_matrix(tracks: TrackSet, sites) -> np.ndarray:
+    """Incident wind of each track (row) at each site (column), 0 where it misses."""
+    winds = np.empty((len(tracks), len(sites)))
+    for j, site in enumerate(sites):
+        winds[:, j] = np.nan_to_num(_site_winds(tracks, site), nan=0.0)
+    return winds
+
+
 def simulate_portfolio(tracks: TrackSet, sites, params_per_site, seed: int):
     """Joint per-track wind/loss realizations for several sites.
 
@@ -445,12 +453,10 @@ def simulate_portfolio(tracks: TrackSet, sites, params_per_site, seed: int):
         raise ValueError("portfolio simulation needs >= 2 sites")
     if len(params_per_site) != len(sites):
         raise ValueError("one LossModelParams per site required")
-    n_tracks = len(tracks)
-    winds = np.zeros((n_tracks, len(sites)))
-    losses = np.zeros((n_tracks, len(sites)))
-    for j, (site, params) in enumerate(zip(sites, params_per_site)):
-        col = np.nan_to_num(_site_winds(tracks, site), nan=0.0)
-        winds[:, j] = col
+    winds = _wind_matrix(tracks, sites)
+    losses = np.zeros_like(winds)
+    for j, params in enumerate(params_per_site):
+        col = winds[:, j]
         sample = simulate_losses(col, params, seed, site_key=j)
         losses[:, j] = np.where(col > 0.0, sample.losses, 0.0)
     return winds, losses

@@ -30,7 +30,7 @@ from .weighting_pure import (
     IndexQuantities,
     UtilityContext,
     WeightingSolution,
-    _boundary_scan,
+    _bounds_at_ends,
     _check_one_bound_violated,
     _FirstOrderSystem,
     _indemnity_decision,
@@ -214,25 +214,16 @@ def index_quantities(decomp: SeparableDecomposition, sample: LossIndexSample,
     return _index_moments(sample, spec, decomp)[0]
 
 
-def _h2_range(decomp: SeparableDecomposition):
-    """(H2(0+), H2(1-), truncated); an unbounded H2(1) ends at the grid's last value."""
-    k0, k1 = decomp.h2_0, decomp.h2_1
-    truncated = not np.isfinite(k1)
-    return k0, float(decomp.h2_grid[-1]) if truncated else k1, truncated
-
-
 def check_bounds_index(sample, spec, utility, decomp):
-    """Boundary conditions of the index existence theorem, on the k scale.
+    """Boundary conditions of the index existence theorem, as the index solve decides them.
 
-    Lower bound at k = H2(0+); upper bound by scanning k over
-    (H2(0), H2(1)) with log spacing toward the supremum. An unbounded H2(1)
-    truncates the scan at the largest grid value (reported in witnesses).
+    Both are decided at k = H2 at the ends of the levels a solve brackets,
+    (1e-9, 1 - 1e-9), by the rule of check_bounds; an unbounded H2(1) is
+    read at the high end, as the solve's trace reads it. Returns
+    (lower_holds, upper_holds, witnesses).
     """
-    k0, k1, truncated = _h2_range(decomp)
-    lower, upper, witnesses = _boundary_scan(
-        _index_system(sample, spec, utility, decomp), k0, k1)
-    witnesses["upper_scan_truncated"] = truncated
-    return lower, upper, witnesses
+    return _bounds_at_ends(_index_system(sample, spec, utility, decomp), decomp.eval_h2,
+                           _LEVEL_RANGE)
 
 
 def solve_gamma_star_index(sample: LossIndexSample, spec: ContractSpec,
@@ -246,13 +237,11 @@ def solve_gamma_star_index(sample: LossIndexSample, spec: ContractSpec,
     to violated_boundary_decision_index.
     """
     system = _index_system(sample, spec, utility, decomp)
-    g_lo, g_hi = _LEVEL_RANGE
-    gammas = np.linspace(g_lo, g_hi, grid_size)
+    gammas = np.linspace(*_LEVEL_RANGE, grid_size)
     rho_i = spec.rho if rho_indemnity is None else rho_indemnity
     return _solve_system(
         system, gammas, [decomp.eval_h2(float(g)) for g in gammas], decomp.eval_h2,
-        (g_lo, g_hi), _h2_range(decomp)[:2],
-        lambda _, lower, upper: (None, _fallback_decision_index(
+        _LEVEL_RANGE, lambda _, lower, upper: (None, _fallback_decision_index(
             sample, spec, decomp, rho_i, lower, upper)))
 
 

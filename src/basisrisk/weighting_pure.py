@@ -374,39 +374,45 @@ def v1_v2(split: TriggeredSplit, spec: ContractSpec, utility: UtilityContext,
     return _pure_system(split, spec, utility).v_pair(expectile(split.triggered, gamma))
 
 
-def _boundary_scan(system: _FirstOrderSystem, k_lo: float, k_hi: float):
-    """Existence boundary conditions on [k_lo, k_hi], as in check_bounds.
+def _bounds_at_ends(system: _FirstOrderSystem, k_of, levels):
+    """Existence boundary conditions at the ends (g_lo, g_hi) of a level range.
 
-    V1 <= V2 at k_lo, a tie included, fails the lower bound and holds the
-    upper one there (V1 falls and V2 rises above k_lo); only V1 > V2 scans.
+    k_of maps a level to its payout scale. V1 falls and V2 rises in k, so
+    the lower bound is V1 > V2 at k_of(g_lo), and V1 < V2 holds somewhere
+    on the range exactly when it holds at k_of(g_hi). V1 <= V2 at the low
+    end, a tie included, fails the lower bound and holds the upper one
+    there. Returns (lower_holds, upper_holds, witnesses): k, V1 and V2
+    where each bound was decided.
     """
-    v1, v2 = system.v_pair(k_lo)
-    witnesses = {"lower_k": k_lo, "lower_v1": v1, "lower_v2": v2}
-    if not v1 > v2:
-        witnesses.update(upper_k=k_lo, upper_v1=v1, upper_v2=v2)
-        return False, True, witnesses
-    # log-spaced toward k_hi: k_hi - (k_hi - k_lo)*10^-t, past t = 0 (k_lo itself)
-    ts = np.linspace(0.0, 9.0, 50)[1:]
-    for k in np.append(k_hi - (k_hi - k_lo) * 10.0 ** (-ts), k_hi).tolist():
-        v1k, v2k = system.v_pair(k)
-        if v1k < v2k:
-            witnesses.update(upper_k=k, upper_v1=v1k, upper_v2=v2k)
-            return True, True, witnesses
-    return True, False, witnesses
+    k = k_of(levels[0])
+    v1, v2 = system.v_pair(k)
+    witnesses = {"lower_k": k, "lower_v1": v1, "lower_v2": v2}
+    lower = v1 > v2
+    if lower:
+        k = k_of(levels[1])
+        v1, v2 = system.v_pair(k)
+    witnesses.update(upper_k=k, upper_v1=v1, upper_v2=v2)
+    return lower, not lower or v1 < v2, witnesses
+
+
+def _pure_level_map(split: TriggeredSplit):
+    """The pure payout scale at level g: the triggered expectile e_g(S | trigger)."""
+    st = split.triggered
+    return lambda g: expectile(st, Level(g))
 
 
 def check_bounds(split: TriggeredSplit, spec: ContractSpec, utility: UtilityContext):
-    """Evaluate the two existence boundary conditions.
+    """Evaluate the two existence boundary conditions, as solve_gamma_star does.
 
-    The lower bound holds if V1 > V2 at the empirical essential infimum of
-    the triggered losses. The upper bound holds if V1 < V2 for *some* k,
-    scanned over a log-spaced grid crowded toward the supremum, including
-    the limit point. An exact tie V1 = V2 at the infimum fails the lower
-    bound and holds the upper one there, so exactly one bound fails or none
-    does. Returns (lower_holds, upper_holds, witnesses).
+    Both are decided at the triggered expectiles at the ends of the levels
+    a solve brackets, (1e-9, 1 - 1e-9): the lower bound holds if V1 > V2
+    at the low end, the upper bound if V1 < V2 at the high end, which for
+    V1 falling and V2 rising is V1 < V2 at some level. An exact tie at the
+    low end fails the lower bound and holds the upper one there, so exactly
+    one bound fails or none does. Returns (lower_holds, upper_holds, witnesses).
     """
-    st = split.triggered
-    return _boundary_scan(_pure_system(split, spec, utility), st.min, st.max)
+    return _bounds_at_ends(_pure_system(split, spec, utility), _pure_level_map(split),
+                           _LEVEL_RANGE)
 
 
 def _check_monotone(v1, v2):
@@ -421,20 +427,21 @@ _BISECTION_TOL = 1e-10  # bisection stops at this gamma bracket or relative |V1 
 _LEVEL_RANGE = (1e-9, 1.0 - 1e-9)  # the levels a solve traces and brackets, inside (0, 1)
 
 
-def _solve_system(system: _FirstOrderSystem, gammas, ks, k_of, bracket, k_bounds,
+def _solve_system(system: _FirstOrderSystem, gammas, ks, k_of, bracket,
                   fallback) -> WeightingSolution:
-    """Trace, boundary scan on k_bounds and, when both hold, bisection over gamma.
+    """Trace, the boundary conditions at the bracket's ends and, when both hold, bisection.
 
     ks are the payout scales at the levels gammas and k_of maps one level
-    to its scale. When a bound fails, fallback(system, lower, upper) gives
-    the solution's (gamma_star or None, decision).
+    to its scale. The bisection runs over gamma on the same bracket whose
+    ends decide the bounds. When a bound fails, fallback(system, lower,
+    upper) gives the solution's (gamma_star or None, decision).
     """
     pairs = np.array([system.v_pair(float(k)) for k in ks]).reshape(-1, 2)
     v1_trace, v2_trace = pairs[:, 0], pairs[:, 1]
     _check_monotone(v1_trace, v2_trace)
     trace = {"gamma": gammas, "v1": v1_trace, "v2": v2_trace}
 
-    lower, upper, _ = _boundary_scan(system, *k_bounds)
+    lower, upper, _ = _bounds_at_ends(system, k_of, bracket)
     if not (lower and upper):
         g_end, decision = fallback(system, lower, upper)
         return WeightingSolution(
@@ -478,10 +485,7 @@ def solve_gamma_star(split: TriggeredSplit, spec: ContractSpec,
     if not (0.0 < g_lo < g_hi < 1.0):
         raise ValueError("restriction must satisfy 0 < lo < hi < 1")
     system = _pure_system(split, spec, utility)
-    st = split.triggered
     gammas = np.linspace(g_lo, g_hi, grid_size)
-    k_bounds = ((st.min, st.max) if restrict is None
-                else (expectile(st, g_lo), expectile(st, g_hi)))
 
     def fallback(system, lower, upper):
         if restrict is not None:
@@ -490,9 +494,8 @@ def solve_gamma_star(split: TriggeredSplit, spec: ContractSpec,
             system, split, spec, spec.rho if rho_indemnity is None else rho_indemnity,
             lower, upper)
 
-    return _solve_system(system, gammas, expectile_grid(st, gammas),
-                         lambda g: expectile(st, Level(g)), (g_lo, g_hi), k_bounds,
-                         fallback)
+    return _solve_system(system, gammas, expectile_grid(split.triggered, gammas),
+                         _pure_level_map(split), (g_lo, g_hi), fallback)
 
 
 def expected_utility_constant_payout(split: TriggeredSplit, spec: ContractSpec,
@@ -522,12 +525,12 @@ def violated_boundary_decision(split: TriggeredSplit, spec: ContractSpec,
     coverage with loading rho_indemnity.
     """
     system = _pure_system(split, spec, utility)
-    lower, upper, _ = _boundary_scan(system, split.triggered.min, split.triggered.max)
+    lower, upper, _ = _bounds_at_ends(system, _pure_level_map(split), _LEVEL_RANGE)
     return _fallback_decision(system, split, spec, rho_indemnity, lower, upper)
 
 
 def _check_one_bound_violated(lower: bool, upper: bool) -> None:
-    """Raise when both bounds hold; _boundary_scan never reports both failed."""
+    """Raise when both bounds hold; _bounds_at_ends never reports both failed."""
     if lower and upper:
         raise ValueError("both boundary conditions hold; no fallback needed")
 

@@ -79,6 +79,18 @@ class TestFitWeighting:
         assert 0.0 < sol["gamma_star"] < 1.0
         assert sol["closed_form"]["gamma_delta"] <= 1e-6
 
+    def test_restricted_endpoint_skips_the_closed_form(self, tmp_path, config_dir):
+        # the closed form cross-checks an interior optimum only; run at an
+        # endpoint of the restricted levels it has no optimum to check
+        cfg = yaml.safe_load((config_dir / "two_point_case1.yaml").read_text())
+        cfg["restrict"] = [0.2, 0.8]
+        code, out = run(tmp_path, "fit-weighting", write_cfg(tmp_path, "c.yaml", cfg))
+        assert code == 0
+        sol = json.loads((out / "solution.json").read_text())
+        assert sol["decision"] == "endpoint_low"
+        assert sol["gamma_star"] == 0.2
+        assert "closed_form" not in sol
+
     def test_index_family_reports_residual(self, tmp_path, config_dir):
         code, out = run(tmp_path, "fit-weighting", config_dir / "index_fit.yaml")
         assert code == 0
@@ -594,6 +606,23 @@ class TestDependenceReport:
         p_trig = (out / "p_trig.csv").read_text().splitlines()
         row0 = p_trig[1].split(",")
         assert float(row0[2]) > 0.8  # P(trigger s0 | trigger s1)
+
+    def test_loss_model_changes_no_output(self, tmp_path, config_dir, monkeypatch):
+        # the report reads only the winds: a loss model whose losses would
+        # overflow still gives the shipped run's files
+        monkeypatch.chdir(REPO_ROOT)  # the config names the track fixture by relative path
+        cfg = yaml.safe_load((config_dir / "dependence_toy.yaml").read_text())
+        cfg["loss_model"]["rate"] = -100.0
+        code, out = run(tmp_path, "dependence-report", write_cfg(tmp_path, "c.yaml", cfg))
+        assert code == 0
+        shipped_code, shipped = run(tmp_path, "dependence-report",
+                                    config_dir / "dependence_toy.yaml", out_name="shipped")
+        assert shipped_code == 0
+        names = sorted(p.name for p in shipped.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            if name != "manifest.json":  # the manifest echoes the config
+                assert (out / name).read_bytes() == (shipped / name).read_bytes(), name
 
     @staticmethod
     def constant_site_cfg(tmp_path):

@@ -18,7 +18,7 @@ from basisrisk.contracts import (
     PremiumPrinciple,
     premium,
 )
-from basisrisk.expectile import EmpiricalSample, expectile_grid
+from basisrisk.expectile import EmpiricalSample, expectile, expectile_grid
 from basisrisk.weighting_index import (
     SeparableDecomposition,
     UnsupportedPrincipleError,
@@ -33,6 +33,8 @@ from basisrisk.weighting_pure import (
     PremiumDominatesError,
     TriggeredSplit,
     UtilityContext,
+    _LEVEL_RANGE as LEVEL_RANGE,
+    _pure_level_map,
     _pure_system,
     check_bounds,
     solve_gamma_star,
@@ -126,7 +128,7 @@ def _v_pair_index(sample, spec, utility, decomp, quants, k):
 # ---------------------------------------------------------------------------
 
 def scan_points(k_lo, k_hi, interior=()):
-    """The boundary scan's points on [k_lo, k_hi], plus extra interior ones."""
+    """The old boundary scan's points on [k_lo, k_hi], plus extra interior ones."""
     ts = np.linspace(0.0, 9.0, 50)
     ks = np.concatenate([[k_lo], k_hi - (k_hi - k_lo) * 10.0 ** (-ts), [k_hi],
                          np.asarray(interior, dtype=float)])
@@ -358,18 +360,45 @@ def test_index_solve_evaluates_theta_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_boundary_scan_runs_once_per_fallback_solve(monkeypatch):
+def counting_bound_pairs(monkeypatch):
+    """The number of v_pair calls of each solve's bound step, one entry per step."""
+    counts = []
+    original = weighting_pure._bounds_at_ends
+
+    def counted(system, k_of, levels):
+        counting = _CountingSystem(system)
+        out = original(counting, k_of, levels)
+        counts.append(counting.calls)
+        return out
+
+    monkeypatch.setattr(weighting_pure, "_bounds_at_ends", counted)
+    return counts
+
+
+def test_bound_step_reads_one_pair_per_end_it_needs(monkeypatch):
+    # a failed lower bound decides both bounds at the low end; otherwise the
+    # high end decides the upper one
     fb_sample, fb_spec, fb_decomp = no_insurance_fixture()
-    calls = counting(monkeypatch, weighting_pure, "_boundary_scan")
+    counts = counting_bound_pairs(monkeypatch)
     sol = solve_gamma_star(weighted_two_point(), ContractSpec(t_lo=83.0, rho=0.3),
                            UtilityContext.exponential(beta=0.1, w0=10.0))
     assert sol.decision is Decision.PREFER_NO_INSURANCE
-    assert len(calls) == 1
-    calls.clear()
+    assert counts == [1]
+    counts.clear()
     sol = solve_gamma_star_index(fb_sample, fb_spec,
                                  UtilityContext.exponential(beta=0.05), fb_decomp)
     assert sol.decision is Decision.PREFER_NO_INSURANCE
-    assert len(calls) == 1
+    assert counts == [1]
+    counts.clear()
+    sol = solve_gamma_star(weighted_two_point(), ContractSpec(t_lo=83.0, rho=0.05),
+                           UtilityContext.exponential(beta=0.1))
+    assert sol.decision is Decision.INTERIOR_OPTIMUM
+    assert counts == [2]
+    counts.clear()
+    sol = solve_gamma_star(_upper_violated(), ContractSpec(t_lo=83.0, rho=0.01),
+                           UtilityContext.exponential(beta=2.0))
+    assert (sol.lower_bound_holds, sol.upper_bound_holds) == (True, False)
+    assert counts == [2]
 
 
 def _old_boundary_scan(system, k_lo, k_hi):
@@ -400,54 +429,111 @@ class _CountingSystem:
         return self.system.v_pair(k)
 
 
+def _upper_violated():
+    return TriggeredSplit(EmpiricalSample([9.9, 10.0]), EmpiricalSample([-2.0, -2.0]), 0.3)
+
+
 def _scan_cases():
-    """(id, system, k_lo, k_hi): the oracle inputs above and the fallback fixtures."""
+    """(id, system, k_of): the oracle inputs above and the fallback fixtures, with
+    k_of the map from a level to the system's payout scale."""
     for name, make_split, utility in PURE_CASES:
         for principle, rho in PRINCIPLES:
             split = make_split()
             spec = ContractSpec(t_lo=83.0, rho=rho, principle=principle)
             yield (f"{name}-{principle.value}", _pure_system(split, spec, utility),
-                   split.triggered.min, split.triggered.max)
+                   _pure_level_map(split))
     lower_violated = weighted_two_point()
     yield ("lower_violated", _pure_system(lower_violated, ContractSpec(t_lo=83.0, rho=0.3),
                                           UtilityContext.exponential(beta=0.1, w0=10.0)),
-           lower_violated.triggered.min, lower_violated.triggered.max)
-    upper_violated = TriggeredSplit(EmpiricalSample([9.9, 10.0]),
-                                    EmpiricalSample([-2.0, -2.0]), 0.3)
+           _pure_level_map(lower_violated))
+    upper_violated = _upper_violated()
     yield ("upper_violated", _pure_system(upper_violated, ContractSpec(t_lo=83.0, rho=0.01),
-                                          UtilityContext.exponential(beta=2.0)), 9.9, 10.0)
+                                          UtilityContext.exponential(beta=2.0)),
+           _pure_level_map(upper_violated))
     decomp = separable_decomposition()
     for principle, rho in [(EV, 0.1), (VAR, 0.002)]:
         spec = ContractSpec(t_lo=2.2, rho=rho, principle=principle)
         yield (f"index-{principle.value}",
                _index_system(shifted_separable_sample(), spec,
                              UtilityContext.exponential(beta=0.05), decomp),
-               decomp.h2_0, decomp.h2_1)
+               decomp.eval_h2)
     fb_sample, fb_spec, fb_decomp = no_insurance_fixture()
     yield ("index_lower_violated",
            _index_system(fb_sample, fb_spec, UtilityContext.exponential(beta=0.05), fb_decomp),
-           fb_decomp.h2_0, fb_decomp.h2_1)
+           fb_decomp.eval_h2)
 
 
 SCAN_CASES = list(_scan_cases())
 
 
-@pytest.mark.parametrize("name,system,k_lo,k_hi", SCAN_CASES, ids=[c[0] for c in SCAN_CASES])
-def test_boundary_scan_decides_as_before_with_one_pair_fewer(name, system, k_lo, k_hi):
-    new, old = _CountingSystem(system), _CountingSystem(system)
-    lower, upper, witnesses = weighting_pure._boundary_scan(new, k_lo, k_hi)
-    old_lower, old_upper, old_witnesses = _old_boundary_scan(old, k_lo, k_hi)
+@pytest.mark.parametrize("name,system,k_of", SCAN_CASES, ids=[c[0] for c in SCAN_CASES])
+def test_end_rule_decides_as_the_old_scan(name, system, k_of):
+    # the old scan over the same ends, (1e-9, 1 - 1e-9) on the level scale
+    new = _CountingSystem(system)
+    lower, upper, witnesses = weighting_pure._bounds_at_ends(new, k_of, LEVEL_RANGE)
+    k_lo, k_hi = k_of(LEVEL_RANGE[0]), k_of(LEVEL_RANGE[1])
+    old_lower, old_upper, old_witnesses = _old_boundary_scan(system, k_lo, k_hi)
     assert (lower, upper) == (old_lower, old_upper)
-    assert new.calls == old.calls - 1
-    if lower:
-        assert witnesses == old_witnesses
-    else:  # the upper witness is k_lo itself, not the scan's first point
+    assert {k: witnesses[k] for k in ("lower_k", "lower_v1", "lower_v2")} == {
+        k: old_witnesses[k] for k in ("lower_k", "lower_v1", "lower_v2")}
+    if lower:  # the upper bound is decided at the high end
+        assert new.calls == 2
+        assert witnesses["upper_k"] == k_hi
+        assert upper == (witnesses["upper_v1"] < witnesses["upper_v2"])
+    else:  # and at the low end, where it holds
+        assert new.calls == 1
         assert witnesses["upper_k"] == k_lo
         assert (witnesses["upper_v1"], witnesses["upper_v2"]) == (
             witnesses["lower_v1"], witnesses["lower_v2"])
 
 
 def test_scan_cases_reach_every_outcome():
-    outcomes = {weighting_pure._boundary_scan(system, k_lo, k_hi)[:2]
-                for _, system, k_lo, k_hi in SCAN_CASES}
+    outcomes = {weighting_pure._bounds_at_ends(system, k_of, LEVEL_RANGE)[:2]
+                for _, system, k_of in SCAN_CASES}
+    assert outcomes == {(True, True), (False, True), (True, False)}
+
+
+def _two_interval_case():
+    """V1 - V2 changes sign between the triggered minimum 0 and e_{1e-9} = 50."""
+    split = TriggeredSplit(EmpiricalSample([0.0, 100.0], [1e-9, 1 - 1e-9]),
+                           EmpiricalSample([0.0, 10.0]), 0.3)
+    return split, ContractSpec(t_lo=83.0, rho=0.5), UtilityContext.exponential(beta=0.01)
+
+
+def test_bounds_are_decided_on_the_bisection_interval():
+    split, spec, util = _two_interval_case()
+    k_lo = expectile(split.triggered, LEVEL_RANGE[0])
+    assert k_lo == pytest.approx(50.0, rel=1e-6)
+    v1, v2 = _pure_system(split, spec, util).v_pair(k_lo)
+    assert v1 < v2  # no optimum inside the bracket: the lower bound fails there
+    sol = solve_gamma_star(split, spec, util)
+    assert sol.decision is not Decision.INTERIOR_OPTIMUM
+    assert (sol.lower_bound_holds, sol.upper_bound_holds) == (False, True)
+    assert sol.gamma_star is None
+    assert check_bounds(split, spec, util)[:2] == (
+        sol.lower_bound_holds, sol.upper_bound_holds)
+
+
+def test_public_bound_checks_agree_with_the_solve():
+    fb_sample, fb_spec, fb_decomp = no_insurance_fixture()
+    pure = [_two_interval_case(),
+            (weighted_two_point(), ContractSpec(t_lo=83.0, rho=0.3),
+             UtilityContext.exponential(beta=0.1, w0=10.0)),
+            (weighted_two_point(), ContractSpec(t_lo=83.0, rho=0.05),
+             UtilityContext.exponential(beta=0.1)),
+            (_upper_violated(), ContractSpec(t_lo=83.0, rho=0.01),
+             UtilityContext.exponential(beta=2.0))]
+    index = [(shifted_separable_sample(), ContractSpec(t_lo=2.2, rho=0.1),
+              separable_decomposition()), (fb_sample, fb_spec, fb_decomp)]
+    util = UtilityContext.exponential(beta=0.05)
+    outcomes = set()
+    for args in pure:
+        sol = solve_gamma_star(*args)
+        outcomes.add((sol.lower_bound_holds, sol.upper_bound_holds))
+        assert check_bounds(*args)[:2] == (sol.lower_bound_holds, sol.upper_bound_holds)
+    for sample, spec, decomp in index:
+        sol = solve_gamma_star_index(sample, spec, util, decomp)
+        outcomes.add((sol.lower_bound_holds, sol.upper_bound_holds))
+        assert check_bounds_index(sample, spec, util, decomp)[:2] == (
+            sol.lower_bound_holds, sol.upper_bound_holds)
     assert outcomes == {(True, True), (False, True), (True, False)}

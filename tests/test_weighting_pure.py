@@ -15,6 +15,7 @@ from basisrisk.weighting_pure import (
     UtilityDomainError,
     _fallback_decision,
     _FirstOrderSystem,
+    _LEVEL_RANGE,
     _pure_system,
     check_bounds,
     closed_form_exponential,
@@ -439,12 +440,13 @@ def test_shared_indemnity_test_decides_as_the_old_pure_one(principle):
 
 
 def _tied_at_zero():
-    """V1 = V2 exactly at k_lo = 0 under the variance principle.
+    """V1 = V2 exactly at the low end of the level range, k = 0, under the variance principle.
 
+    Both sides hold losses constant at 0, so every triggered expectile is 0.
     With p = 1/2 the premium's slope at 0 is exactly 1/2, so both sides
     weigh u' by 1/2, and both sides hold the same losses at the same wealth.
     """
-    split = TriggeredSplit(EmpiricalSample([0.0, 3.0]), EmpiricalSample([0.0, 3.0]), 0.5)
+    split = TriggeredSplit(EmpiricalSample([0.0, 0.0]), EmpiricalSample([0.0, 0.0]), 0.5)
     spec = ContractSpec(t_lo=83.0, rho=0.1, principle=PremiumPrinciple.VARIANCE)
     return split, spec, UtilityContext.exponential(beta=0.1, w0=10.0)
 
@@ -452,7 +454,8 @@ def _tied_at_zero():
 class TestTieAtTheLowerEnd:
     def test_an_exact_tie_fails_the_lower_bound_only(self):
         split, spec, util = _tied_at_zero()
-        v1, v2 = _pure_system(split, spec, util).v_pair(split.triggered.min)
+        assert expectile(split.triggered, _LEVEL_RANGE[0]) == 0.0
+        v1, v2 = _pure_system(split, spec, util).v_pair(0.0)
         assert v1 == v2
         lower, upper, witnesses = check_bounds(split, spec, util)
         assert (lower, upper) == (False, True)
