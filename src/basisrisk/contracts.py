@@ -160,15 +160,15 @@ def _line_blocks(fh, size):
 def _parse_lines(lines, numbers, **options):
     """``np.loadtxt(lines, **options)``, ``numbers`` holding each line's file line.
 
-    On a ValueError, the first line that fails when parsed alone is raised as
-    "line N: <loadtxt's reason> in field K", K counting its fields from 1."""
+    A block that fails is parsed again a line at a time and the rows are
+    joined, so the first line that fails alone is raised as "line N:
+    <loadtxt's reason> in field K", K counting its fields from 1."""
     try:
         return np.loadtxt(lines, **options)
     except ValueError as exc:
         if len(lines) > 1:
-            for n, line in zip(numbers, lines):
-                _parse_lines([line], [n], **options)
-            raise
+            return np.concatenate([_parse_lines([line], [n], **options)
+                                   for n, line in zip(numbers, lines)])
         reason, _, field = str(exc).rpartition(" at row 0, column ")
         where = f"{reason} in field {field.rstrip('.')}" if reason else str(exc)
         raise ValueError(f"line {numbers[0]}: {where}") from None
@@ -179,22 +179,25 @@ def _numeric_csv(path) -> np.ndarray:
 
     A cell that does not parse, or a row whose field count differs from the
     first row's, is a ValueError that names its file line. The file is read
-    again, a block of lines at a time, only once the parse has failed.
+    again, a block of lines at a time (``_parse_blocks``), only once the
+    parse has failed.
     """
     try:
         return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError:
-        _raise_bad_line(path)
-        raise
+        return _parse_blocks(path)
 
 
-def _raise_bad_line(path) -> None:
-    """Raise a ValueError that names the first line of path ``_numeric_csv`` rejects.
+def _parse_blocks(path) -> np.ndarray:
+    """``_numeric_csv``'s rows of path, parsed a block of lines at a time.
 
-    Each block of lines is parsed whole; only the first block that fails, or
-    whose rows are not as wide as the file's first row, is parsed line by line.
+    Each block of lines is parsed whole; only a block that fails, or whose
+    rows are not as wide as the file's first row, is parsed line by line,
+    which raises at the first line that fails alone or is not as wide. The
+    parsed blocks are joined in file order.
     """
     first = None  # (file line, width) of the first row
+    parts = []
     with open(path) as fh:  # decoded and split into lines as np.loadtxt does
         fh.readline()
         for lines, numbers in _line_blocks(fh, _CSV_BLOCK_CHARS):
@@ -203,18 +206,21 @@ def _raise_bad_line(path) -> None:
             if not rows:
                 continue
             try:
-                width = np.loadtxt([line for _, line in rows], delimiter=",", ndmin=2).shape[1]
-                first = first or (rows[0][0], width)
-                if width == first[1]:
+                block = np.loadtxt([line for _, line in rows], delimiter=",", ndmin=2)
+                first = first or (rows[0][0], block.shape[1])
+                if block.shape[1] == first[1]:
+                    parts.append(block)
                     continue
             except ValueError:
                 pass
             for n, line in rows:
-                width = _parse_lines([line], [n], delimiter=",", ndmin=2).shape[1]
-                first = first or (n, width)
-                if width != first[1]:
-                    raise ValueError(f"line {n} has {width} fields; line {first[0]} "
+                row = _parse_lines([line], [n], delimiter=",", ndmin=2)
+                first = first or (n, row.shape[1])
+                if row.shape[1] != first[1]:
+                    raise ValueError(f"line {n} has {row.shape[1]} fields; line {first[0]} "
                                      f"has {first[1]}")
+                parts.append(row)
+    return np.concatenate(parts)
 
 
 @dataclass(frozen=True)
@@ -446,7 +452,6 @@ class PiecewiseLinearFit:
     slope: float
     objective: float
     at_lower_boundary: bool
-    used_grid_fallback: bool
 
 
 def _golden_section(f, a: float, b: float, tol: float) -> float:
@@ -484,9 +489,13 @@ def fit_piecewise_linear(sample: LossIndexSample, spec: ContractSpec,
                          mode) -> PiecewiseLinearFit:
     """Fit the slope of a capped linear payment scheme.
 
-    Golden-section search on (0, lambda_max], with lambda_max the slope at
-    which the scheme saturates at the largest observed index. A non-unimodal
-    coarse profile triggers a dense grid scan with a warning.
+    One golden-section search on (0, lambda_max], with lambda_max the slope
+    at which the scheme saturates at the largest observed index. Below
+    lambda_max no payout reaches the cap, so every payout, and the premium,
+    is linear in the slope; the asymmetric square loss and -u of a concave
+    utility are convex in the payout, so either criterion is convex in the
+    slope and the search finds its one minimum. A slope at most
+    lambda_max / 32 is flagged, with a warning, as at the lower boundary.
     """
     thetas = sample.indices
     losses = sample.losses
@@ -516,30 +525,8 @@ def fit_piecewise_linear(sample: LossIndexSample, spec: ContractSpec,
     else:
         raise TypeError(f"unknown fit mode {mode!r}")
 
-    # coarse profile for unimodality / bracketing
-    n_coarse = 64
-    lams = np.linspace(lam_max / n_coarse, lam_max, n_coarse)
-    vals = np.array([objective(l) for l in lams])
-    best = int(np.argmin(vals))
-    slack = 1e-12 * (abs(vals).max() + 1.0)
-    interior_minima = [i for i in range(1, n_coarse - 1)
-                       if vals[i] < vals[i - 1] - slack and vals[i] < vals[i + 1] - slack]
-    used_grid = False
-    if len(interior_minima) > 1:
-        logger.warning("non-unimodal slope profile; falling back to dense grid scan")
-        dense = np.linspace(lam_max / 4096, lam_max, 4096)
-        dvals = np.array([objective(l) for l in dense])
-        b = int(np.argmin(dvals))
-        slope, obj = float(dense[b]), float(dvals[b])
-        used_grid = True
-    else:
-        lo = lams[max(best - 1, 0)] if best > 0 else 1e-12 * lam_max
-        hi = lams[min(best + 1, n_coarse - 1)]
-        slope = _golden_section(objective, lo, hi, 1e-10 * lam_max)
-        obj = objective(slope)
-    at_lower = slope <= 2.0 * lam_max / n_coarse
+    slope = _golden_section(objective, 1e-12 * lam_max, lam_max, 1e-10 * lam_max)
+    at_lower = slope <= lam_max / 32
     if at_lower:
         logger.warning("fitted slope at lower boundary (near-zero payouts)")
-    return PiecewiseLinearFit(slope=float(slope), objective=float(obj),
-                              at_lower_boundary=bool(at_lower),
-                              used_grid_fallback=used_grid)
+    return PiecewiseLinearFit(slope=slope, objective=objective(slope), at_lower_boundary=at_lower)

@@ -75,14 +75,6 @@ class SeparableDecomposition:
     h2_unbounded: bool = False
     h2_eval: object = None
 
-    @property
-    def h2_0(self) -> float:
-        return self.eval_h2(_LEVEL_RANGE[0])
-
-    @property
-    def h2_1(self) -> float:
-        return np.inf if self.h2_unbounded else self.eval_h2(_LEVEL_RANGE[1])
-
     def eval_h2(self, gamma: float) -> float:
         if self.h2_eval is not None:
             return float(self.h2_eval(float(gamma)))

@@ -623,8 +623,9 @@ def utility_curve(sample: LossIndexSample, spec: ContractSpec,
     utility of terminal wealth over triggered/untriggered scenarios and
     U = U1 + U2. Pure parametric payouts by default; passing a conditioner
     switches to the index-conditional scheme. The trigger mask is built
-    once. The pure payout is one level per side, so each level reads the
-    utility's two side sums (``UtilityContext.side``).
+    once. The pure payout is one level per side of the sample's
+    ``TriggeredSplit``, so each level reads the utility's two side sums
+    (``_sides``).
 
     An index payout varies by row. Its triggered rows are listed once, and
     a binned conditioner assigns them to bins once and solves each bin over
@@ -637,20 +638,19 @@ def utility_curve(sample: LossIndexSample, spec: ContractSpec,
     gammas = np.asarray(gamma_grid, dtype=np.float64)
     if not np.all((gammas > 0) & (gammas < 1)):
         raise ValueError("gamma grid must lie strictly inside (0,1)")
-    mask = _trigger_mask(sample, spec)
-    w0, n = utility.w0, mask.size
+    w0 = utility.w0
     out = np.empty((gammas.size, 4))
     out[:, 0] = gammas
     if conditioner is None:
-        s_t, s_u = sample.losses[mask], sample.losses[~mask]
-        levels = expectile_grid(EmpiricalSample(s_t), gammas)
+        split = TriggeredSplit.from_sample(sample, spec)
+        levels = expectile_grid(split.triggered, gammas)
         _check_payments(levels)
-        sides = utility.side(s_t, 1.0 / s_t.size), utility.side(s_u, 1.0 / s_u.size)
-        quants = _pure_quantities(s_t.size / n, spec)
+        sides, quants = _sides(split, utility), _pure_quantities(split.p, spec)
         for i, y in enumerate(levels.tolist()):
             out[i, 1:3] = _constant_payout_utilities(sides, quants, w0, y)
     else:
-        rows = np.flatnonzero(mask)
+        rows = np.flatnonzero(_trigger_mask(sample, spec))
+        n = len(sample)
         payments, wealth, part = np.zeros(n), np.empty(n), np.zeros(n)
         # the binned conditioner gathers each level into scratch; a column
         # from any other conditioner is only read

@@ -29,10 +29,6 @@ ALLOWED = {
         "tests/test_cold_start.py reads the exported names in child interpreters",
     ("__init__.py", "__dir__", "return sorted(set(globals()) | set(__all__))"):
         "tests/test_cold_start.py lists the package in child interpreters",
-    ("contracts.py", "_parse_lines", "raise"):
-        "a block fails but no line fails alone; no input found reaches it",
-    ("contracts.py", "_numeric_csv", "raise"):
-        "_raise_bad_line names a line for every bad file found so far",
 }
 
 

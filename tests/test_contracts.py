@@ -263,32 +263,41 @@ class TestFitPiecewiseLinear:
         with pytest.raises(ValueError):
             fit_piecewise_linear(sample, spec, BasisRiskOptimal(gamma_star=0.5))
 
-    def test_dense_grid_fallback_on_a_non_unimodal_profile(self, caplog):
-        # Under a concave utility, or the basis-risk criterion, the profile is
-        # convex in the slope; a utility that oscillates gives it several
-        # interior minima on the coarse grid.
-        class Wavy:
-            w0 = 0.0
-
-            @staticmethod
-            def u(w):
-                return np.cos(w)
-
-        idx = np.array([90.0, 100.0, 120.0])
-        losses = np.zeros(3)
-        spec = ContractSpec(t_lo=83.0, rho=0.2)
-        with caplog.at_level("WARNING"):
-            fit = fit_piecewise_linear(LossIndexSample(losses, idx), spec,
-                                       PureUtility(utility=Wavy()))
-        assert "non-unimodal slope profile; falling back to dense grid scan" in caplog.messages
-        assert fit.used_grid_fallback
+    @pytest.mark.parametrize("rho", [0.05, 0.3])
+    @pytest.mark.parametrize("util", [UtilityContext.exponential(beta=0.05, w0=120.0),
+                                      UtilityContext.power(eta=3.0, w0=150.0)],
+                             ids=["exponential", "power"])
+    def test_pure_utility_matches_dense_scan_oracle(self, util, rho):
+        # -u of a concave utility is convex in the slope below lam_max, so the
+        # one search lands within a step of the best slope of a dense scan
+        r = rng(13)
+        idx = r.uniform(60, 140, 3000)
+        losses = np.clip(1.0 * (idx - 83) + r.normal(0, 5, 3000), 0, 100)
+        spec = ContractSpec(t_lo=83.0, rho=rho)
+        fit = fit_piecewise_linear(LossIndexSample(losses, idx), spec, PureUtility(utility=util))
 
         def negu(lam):
             y = np.minimum(np.maximum(0.0, lam * (idx - spec.attachment)), spec.cap)
-            return -float(np.mean(np.cos(0.0 - losses + y - (1.0 + spec.rho) * y.mean())))
+            return -float(np.mean(util.u(util.w0 - losses + y - (1 + spec.rho) * y.mean())))
 
         lam_max = spec.cap / (idx.max() - spec.attachment)
-        dense = np.linspace(lam_max / 4096, lam_max, 4096)
+        dense = np.linspace(lam_max / 4000, lam_max, 4000)
         vals = [negu(lam) for lam in dense]
         best = int(np.argmin(vals))
-        assert fit.slope == dense[best] and fit.objective == vals[best]
+        assert 0 < best < dense.size - 1  # an interior optimum
+        assert fit.slope == pytest.approx(dense[best], abs=lam_max / 4000)
+        assert fit.objective <= vals[best] + 1e-12
+        assert not fit.at_lower_boundary
+
+    def test_zero_losses_fit_at_the_lower_boundary(self, caplog):
+        # no loss to cover: the basis-risk criterion (1 - g) E[Y^2] is least at slope 0
+        idx = np.array([70.0, 90.0, 100.0, 120.0])
+        spec = ContractSpec(t_lo=83.0)
+        with caplog.at_level("WARNING"):
+            fit = fit_piecewise_linear(LossIndexSample(np.zeros(4), idx), spec,
+                                       BasisRiskOptimal(gamma_star=0.5))
+        lam_max = spec.cap / (idx.max() - spec.attachment)
+        assert fit.at_lower_boundary
+        assert caplog.messages == ["fitted slope at lower boundary (near-zero payouts)"]
+        assert 0 < fit.slope <= 1e-9 * lam_max
+        assert fit.objective <= 1e-12

@@ -2,7 +2,7 @@
 
 Under src/basisrisk only ``contracts`` calls ``np.loadtxt``, ``np.genfromtxt``
 or ``np.savetxt``: every other module reads through its block reader and
-locator. No module passes an f-string to a ``.write`` call: rows are
+line parser. No module passes an f-string to a ``.write`` call: rows are
 rendered by column through ``contracts._csv_text``.
 """
 

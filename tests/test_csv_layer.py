@@ -1,12 +1,12 @@
-"""The CSV layer of ``contracts``: one renderer, one block reader, one locator.
+"""The CSV layer of ``contracts``: one renderer, one block reader, one block parser.
 
 The library writers (``LossIndexSample.to_csv``, ``TrackSet.to_csv`` and
 ``storm_to_track_csv``) render through ``_csv_text``; each is compared byte
 for byte with the row loop it replaced, copied here as its oracle. Both
 readers name a bad line as "line N: <reason> in field K", N counting the
-header, blank and comment lines and K the line's fields from 1, and the
-sample and wind-matrix reader parses line by line only the first block of
-lines that fails.
+header, blank and comment lines and K the line's fields from 1. Once a
+whole-file parse has failed, the sample and wind-matrix reader parses the
+file a block of lines at a time, and line by line only a block that fails.
 """
 
 import io
@@ -142,7 +142,7 @@ class TestWriters:
 
 
 # ---------------------------------------------------------------------------
-# the block reader and the locator
+# the block reader and the block parser
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("size", [1, 5, 12, 1000])
@@ -162,6 +162,33 @@ def test_locator_names_the_first_line_that_fails_alone():
                        match=r"^line 11: could not convert string 'x' to float64 in field 2$"):
         _parse_lines(lines, [10, 11, 12], delimiter=",", ndmin=2)
     assert _parse_lines(lines[:1], [10], delimiter=",", ndmin=2).tolist() == [[1.0, 2.0]]
+
+
+def test_a_block_that_fails_whole_is_joined_line_by_line(tmp_path, monkeypatch):
+    # should a block fail whole although each of its lines parses alone, both
+    # readers parse it a line at a time and join the rows in file order
+    sample = _write(tmp_path, ["loss,index", "1.5,90.0", "", "# c", "0.1,1e-300", " 7 ,-0.0"],
+                    "sample.csv")
+    tracks = _write(tmp_path, [_TRACK_HEADER, "a,0,1.0,2.0,3.0", "b,0,4.0,5.0,6.0",
+                               "a,1,7.0,8.0,9.0"], "tracks.csv")
+    want_sample, want_tracks = _numeric_csv(sample), TrackSet.from_csv(tracks)
+    seen, loadtxt = [], np.loadtxt
+
+    def one_line_only(fname, *args, **kwargs):
+        if not (isinstance(fname, list) and len(fname) == 1):
+            raise ValueError("a whole block fails")
+        seen.append(fname[0])
+        return loadtxt(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", one_line_only)
+    got = _numeric_csv(sample)
+    assert got.shape == want_sample.shape == (3, 2)
+    assert got.tobytes() == want_sample.tobytes()
+    got = TrackSet.from_csv(tracks)
+    assert got._ids == want_tracks._ids == ["a", "b"]
+    for name in ("_offsets", "_lat", "_lon", "_wind"):
+        assert getattr(got, name).tobytes() == getattr(want_tracks, name).tobytes()
+    assert len(seen) == 6
 
 
 def _write(tmp_path, lines, name="data.csv"):

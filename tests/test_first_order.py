@@ -198,7 +198,7 @@ def test_index_system_matches_index_evaluator(principle, rho, t_lo):
     quants = index_quantities(decomp, sample, spec)
     system = _index_system(sample, spec, utility, decomp)
     interior = [decomp.eval_h2(g) for g in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)]
-    for k in scan_points(decomp.h2_0, decomp.eval_h2(1.0 - 1e-9), interior):
+    for k in scan_points(decomp.eval_h2(1e-9), decomp.eval_h2(1.0 - 1e-9), interior):
         assert_pairs_close(system.v_pair(k),
                            _v_pair_index(sample, spec, utility, decomp, quants, k))
 

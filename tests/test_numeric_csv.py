@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 import yaml
 
-from basisrisk import cli
+from basisrisk import cli, contracts
 from basisrisk.cli import main
-from basisrisk.contracts import LossIndexSample, _numeric_csv
+from basisrisk.contracts import LossIndexSample, _numeric_csv, _parse_blocks
 
 ENDINGS = {"lf": "\n", "crlf": "\r\n"}
 
@@ -24,13 +24,26 @@ def _write(tmp_path, lines, ending="\n"):
     return path
 
 
+GOOD = ["loss,index", "1.5,90.0", "", "# a comment", "0.1, 1e-300",
+        "2.2250738585072014e-308,135", " 7 ,-0.0", "1e16,5e-324"]
+
+
 @pytest.mark.parametrize("ending", sorted(ENDINGS))
 def test_matches_genfromtxt_on_good_files(tmp_path, ending):
-    lines = ["loss,index", "1.5,90.0", "", "# a comment", "0.1, 1e-300",
-             "2.2250738585072014e-308,135", " 7 ,-0.0", "1e16,5e-324"]
-    path = _write(tmp_path, lines, ENDINGS[ending])
+    path = _write(tmp_path, GOOD, ENDINGS[ending])
     got = _numeric_csv(path)
     want = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
+    assert got.shape == want.shape == (5, 2)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block_chars", [16, contracts._CSV_BLOCK_CHARS])
+@pytest.mark.parametrize("ending", sorted(ENDINGS))
+def test_block_parse_matches_the_whole_file_parse(tmp_path, monkeypatch, ending, block_chars):
+    # the slow path joins its parsed blocks into what the fast path gives
+    monkeypatch.setattr(contracts, "_CSV_BLOCK_CHARS", block_chars)
+    path = _write(tmp_path, GOOD, ENDINGS[ending])
+    got, want = _parse_blocks(path), _numeric_csv(path)
     assert got.shape == want.shape == (5, 2)
     assert got.tobytes() == want.tobytes()
 

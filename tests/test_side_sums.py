@@ -194,7 +194,7 @@ def index_system():
     decomp = separable_decomposition()
     system = _index_system(sample, ContractSpec(t_lo=2.2, rho=0.1),
                            UtilityContext.exponential(0.05), decomp)
-    return system, list(np.linspace(decomp.h2_0, decomp.eval_h2(0.99), 50))
+    return system, list(np.linspace(decomp.eval_h2(1e-9), decomp.eval_h2(0.99), 50))
 
 
 SYSTEMS = {

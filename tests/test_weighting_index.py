@@ -109,7 +109,13 @@ class TestDecompose:
         a = 2.0 * THETAS
         surface = a[:, None] + np.outer(1.0 + THETAS, logit(GAMMAS))
         d = decompose(surface, GAMMAS, THETAS, h2_unbounded=True)
-        assert d.h2_1 == np.inf
+        assert d.h2_unbounded
+        # an unbounded H2(1) prefers indemnity when only the upper bound fails,
+        # before the sample is read
+        sample = separable_sample()
+        spec = ContractSpec(t_lo=83.0, rho=0.1)
+        assert (_fallback_decision_index(sample, spec, d, 0.1, True, False)
+                is Decision.PREFER_INDEMNITY)
 
 
 def separable_sample(seed=30, n=40_000):
