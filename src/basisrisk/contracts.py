@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,14 +179,18 @@ def _numeric_csv(path) -> np.ndarray:
     """The numbers of a comma-separated file below its one header line, a row per line.
 
     A cell that does not parse, or a row whose field count differs from the
-    first row's, is a ValueError that names its file line. The file is read
-    again, a block of lines at a time (``_parse_blocks``), only once the
-    parse has failed.
+    first row's, is a ValueError that names its file line. A body with no
+    rows is one too, not numpy's warning. The file is read again, a block
+    of lines at a time (``_parse_blocks``), only once the parse has failed.
     """
-    try:
-        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError:
-        return _parse_blocks(path)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
+        try:
+            return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError:
+            return _parse_blocks(path)
+        except UserWarning:
+            raise ValueError("no data rows below the header line") from None
 
 
 def _parse_blocks(path) -> np.ndarray:

@@ -191,13 +191,11 @@ def _index_moments(sample: LossIndexSample, spec: ContractSpec,
 
 def _index_system(sample: LossIndexSample, spec: ContractSpec, utility,
                   decomp: SeparableDecomposition) -> _FirstOrderSystem:
-    """The index first-order system; the triggered side's shift varies by row."""
+    """The index first-order system; k is H2(gamma), and h1 and H3 vary by triggered row."""
     quants, mask, h1, h3 = _index_moments(sample, spec, decomp)
     n_t = h1.size
-    return _FirstOrderSystem(
-        utility, quants,
-        utility.side(sample.losses[mask], 1.0 / n_t, per_row=True),
-        utility.side(sample.losses[~mask], 1.0 / (mask.size - n_t)), h1, h3)
+    return _FirstOrderSystem(utility, quants, decomp.eval_h2, (sample.losses[mask], 1.0 / n_t),
+                             (sample.losses[~mask], 1.0 / (mask.size - n_t)), h1, h3)
 
 
 def index_quantities(decomp: SeparableDecomposition, sample: LossIndexSample,
@@ -214,8 +212,7 @@ def check_bounds_index(sample, spec, utility, decomp):
     read at the high end, as the solve's trace reads it. Returns
     (lower_holds, upper_holds, witnesses).
     """
-    return _bounds_at_ends(_index_system(sample, spec, utility, decomp), decomp.eval_h2,
-                           _LEVEL_RANGE)
+    return _bounds_at_ends(_index_system(sample, spec, utility, decomp), _LEVEL_RANGE)
 
 
 def solve_gamma_star_index(sample: LossIndexSample, spec: ContractSpec,
@@ -232,8 +229,8 @@ def solve_gamma_star_index(sample: LossIndexSample, spec: ContractSpec,
     gammas = np.linspace(*_LEVEL_RANGE, grid_size)
     rho_i = spec.rho if rho_indemnity is None else rho_indemnity
     return _solve_system(
-        system, gammas, [decomp.eval_h2(float(g)) for g in gammas], decomp.eval_h2,
-        _LEVEL_RANGE, lambda _, lower, upper: (None, _fallback_decision_index(
+        system, gammas, [decomp.eval_h2(float(g)) for g in gammas], _LEVEL_RANGE,
+        lambda lower, upper: (None, _fallback_decision_index(
             sample, spec, decomp, rho_i, lower, upper)))
 
 

@@ -65,8 +65,8 @@ class UtilityContext:
     trigger for the sums of u' and u that the first-order system and the
     utility curve read. Only the exponential family, which sets ``beta``,
     takes the moment form (``_MomentSide``): at a scalar shift its sums
-    cost O(1) per evaluation. Power and custom utilities, and any per-row
-    shift, always sum the rows (``_RowSide``).
+    cost O(1) per evaluation. Power and custom utilities always sum the
+    rows (``_RowSide``).
     """
 
     u: object
@@ -122,13 +122,13 @@ class UtilityContext:
         return cls(u=_writing_into(u), u_prime=_writing_into(u_prime),
                    u_second=u_second, w0=w0)
 
-    def side(self, s, w, per_row: bool = False):
+    def side(self, s, w):
         """The sums over one side of the trigger: losses s, weights w (an array or a scalar).
 
-        ``per_row`` says that the shift will vary by row, as on an index
-        contract's triggered side; such a side sums its rows.
+        The side is read at a scalar shift; a side whose shift varies by row
+        sums its rows, and the first-order system builds that one itself.
         """
-        if self.beta is None or per_row:
+        if self.beta is None:
             return _RowSide(self, s, w)
         return _MomentSide(self.beta, s, w)
 
@@ -302,30 +302,33 @@ class IndexQuantities:
 class _FirstOrderSystem:
     """First-order system V1(k) = V2(k) for the payout h1(theta)*k + H3(theta) on trigger.
 
-    Holds everything that does not depend on k: the triggered and the
-    untriggered side, as the utility prepared them (``UtilityContext.side``),
-    h1 and H3 on the triggered rows (the scalars 1 and 0 for a pure
-    contract, where k is the payout level), and the moments, which price the
-    payout. With r = quants.slope(k) and pi = quants.premium(k),
+    Holds everything that does not depend on k: ``k_of``, the map from a
+    level gamma to its payout scale k (the triggered expectile for a pure
+    contract, H2 for an index contract); the triggered and the untriggered
+    side, each built here from its (losses, weights); h1 and H3 on the
+    triggered rows (the scalars 1 and 0 for a pure contract, where k is the
+    payout level); and the moments, which price the payout. With
+    r = quants.slope(k) and pi = quants.premium(k),
 
         V1 = p * sum_T w (h1 - r) u'(w0 + h1 k + H3 - pi - S),
         V2 = (1 - p) * sum_U w r u'(w0 - pi - S).
 
-    Only under exponential utility does a side take the moment form, and
-    only at a scalar shift: both sides of a pure contract and the
-    untriggered side of an index contract then cost O(1) per evaluation.
-    Per-row h1 and H3 (an index contract's triggered side), and power or
-    custom utility, sum the rows in buffers held here and by the sides, so
-    an evaluation allocates nothing sample-sized.
+    A side reads the utility's form (``UtilityContext.side``), except that
+    the triggered side sums its rows when h1 varies by row, as on an index
+    contract. Under exponential utility the other sides take the moment
+    form and cost O(1) per evaluation. Row sums run in buffers held here
+    and by the sides, so an evaluation allocates nothing sample-sized.
     """
 
-    def __init__(self, utility, quants, triggered, untriggered, h1=1.0, h3=0.0):
-        self.utility, self.quants = utility, quants
-        self.triggered, self.untriggered = triggered, untriggered
+    def __init__(self, utility, quants, k_of, triggered, untriggered, h1=1.0, h3=0.0):
+        self.utility, self.quants, self.k_of = utility, quants, k_of
         self.h1, self.h3 = h1, h3
+        varies = np.ndim(h1) > 0  # then the triggered side's shift varies by row
+        self.triggered = _RowSide(utility, *triggered) if varies else utility.side(*triggered)
+        self.untriggered = utility.side(*untriggered)
         # the triggered side's per-row shift and factor; None keeps them scalars
-        self._shift = None if np.ndim(h1) == 0 else np.empty_like(h1)
-        self._factor = None if np.ndim(h1) == 0 else np.empty_like(h1)
+        self._shift = np.empty_like(h1) if varies else None
+        self._factor = np.empty_like(h1) if varies else None
 
     def v_pair(self, k: float):
         """(V1, V2) at payout scale k."""
@@ -365,7 +368,9 @@ def _pure_system(split: TriggeredSplit, spec: ContractSpec,
     # under EV and SD the slope is the constant c of the premium c*k
     if spec.principle is not PremiumPrinciple.VARIANCE and quants.slope(0.0) >= 1.0:
         raise PremiumDominatesError("premium dominates payout (c >= 1)")
-    return _FirstOrderSystem(utility, quants, *_sides(split, utility))
+    st, su = split.triggered, split.untriggered
+    return _FirstOrderSystem(utility, quants, lambda g: expectile(st, g),
+                             (st.values, st.weights), (su.values, su.weights))
 
 
 def v1_v2(split: TriggeredSplit, spec: ContractSpec, utility: UtilityContext,
@@ -374,31 +379,25 @@ def v1_v2(split: TriggeredSplit, spec: ContractSpec, utility: UtilityContext,
     return _pure_system(split, spec, utility).v_pair(expectile(split.triggered, gamma))
 
 
-def _bounds_at_ends(system: _FirstOrderSystem, k_of, levels):
+def _bounds_at_ends(system: _FirstOrderSystem, levels):
     """Existence boundary conditions at the ends (g_lo, g_hi) of a level range.
 
-    k_of maps a level to its payout scale. V1 falls and V2 rises in k, so
-    the lower bound is V1 > V2 at k_of(g_lo), and V1 < V2 holds somewhere
-    on the range exactly when it holds at k_of(g_hi). V1 <= V2 at the low
-    end, a tie included, fails the lower bound and holds the upper one
-    there. Returns (lower_holds, upper_holds, witnesses): k, V1 and V2
-    where each bound was decided.
+    The system's k_of maps a level to its payout scale. V1 falls and V2
+    rises in k, so the lower bound is V1 > V2 at k_of(g_lo), and V1 < V2
+    holds somewhere on the range exactly when it holds at k_of(g_hi).
+    V1 <= V2 at the low end, a tie included, fails the lower bound and holds
+    the upper one there. Returns (lower_holds, upper_holds, witnesses): k,
+    V1 and V2 where each bound was decided.
     """
-    k = k_of(levels[0])
+    k = system.k_of(levels[0])
     v1, v2 = system.v_pair(k)
     witnesses = {"lower_k": k, "lower_v1": v1, "lower_v2": v2}
     lower = v1 > v2
     if lower:
-        k = k_of(levels[1])
+        k = system.k_of(levels[1])
         v1, v2 = system.v_pair(k)
     witnesses.update(upper_k=k, upper_v1=v1, upper_v2=v2)
     return lower, not lower or v1 < v2, witnesses
-
-
-def _pure_level_map(split: TriggeredSplit):
-    """The pure payout scale at level g: the triggered expectile e_g(S | trigger)."""
-    st = split.triggered
-    return lambda g: expectile(st, Level(g))
 
 
 def check_bounds(split: TriggeredSplit, spec: ContractSpec, utility: UtilityContext):
@@ -411,8 +410,7 @@ def check_bounds(split: TriggeredSplit, spec: ContractSpec, utility: UtilityCont
     low end fails the lower bound and holds the upper one there, so exactly
     one bound fails or none does. Returns (lower_holds, upper_holds, witnesses).
     """
-    return _bounds_at_ends(_pure_system(split, spec, utility), _pure_level_map(split),
-                           _LEVEL_RANGE)
+    return _bounds_at_ends(_pure_system(split, spec, utility), _LEVEL_RANGE)
 
 
 def _check_monotone(v1, v2):
@@ -427,23 +425,23 @@ _BISECTION_TOL = 1e-10  # bisection stops at this gamma bracket or relative |V1 
 _LEVEL_RANGE = (1e-9, 1.0 - 1e-9)  # the levels a solve traces and brackets, inside (0, 1)
 
 
-def _solve_system(system: _FirstOrderSystem, gammas, ks, k_of, bracket,
+def _solve_system(system: _FirstOrderSystem, gammas, ks, bracket,
                   fallback) -> WeightingSolution:
     """Trace, the boundary conditions at the bracket's ends and, when both hold, bisection.
 
-    ks are the payout scales at the levels gammas and k_of maps one level
-    to its scale. The bisection runs over gamma on the same bracket whose
-    ends decide the bounds. When a bound fails, fallback(system, lower,
-    upper) gives the solution's (gamma_star or None, decision).
+    ks are the payout scales at the levels gammas, and the system's k_of
+    maps any other level to its scale. The bisection runs over gamma on the
+    same bracket whose ends decide the bounds. When a bound fails,
+    fallback(lower, upper) gives the solution's (gamma_star or None, decision).
     """
     pairs = np.array([system.v_pair(float(k)) for k in ks]).reshape(-1, 2)
     v1_trace, v2_trace = pairs[:, 0], pairs[:, 1]
     _check_monotone(v1_trace, v2_trace)
     trace = {"gamma": gammas, "v1": v1_trace, "v2": v2_trace}
 
-    lower, upper, _ = _bounds_at_ends(system, k_of, bracket)
+    lower, upper, _ = _bounds_at_ends(system, bracket)
     if not (lower and upper):
-        g_end, decision = fallback(system, lower, upper)
+        g_end, decision = fallback(lower, upper)
         return WeightingSolution(
             gamma_star=g_end,
             alpha_star=None if g_end is None else alpha_from_gamma(Level(g_end)).alpha,
@@ -452,7 +450,7 @@ def _solve_system(system: _FirstOrderSystem, gammas, ks, k_of, bracket,
     a, b = bracket
     while b - a > _BISECTION_TOL:
         mid = 0.5 * (a + b)
-        v1m, v2m = system.v_pair(k_of(mid))
+        v1m, v2m = system.v_pair(system.k_of(mid))
         if abs(v1m - v2m) <= _BISECTION_TOL * (abs(v1m) + abs(v2m)):
             a = b = mid
             break
@@ -461,7 +459,7 @@ def _solve_system(system: _FirstOrderSystem, gammas, ks, k_of, bracket,
         else:
             b = mid
     g_star = 0.5 * (a + b)
-    v1s, v2s = system.v_pair(k_of(g_star))
+    v1s, v2s = system.v_pair(system.k_of(g_star))
     return WeightingSolution(
         gamma_star=g_star, alpha_star=alpha_from_gamma(Level(g_star)).alpha,
         lower_bound_holds=True, upper_bound_holds=True,
@@ -487,15 +485,14 @@ def solve_gamma_star(split: TriggeredSplit, spec: ContractSpec,
     system = _pure_system(split, spec, utility)
     gammas = np.linspace(g_lo, g_hi, grid_size)
 
-    def fallback(system, lower, upper):
+    def fallback(lower, upper):
         if restrict is not None:
             return (g_hi, Decision.ENDPOINT_HIGH) if lower else (g_lo, Decision.ENDPOINT_LOW)
         return None, _fallback_decision(
-            system, split, spec, spec.rho if rho_indemnity is None else rho_indemnity,
-            lower, upper)
+            system, split, spec.rho if rho_indemnity is None else rho_indemnity, lower, upper)
 
     return _solve_system(system, gammas, expectile_grid(split.triggered, gammas),
-                         _pure_level_map(split), (g_lo, g_hi), fallback)
+                         (g_lo, g_hi), fallback)
 
 
 def expected_utility_constant_payout(split: TriggeredSplit, spec: ContractSpec,
@@ -525,8 +522,8 @@ def violated_boundary_decision(split: TriggeredSplit, spec: ContractSpec,
     coverage with loading rho_indemnity.
     """
     system = _pure_system(split, spec, utility)
-    lower, upper, _ = _bounds_at_ends(system, _pure_level_map(split), _LEVEL_RANGE)
-    return _fallback_decision(system, split, spec, rho_indemnity, lower, upper)
+    lower, upper, _ = _bounds_at_ends(system, _LEVEL_RANGE)
+    return _fallback_decision(system, split, rho_indemnity, lower, upper)
 
 
 def _check_one_bound_violated(lower: bool, upper: bool) -> None:
@@ -553,26 +550,26 @@ def _indemnity_decision(principle: PremiumPrinciple, ratio: float,
     return Decision.PREFER_INDEMNITY if prefers else Decision.PREFER_LARGEST_ALPHA
 
 
-def _fallback_decision(system: _FirstOrderSystem, split: TriggeredSplit, spec: ContractSpec,
+def _fallback_decision(system: _FirstOrderSystem, split: TriggeredSplit,
                        rho_indemnity: float, lower: bool, upper: bool) -> Decision:
-    """violated_boundary_decision given the split's system and its bounds' outcome."""
+    """violated_boundary_decision given the split's system and its bounds' outcome.
+
+    p, rho and the principle are the system's, and the sufficient
+    no-insurance condition is its V1(0) <= V2(0), at payout 0."""
     _check_one_bound_violated(lower, upper)
+    quants = system.quants
     if not lower:
-        sides, quants = (system.triggered, system.untriggered), system.quants
-        w0 = system.utility.w0
-        v0 = sides[0].u_prime_sum(w0) / sides[1].u_prime_sum(w0)
-        # V1(0) <= V2(0), with c the premium's slope at k = 0 (p under variance,
-        # which makes the threshold exactly 1)
-        c = quants.slope(0.0)
-        if v0 <= (1.0 - split.p) * c / (split.p * (1.0 - c)):
+        v1, v2 = system.v_pair(0.0)
+        if v1 <= v2:
             return Decision.PREFER_NO_INSURANCE
+        sides, w0 = (system.triggered, system.untriggered), system.utility.w0
         u_limit = sum(_constant_payout_utilities(sides, quants, w0, split.triggered.min))
         u_none = sum(_constant_payout_utilities(sides, quants, w0, 0.0))
         return (Decision.PREFER_SMALLEST_ALPHA if u_limit > u_none
                 else Decision.PREFER_NO_INSURANCE)
     # upper violated: Y = sup 1_T has mean p sup and variance sup^2 p (1 - p)
-    sup, p = split.triggered.max, split.p
-    return _indemnity_decision(spec.principle, rho_indemnity / spec.rho,
+    sup, p = split.triggered.max, quants.p_trigger
+    return _indemnity_decision(quants.principle, rho_indemnity / quants.rho,
                                lambda: p * sup, lambda: sup ** 2 * (p * (1.0 - p)),
                                split.mean_loss, split.var_loss)
 

@@ -187,6 +187,26 @@ class TestErrorPaths:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("body", ["", "# no rows\n\n"], ids=["header_only", "comments"])
+    @pytest.mark.parametrize("command", ["fit-weighting", "dependence-report"])
+    def test_csv_with_no_rows_exits_2(self, tmp_path, capsys, command, body):
+        # one stderr line that names the file, and no warning before it
+        csv_path = tmp_path / "data.csv"
+        if command == "fit-weighting":
+            csv_path.write_text("loss,index\n" + body)
+            cfg = interior_fit_cfg(sample={"csv": str(csv_path)})
+            what = "sample"
+        else:
+            csv_path.write_text("s0,s1\n" + body)
+            cfg = {"seed": 1, "winds_csv": str(csv_path)}
+            what = "wind matrix"
+        code, out = run(tmp_path, command, write_cfg(tmp_path, "c.yaml", cfg))
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"config error: malformed {what} file {csv_path}: no data rows below the "
+            "header line\n")
+
     @pytest.mark.parametrize("row", ["A,0,18.2,-66.5,abc", "A,0,18.2,-66.5,90,1",
                                      "A,2,nan,-66.5,90", "A,2,18.2,nan,90"],
                              ids=["non_numeric", "six_fields", "nan_lat", "nan_lon"])

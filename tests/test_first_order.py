@@ -34,7 +34,6 @@ from basisrisk.weighting_pure import (
     TriggeredSplit,
     UtilityContext,
     _LEVEL_RANGE as LEVEL_RANGE,
-    _pure_level_map,
     _pure_system,
     check_bounds,
     solve_gamma_star,
@@ -365,9 +364,9 @@ def counting_bound_pairs(monkeypatch):
     counts = []
     original = weighting_pure._bounds_at_ends
 
-    def counted(system, k_of, levels):
+    def counted(system, levels):
         counting = _CountingSystem(system)
-        out = original(counting, k_of, levels)
+        out = original(counting, levels)
         counts.append(counting.calls)
         return out
 
@@ -422,7 +421,7 @@ def _old_boundary_scan(system, k_lo, k_hi):
 
 class _CountingSystem:
     def __init__(self, system):
-        self.system, self.calls = system, 0
+        self.system, self.k_of, self.calls = system, system.k_of, 0
 
     def v_pair(self, k):
         self.calls += 1
@@ -433,23 +432,28 @@ def _upper_violated():
     return TriggeredSplit(EmpiricalSample([9.9, 10.0]), EmpiricalSample([-2.0, -2.0]), 0.3)
 
 
+def _level_map(split):
+    """The pure payout scale at level g, worked out apart from the system's own map."""
+    return lambda g: expectile(split.triggered, g)
+
+
 def _scan_cases():
     """(id, system, k_of): the oracle inputs above and the fallback fixtures, with
-    k_of the map from a level to the system's payout scale."""
+    k_of the map from a level to the system's payout scale, worked out apart."""
     for name, make_split, utility in PURE_CASES:
         for principle, rho in PRINCIPLES:
             split = make_split()
             spec = ContractSpec(t_lo=83.0, rho=rho, principle=principle)
             yield (f"{name}-{principle.value}", _pure_system(split, spec, utility),
-                   _pure_level_map(split))
+                   _level_map(split))
     lower_violated = weighted_two_point()
     yield ("lower_violated", _pure_system(lower_violated, ContractSpec(t_lo=83.0, rho=0.3),
                                           UtilityContext.exponential(beta=0.1, w0=10.0)),
-           _pure_level_map(lower_violated))
+           _level_map(lower_violated))
     upper_violated = _upper_violated()
     yield ("upper_violated", _pure_system(upper_violated, ContractSpec(t_lo=83.0, rho=0.01),
                                           UtilityContext.exponential(beta=2.0)),
-           _pure_level_map(upper_violated))
+           _level_map(upper_violated))
     decomp = separable_decomposition()
     for principle, rho in [(EV, 0.1), (VAR, 0.002)]:
         spec = ContractSpec(t_lo=2.2, rho=rho, principle=principle)
@@ -470,7 +474,7 @@ SCAN_CASES = list(_scan_cases())
 def test_end_rule_decides_as_the_old_scan(name, system, k_of):
     # the old scan over the same ends, (1e-9, 1 - 1e-9) on the level scale
     new = _CountingSystem(system)
-    lower, upper, witnesses = weighting_pure._bounds_at_ends(new, k_of, LEVEL_RANGE)
+    lower, upper, witnesses = weighting_pure._bounds_at_ends(new, LEVEL_RANGE)
     k_lo, k_hi = k_of(LEVEL_RANGE[0]), k_of(LEVEL_RANGE[1])
     old_lower, old_upper, old_witnesses = _old_boundary_scan(system, k_lo, k_hi)
     assert (lower, upper) == (old_lower, old_upper)
@@ -488,8 +492,8 @@ def test_end_rule_decides_as_the_old_scan(name, system, k_of):
 
 
 def test_scan_cases_reach_every_outcome():
-    outcomes = {weighting_pure._bounds_at_ends(system, k_of, LEVEL_RANGE)[:2]
-                for _, system, k_of in SCAN_CASES}
+    outcomes = {weighting_pure._bounds_at_ends(system, LEVEL_RANGE)[:2]
+                for _, system, _ in SCAN_CASES}
     assert outcomes == {(True, True), (False, True), (True, False)}
 
 

@@ -66,6 +66,18 @@ def test_bad_line_is_named_by_file_line(tmp_path, lines, line, ending):
         LossIndexSample.from_csv(path)
 
 
+@pytest.mark.parametrize("ending", sorted(ENDINGS))
+@pytest.mark.parametrize("lines", [["loss,index"], ["loss,index", "", "# c", ""], []],
+                         ids=["header_only", "comments_and_blanks", "empty_file"])
+def test_a_body_with_no_rows_is_an_error(tmp_path, lines, ending):
+    # raised, not warned about: any warning fails the test
+    path = _write(tmp_path, lines, ENDINGS[ending])
+    with pytest.raises(ValueError, match="^no data rows below the header line$"):
+        _numeric_csv(path)
+    with pytest.raises(ValueError, match="^no data rows below the header line$"):
+        LossIndexSample.from_csv(path)
+
+
 def test_ragged_row_names_the_first_row(tmp_path):
     path = _write(tmp_path, ["s0,s1,s2", "# c", "1,2,3", "4,5,6", "7,8"])
     with pytest.raises(ValueError, match="^line 5 has 2 fields; line 3 has 3$"):

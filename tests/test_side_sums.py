@@ -300,14 +300,14 @@ def closed_form_record(tmp_path, name):
 def test_closed_form_catches_a_wrong_moment(tmp_path, monkeypatch):
     exact = closed_form_record(tmp_path, "exact")
     assert exact["gamma_delta"] <= 1e-8
-    sides = weighting_pure._sides
+    pure_system = weighting_pure._pure_system
 
-    def skewed(split, utility):
-        triggered, untriggered = sides(split, utility)
-        triggered.mgf *= 1.0 + 1e-6
-        return triggered, untriggered
+    def skewed(split, spec, utility):
+        system = pure_system(split, spec, utility)
+        system.triggered.mgf *= 1.0 + 1e-6
+        return system
 
-    monkeypatch.setattr(weighting_pure, "_sides", skewed)
+    monkeypatch.setattr(weighting_pure, "_pure_system", skewed)
     wrong = closed_form_record(tmp_path, "wrong")
     # the closed form reads the rows, so only the bisection moved
     assert wrong["gamma_star"] == exact["gamma_star"]

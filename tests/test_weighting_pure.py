@@ -329,15 +329,22 @@ class TestFallbackDecisionThresholds:
         t = [0.05, 6.0]
         spec = ContractSpec(t_lo=83.0, rho=rho, principle=principle)
         util = UtilityContext.exponential(beta=beta, w0=w0)
-        # untriggered losses (0, a) put v0 on the threshold at a = a_star
+        # untriggered losses (0, a) put v0 on the threshold at a = a_star.
+        # Just below it V1(0) > V2(0) by 1.5e-7 to 4e-7 relative, so the short-cut
+        # does not fire, and the utility comparison gives no insurance too:
+        # expected utility is concave in the payout and nearly flat at 0.
         thr = _lower_threshold(principle, rho, p)
         a_star = math.log(2.0 * _mean([math.exp(beta * s) for s in t]) / thr - 1.0) / beta
         for a, expected in ((a_star - 0.5, Decision.PREFER_SMALLEST_ALPHA),
+                            (a_star * (1.0 - 1e-6), Decision.PREFER_NO_INSURANCE),
+                            (a_star * (1.0 + 1e-6), Decision.PREFER_NO_INSURANCE),
                             (a_star + 0.5, Decision.PREFER_NO_INSURANCE)):
             u = [0.0, a]
             split = TriggeredSplit(EmpiricalSample(t), EmpiricalSample(u), p)
-            got = _fallback_decision(_pure_system(split, spec, util), split, spec, rho,
-                                     False, True)
+            system = _pure_system(split, spec, util)
+            v1, v2 = system.v_pair(0.0)
+            assert (v1 <= v2) is (a > a_star)  # the system's own V1(0) <= V2(0) test
+            got = _fallback_decision(system, split, rho, False, True)
             assert got is expected
             assert got is _lower_violated_oracle(t, u, p, principle, rho, beta, w0)
 
@@ -360,7 +367,7 @@ class TestFallbackDecisionThresholds:
         for scale, expected in ((0.99, Decision.PREFER_INDEMNITY),
                                 (1.01, Decision.PREFER_LARGEST_ALPHA)):
             rho_indemnity = scale * ratio_star * rho
-            assert _fallback_decision(_pure_system(split, spec, util), split, spec,
+            assert _fallback_decision(_pure_system(split, spec, util), split,
                                       rho_indemnity, True, False) is expected
 
     @pytest.mark.parametrize("principle", list(PremiumPrinciple))
@@ -377,7 +384,7 @@ class TestFallbackDecisionThresholds:
             r = rho / scale if principle is PremiumPrinciple.VARIANCE else rho
             spec = ContractSpec(t_lo=83.0, rho=r, principle=principle)
             util = UtilityContext.exponential(beta=0.1 / scale)
-            return _fallback_decision(_pure_system(split, spec, util), split, spec,
+            return _fallback_decision(_pure_system(split, spec, util), split,
                                       ratio * r, lower_holds, not lower_holds)
 
         ratios = np.geomspace(0.1, 10.0, 9)  # rho_indemnity / rho
@@ -432,7 +439,7 @@ def test_shared_indemnity_test_decides_as_the_old_pure_one(principle):
         star = _pure_ratio_star(split, principle)
         # rho_indemnity / rho: spread out, and just either side of the switch
         ratios = [*r.lognormal(0.0, 1.5, size=3), star * (1.0 - 1e-6), star * (1.0 + 1e-6)]
-        got = [_fallback_decision(system, split, spec, ratio * spec.rho, True, False)
+        got = [_fallback_decision(system, split, ratio * spec.rho, True, False)
                for ratio in ratios]
         assert got == [_old_upper_violated_decision(split, spec, ratio * spec.rho)
                        for ratio in ratios]
@@ -558,9 +565,9 @@ class TestFallbackReusesTheSolvesSystem:
         calls = []
         side = UtilityContext.side
 
-        def counted(self, s, w, per_row=False):
+        def counted(self, s, w):
             calls.append(np.size(s))
-            return side(self, s, w, per_row)
+            return side(self, s, w)
 
         monkeypatch.setattr(UtilityContext, "side", counted)
         return calls
