@@ -418,16 +418,24 @@ def simulate_losses(windspeeds, params: LossModelParams, seed: int,
 
     The error multiplier min{(p+q)/p, (p+q)/q} * Z - min{1, p/q} with
     Z ~ Beta(p, q) has expectation zero and keeps S inside [0, v].
+
+    Z is drawn once mu and sigma are built, so it is not live while
+    loss_mean's temporaries are; only Z's substream draws from the
+    generator, so the order leaves Z as it was. The multiplier, the loss and
+    its clip are built in Z's buffer, each step in place. Each step is
+    elementwise on the expression's operands; only the products swap
+    theirs, which IEEE multiplication allows, so every row holds the value
+    the expression gives.
     """
     th = np.asarray(windspeeds, dtype=np.float64)
-    rng = _rng(seed, site_key, 1)
-    z = rng.beta(params.p, params.q, size=th.size)
     scale = min((params.p + params.q) / params.p, (params.p + params.q) / params.q)
     shift = min(1.0, params.p / params.q)
     mu = loss_mean(th, params)
     sig = mu * (1.0 - mu / params.v)  # loss_sigma, from this mu
-    s = mu + sig * (scale * z - shift)
-    s = np.clip(s, 0.0, params.v)  # guards float roundoff at the edges
+    z = _rng(seed, site_key, 1).beta(params.p, params.q, size=th.size)
+    s = np.subtract(np.multiply(z, scale, out=z), shift, out=z)  # the error multiplier
+    np.add(mu, np.multiply(sig, s, out=s), out=s)
+    np.clip(s, 0.0, params.v, out=s)  # guards float roundoff at the edges
     return LossIndexSample(s, th)
 
 
@@ -468,19 +476,26 @@ def storm_to_track_csv(storm_path, out_path):
     STORM rows are comma-separated: year, month, TC number, timestep, basin,
     lat, lon, min pressure (hPa), 10-min max sustained wind (m/s), then
     additional columns that are ignored here. Track identity is
-    (year, month, TC number); winds are converted to 1-minute knots. Blank
-    lines are skipped; any other line with fewer than 9 fields raises
-    ValueError.
+    (year, month, TC number); winds are converted to 1-minute knots. Fields
+    are read by position. Blank lines are skipped and trailing empty fields
+    (a trailing comma) are dropped; any other line with fewer than 9 fields,
+    or with an empty field among the ones read, raises ValueError.
     """
     by_id: dict[str, list] = {}
     with open(storm_path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            parts = [p.strip() for p in line.strip().split(",") if p.strip() != ""]
+            parts = [p.strip() for p in line.strip().split(",")]
+            while parts and parts[-1] == "":
+                parts.pop()
             if len(parts) < 9:
                 raise ValueError(f"{storm_path}: line {lineno} has {len(parts)} fields; "
                                  "a STORM row needs at least 9")
+            for col in (0, 1, 2, 3, 5, 6, 8):
+                if parts[col] == "":
+                    raise ValueError(f"{storm_path}: line {lineno} has an empty field "
+                                     f"{col + 1}; a STORM row needs fields 1-4, 6, 7 and 9")
             year, month, tc, step = parts[0], parts[1], parts[2], parts[3]
             lat, lon, wind_ms = float(parts[5]), float(parts[6]), float(parts[8])
             tid = f"{year}-{month}-{tc}"

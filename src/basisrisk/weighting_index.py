@@ -170,8 +170,12 @@ def _index_moments(sample: LossIndexSample, spec: ContractSpec,
     """The index contract's moments, the trigger mask, and h1, H3 at the triggered indices.
 
     h1 and H3 are evaluated once; the moments are taken over the whole
-    index sample. The standard-deviation principle is rejected here: its
-    premium rule in IndexQuantities holds only for a pure contract.
+    index sample. h1·1_T, H3·1_T and their product are built one after
+    another in one zero-filled full-sample buffer, whose untriggered rows
+    stay 0 throughout, so each mean and variance sums the same full-sample
+    array in the same order as three separate arrays would. The
+    standard-deviation principle is rejected here: its premium rule in
+    IndexQuantities holds only for a pure contract.
     """
     if spec.principle is PremiumPrinciple.STD_DEV:
         raise UnsupportedPrincipleError(
@@ -179,13 +183,15 @@ def _index_moments(sample: LossIndexSample, spec: ContractSpec,
     mask = _trigger_mask(sample, spec)
     h1, h3 = decomp.eval_theta(sample.indices[mask])
     p = float(mask.mean())
-    h1_ind, h3_ind = np.zeros(mask.size), np.zeros(mask.size)
-    h1_ind[mask], h3_ind[mask] = h1, h3
-    int_h1, int_h3 = float(h1_ind.mean()), float(h3_ind.mean())
+    ind = np.zeros(mask.size)
+    ind[mask] = h1
+    int_h1, v1 = float(ind.mean()), float(ind.var())
+    ind[mask] = h3
+    int_h3, v3 = float(ind.mean()), float(ind.var())
+    ind[mask] = h1 * h3
     quants = IndexQuantities(
-        p_trigger=p, int_h1=int_h1, int_h3=int_h3, v1=float(h1_ind.var()),
-        v3=float(h3_ind.var()), v13=float(np.mean(h1_ind * h3_ind) - int_h1 * int_h3),
-        rho=spec.rho, principle=spec.principle)
+        p_trigger=p, int_h1=int_h1, int_h3=int_h3, v1=v1, v3=v3,
+        v13=float(ind.mean() - int_h1 * int_h3), rho=spec.rho, principle=spec.principle)
     return quants, mask, h1, h3
 
 

@@ -188,11 +188,17 @@ class _MomentSide:
     No exponent in M is positive, so M cannot overflow, and the scale
     e^{-beta (shift - m)} overflows only where the largest row term does.
     That overflow is silent here: the caller's finiteness check reports it.
+
+    The terms of M are formed in one side-sized buffer, each step in place;
+    a product's operands commute exactly, so the buffer holds the same
+    terms, and M sums them in the same order.
     """
 
     def __init__(self, beta, s, w):
         self.beta, self.top = beta, float(s.max())
-        self.mgf = float(np.sum(w * np.exp(beta * (s - self.top))))
+        x = np.subtract(s, self.top)
+        np.exp(np.multiply(x, beta, out=x), out=x)
+        self.mgf = float(np.sum(np.multiply(x, w, out=x)))
         self.mass = float(np.sum(np.broadcast_to(w, s.shape)))
 
     def _scale(self, shift):
@@ -626,11 +632,13 @@ def utility_curve(sample: LossIndexSample, spec: ContractSpec,
 
     An index payout varies by row. Its triggered rows are listed once, and
     a binned conditioner assigns them to bins once and solves each bin over
-    the whole grid at once. Payments and the triggered utilities sit in
-    full-sample buffers that hold 0 on the untriggered rows at every level,
-    so a level writes only the triggered rows; the premium, the wealth, u
-    and both means still run over the full sample, which keeps every sum's
-    pairwise order.
+    the whole grid at once. Payments sit in a full-sample buffer that holds
+    0 on the untriggered rows at every level, so a level writes only the
+    triggered rows; the premium, the wealth, u and both means still run
+    over the full sample, which keeps every sum's pairwise order. Once the
+    premium is taken, the same buffer takes the triggered utilities, so U1
+    is its mean over the same full-sample array of the same values, and a
+    level needs two sample-sized buffers, payments and wealth.
     """
     gammas = np.asarray(gamma_grid, dtype=np.float64)
     if not np.all((gammas > 0) & (gammas < 1)):
@@ -648,7 +656,7 @@ def utility_curve(sample: LossIndexSample, spec: ContractSpec,
     else:
         rows = np.flatnonzero(_trigger_mask(sample, spec))
         n = len(sample)
-        payments, wealth, part = np.zeros(n), np.empty(n), np.zeros(n)
+        payments, wealth = np.zeros(n), np.empty(n)
         # the binned conditioner gathers each level into scratch; a column
         # from any other conditioner is only read
         scratch = np.empty(rows.size)
@@ -659,8 +667,9 @@ def utility_curve(sample: LossIndexSample, spec: ContractSpec,
             pi = _premium_of(payments, spec)
             np.add(np.subtract(w0, sample.losses, out=wealth), payments, out=wealth)
             uvals = utility.u(np.subtract(wealth, pi, out=wealth), out=wealth)
-            part[rows] = np.take(uvals, rows, out=scratch, mode="clip")  # rows are in range
+            # the payments are read; their triggered rows take the utilities
+            payments[rows] = np.take(uvals, rows, out=scratch, mode="clip")  # rows are in range
             uvals[rows] = 0.0  # written, not multiplied: u may be -inf
-            out[i, 1:3] = float(np.mean(part)), float(np.mean(uvals))
+            out[i, 1:3] = float(np.mean(payments)), float(np.mean(uvals))
     out[:, 3] = out[:, 1] + out[:, 2]
     return out

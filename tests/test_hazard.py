@@ -575,3 +575,29 @@ class TestStormConversion:
         storm.write_text("1980,6,1,0,NA,18.0,-60.0,990.0,22.0,1,0\n1980,6,1,1,NA\n")
         with pytest.raises(ValueError, match="line 2 "):
             storm_to_track_csv(storm, out)
+
+    def test_empty_field_keeps_the_columns_after_it(self, tmp_path):
+        # an empty pressure must not shift the wind onto the next column
+        storm = tmp_path / "storm.txt"
+        storm.write_text("0,1,5,1,0,18.1,-60.2,,41.0,55.0,3,0,100.0\n"
+                         "0,1,5,2,,18.3,-60.5,990.0,43.0,\n"
+                         "0,1,5,3,0,18.6,-60.9,985.0,45.0,,,\n")
+        out = tmp_path / "tracks.csv"
+        storm_to_track_csv(storm, out)
+        (track,) = TrackSet.from_csv(out).tracks
+        assert track.track_id == "0-1-5"
+        assert track.lat_deg.tolist() == [18.1, 18.3, 18.6]
+        assert track.lon_deg.tolist() == [-60.2, -60.5, -60.9]
+        assert track.wind_kn.tolist() == [storm_wind_convert(w) for w in (41.0, 43.0, 45.0)]
+        assert round(track.wind_kn[0], 2) == 90.57
+
+    @pytest.mark.parametrize("row,field", [
+        ("1980,6,1,1,NA,18.5,-61.0,985.0,,30.0,1", 9),
+        ("1980,6,1,1,NA,,-61.0,985.0,30.0,1", 6),
+        ("1980,6,,1,NA,18.5,-61.0,985.0,30.0,1", 3),
+    ], ids=["wind", "lat", "tc_number"])
+    def test_empty_read_field_raises_with_line_number(self, tmp_path, row, field):
+        storm = tmp_path / "storm.txt"
+        storm.write_text("1980,6,1,0,NA,18.0,-60.0,990.0,22.0,1,0\n" + row + "\n")
+        with pytest.raises(ValueError, match=f"line 2 has an empty field {field};"):
+            storm_to_track_csv(storm, tmp_path / "tracks.csv")
