@@ -479,7 +479,8 @@ def _loss_envelope(sample, n_bins):
     for i, (a, b) in enumerate(zip([0, *ends], ends)):
         if a < b:
             ls = losses[a:b]
-            rows.append((0.5 * (qedges[i] + qedges[i + 1]), float(ls.mean()),
+            # each edge is halved first, so two large edges cannot overflow their sum
+            rows.append((0.5 * qedges[i] + 0.5 * qedges[i + 1], float(ls.mean()),
                          float(ls.min()), float(ls.max())))
     return rows
 

@@ -407,17 +407,31 @@ def premium(payout: PayoutVector, spec: ContractSpec) -> float:
     Standard deviation / variance use population (1/N) statistics: premiums
     are functionals of the modeled distribution, not inferential estimates.
     """
-    return _premium_of(payout.payments, spec)
+    return _premium_of(payout.payments, spec, payout.payments.size)
 
 
-def _premium_of(y: np.ndarray, spec: ContractSpec) -> float:
-    """``premium`` of the payments y, which are already checked."""
-    m = float(y.mean())
+def _padded_moments(x: np.ndarray, n: int, out=None, variance: bool = True):
+    """(mean, population variance) of n values: x, then n - x.size zeros.
+
+    The zeros add (n - x.size) mean^2 to the squared deviations of x, which
+    go in ``out`` when given; ``variance=False`` skips them and gives None.
+    At x.size == n the bits are np.mean's and np.var's. Overflow is silent:
+    the caller's finiteness check reports it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.sum(x)) / n
+        if not variance:
+            return mean, None
+        d = np.subtract(x, mean, out=out)
+        return mean, (float(np.sum(np.multiply(d, d, out=d))) + (n - x.size) * mean * mean) / n
+
+
+def _premium_of(y: np.ndarray, spec: ContractSpec, n: int, out=None) -> float:
+    """``premium`` of n checked payments: y, then n - y.size zeros (``_padded_moments``)."""
     if spec.principle is PremiumPrinciple.EXPECTED_VALUE:
-        return (1.0 + spec.rho) * m
-    if spec.principle is PremiumPrinciple.STD_DEV:
-        return m + spec.rho * float(y.std())
-    return m + spec.rho * float(y.var())
+        return (1.0 + spec.rho) * _padded_moments(y, n, variance=False)[0]
+    m, v = _padded_moments(y, n, out)
+    return m + spec.rho * (math.sqrt(v) if spec.principle is PremiumPrinciple.STD_DEV else v)
 
 
 def basis_risk(losses, payout: PayoutVector) -> np.ndarray:

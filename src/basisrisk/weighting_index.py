@@ -22,6 +22,7 @@ from .contracts import (
     LossIndexSample,
     PremiumPrinciple,
     _expectile_columns,
+    _padded_moments,
     _trigger_mask,
 )
 from .expectile import DegenerateDataError, DomainError, Level
@@ -169,11 +170,9 @@ def _index_moments(sample: LossIndexSample, spec: ContractSpec,
                    decomp: SeparableDecomposition):
     """The index contract's moments, the trigger mask, and h1, H3 at the triggered indices.
 
-    h1 and H3 are evaluated once; the moments are taken over the whole
-    index sample. h1·1_T, H3·1_T and their product are built one after
-    another in one zero-filled full-sample buffer, whose untriggered rows
-    stay 0 throughout, so each mean and variance sums the same full-sample
-    array in the same order as three separate arrays would. The
+    h1 and H3 are evaluated once, at the triggered rows only. The moments
+    are over the whole index sample, whose untriggered rows hold zeros
+    (``_padded_moments``); v13 = sum_T h1 H3 / n - int_h1 int_h3. The
     standard-deviation principle is rejected here: its premium rule in
     IndexQuantities holds only for a pure contract.
     """
@@ -182,16 +181,14 @@ def _index_moments(sample: LossIndexSample, spec: ContractSpec,
             "standard-deviation principle is not supported for index insurance")
     mask = _trigger_mask(sample, spec)
     h1, h3 = decomp.eval_theta(sample.indices[mask])
-    p = float(mask.mean())
-    ind = np.zeros(mask.size)
-    ind[mask] = h1
-    int_h1, v1 = float(ind.mean()), float(ind.var())
-    ind[mask] = h3
-    int_h3, v3 = float(ind.mean()), float(ind.var())
-    ind[mask] = h1 * h3
+    n, buf = mask.size, np.empty(h1.size)
+    int_h1, v1 = _padded_moments(h1, n, buf)
+    int_h3, v3 = _padded_moments(h3, n, buf)
+    with np.errstate(over="ignore", invalid="ignore"):  # v_pair reports a non-finite moment
+        h13 = float(np.sum(np.multiply(h1, h3, out=buf))) / n
     quants = IndexQuantities(
-        p_trigger=p, int_h1=int_h1, int_h3=int_h3, v1=v1, v3=v3,
-        v13=float(ind.mean() - int_h1 * int_h3), rho=spec.rho, principle=spec.principle)
+        p_trigger=h1.size / n, int_h1=int_h1, int_h3=int_h3, v1=v1, v3=v3,
+        v13=h13 - int_h1 * int_h3, rho=spec.rho, principle=spec.principle)
     return quants, mask, h1, h3
 
 
@@ -278,7 +275,6 @@ def _fallback_decision_index(sample: LossIndexSample, spec: ContractSpec,
     # upper violated: Y = sup 1_T, with sup the largest triggered loss of the row's bin
     maxs = np.full(decomp.thetas.size, -np.inf)
     np.maximum.at(maxs, bins, sample.losses[mask])
-    sup = np.zeros(mask.size)
-    sup[mask] = maxs[bins]
-    return _indemnity_decision(spec.principle, rho_indemnity / spec.rho,
-                               sup.mean, sup.var, sample.losses.mean, sample.losses.var)
+    mean_y, var_y = _padded_moments(maxs[bins], mask.size)
+    return _indemnity_decision(spec.principle, rho_indemnity / spec.rho, lambda: mean_y,
+                               lambda: var_y, sample.losses.mean, sample.losses.var)

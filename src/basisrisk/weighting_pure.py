@@ -126,7 +126,7 @@ class UtilityContext:
         """The sums over one side of the trigger: losses s, weights w (an array or a scalar).
 
         The side is read at a scalar shift; a side whose shift varies by row
-        sums its rows, and the first-order system builds that one itself.
+        sums its rows, and its caller builds that one itself (``_RowSide``).
         """
         if self.beta is None:
             return _RowSide(self, s, w)
@@ -159,7 +159,7 @@ class _RowSide:
     ``u_prime_sum(shift, factor)`` is sum w factor u'(shift - s) and
     ``u_sum(shift)`` is sum w u(shift - s); shift and factor are scalars or
     per-row arrays. Both work in one buffer held here, so an evaluation
-    allocates nothing sample-sized.
+    allocates nothing sample-sized; between calls a caller may use it too.
     """
 
     def __init__(self, utility, s, w):
@@ -196,10 +196,11 @@ class _MomentSide:
 
     def __init__(self, beta, s, w):
         self.beta, self.top = beta, float(s.max())
-        x = np.subtract(s, self.top)
-        np.exp(np.multiply(x, beta, out=x), out=x)
-        self.mgf = float(np.sum(np.multiply(x, w, out=x)))
-        self.mass = float(np.sum(np.broadcast_to(w, s.shape)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = np.subtract(s, self.top)
+            np.exp(np.multiply(x, beta, out=x), out=x)
+            self.mgf = float(np.sum(np.multiply(x, w, out=x)))
+            self.mass = float(np.sum(np.broadcast_to(w, s.shape)))
 
     def _scale(self, shift):
         with np.errstate(over="ignore"):
@@ -340,11 +341,12 @@ class _FirstOrderSystem:
         """(V1, V2) at payout scale k."""
         q, w0 = self.quants, self.utility.w0
         r, pi = q.slope(k), q.premium(k)
-        shift = np.multiply(self.h1, k, out=self._shift)
-        shift = np.add(np.add(shift, self.h3, out=self._shift), w0 - pi, out=self._shift)
-        factor = np.subtract(self.h1, r, out=self._factor)
-        v1 = q.p_trigger * self.triggered.u_prime_sum(shift, factor)
-        v2 = (1.0 - q.p_trigger) * self.untriggered.u_prime_sum(w0 - pi, r)
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+            shift = np.multiply(self.h1, k, out=self._shift)
+            shift = np.add(np.add(shift, self.h3, out=self._shift), w0 - pi, out=self._shift)
+            factor = np.subtract(self.h1, r, out=self._factor)
+            v1 = q.p_trigger * self.triggered.u_prime_sum(shift, factor)
+            v2 = (1.0 - q.p_trigger) * self.untriggered.u_prime_sum(w0 - pi, r)
         if not (math.isfinite(v1) and math.isfinite(v2)):
             raise UtilityDomainError(f"u' overflowed: V1 = {v1!r}, V2 = {v2!r} at k = {k!r}")
         if v2 == 0.0:  # u' > 0 and r > 0, so only an underflowed u' sums to 0
@@ -409,12 +411,10 @@ def _bounds_at_ends(system: _FirstOrderSystem, levels):
 def check_bounds(split: TriggeredSplit, spec: ContractSpec, utility: UtilityContext):
     """Evaluate the two existence boundary conditions, as solve_gamma_star does.
 
-    Both are decided at the triggered expectiles at the ends of the levels
-    a solve brackets, (1e-9, 1 - 1e-9): the lower bound holds if V1 > V2
-    at the low end, the upper bound if V1 < V2 at the high end, which for
-    V1 falling and V2 rising is V1 < V2 at some level. An exact tie at the
-    low end fails the lower bound and holds the upper one there, so exactly
-    one bound fails or none does. Returns (lower_holds, upper_holds, witnesses).
+    Both are decided by the rule of ``_bounds_at_ends`` at the triggered
+    expectiles at the ends of the levels a solve brackets, (1e-9, 1 - 1e-9),
+    so exactly one bound fails or none does. Returns (lower_holds,
+    upper_holds, witnesses).
     """
     return _bounds_at_ends(_pure_system(split, spec, utility), _LEVEL_RANGE)
 
@@ -504,15 +504,15 @@ def solve_gamma_star(split: TriggeredSplit, spec: ContractSpec,
 def expected_utility_constant_payout(split: TriggeredSplit, spec: ContractSpec,
                                      utility: UtilityContext, y: float) -> float:
     """E[u(w0 - S + y*1_T - pi_y)] for a constant-on-trigger payout y."""
-    return sum(_constant_payout_utilities(_sides(split, utility),
-                                          _pure_quantities(split.p, spec), utility.w0, y))
+    pi = _pure_quantities(split.p, spec).premium(y)
+    return sum(_payout_utilities(_sides(split, utility), split.p, utility.w0, y, pi))
 
 
-def _constant_payout_utilities(sides, quants: IndexQuantities, w0: float, y: float):
-    """(p E[u | T], (1 - p) E[u | not T]) at wealth w0 - S + y*1_T - pi_y."""
-    pi = quants.premium(y)
-    p = quants.p_trigger
-    return p * sides[0].u_sum(w0 + y - pi), (1.0 - p) * sides[1].u_sum(w0 - pi)
+def _payout_utilities(sides, p: float, w0: float, y, pi: float):
+    """(p E[u | T], (1 - p) E[u | not T]) at wealth w0 - S + y*1_T - pi; a per-row
+    payout y (an array) takes the triggered side's shift w0 + y - pi in place."""
+    shift = np.subtract(np.add(y, w0, out=y), pi, out=y) if np.ndim(y) else w0 + y - pi
+    return p * sides[0].u_sum(shift), (1.0 - p) * sides[1].u_sum(w0 - pi)
 
 
 def violated_boundary_decision(split: TriggeredSplit, spec: ContractSpec,
@@ -563,18 +563,18 @@ def _fallback_decision(system: _FirstOrderSystem, split: TriggeredSplit,
     p, rho and the principle are the system's, and the sufficient
     no-insurance condition is its V1(0) <= V2(0), at payout 0."""
     _check_one_bound_violated(lower, upper)
-    quants = system.quants
+    quants, p = system.quants, system.quants.p_trigger
     if not lower:
         v1, v2 = system.v_pair(0.0)
         if v1 <= v2:
             return Decision.PREFER_NO_INSURANCE
         sides, w0 = (system.triggered, system.untriggered), system.utility.w0
-        u_limit = sum(_constant_payout_utilities(sides, quants, w0, split.triggered.min))
-        u_none = sum(_constant_payout_utilities(sides, quants, w0, 0.0))
+        u_limit, u_none = (sum(_payout_utilities(sides, p, w0, y, quants.premium(y)))
+                           for y in (split.triggered.min, 0.0))
         return (Decision.PREFER_SMALLEST_ALPHA if u_limit > u_none
                 else Decision.PREFER_NO_INSURANCE)
     # upper violated: Y = sup 1_T has mean p sup and variance sup^2 p (1 - p)
-    sup, p = split.triggered.max, quants.p_trigger
+    sup = split.triggered.max
     return _indemnity_decision(quants.principle, rho_indemnity / quants.rho,
                                lambda: p * sup, lambda: sup ** 2 * (p * (1.0 - p)),
                                split.mean_loss, split.var_loss)
@@ -626,19 +626,11 @@ def utility_curve(sample: LossIndexSample, spec: ContractSpec,
     utility of terminal wealth over triggered/untriggered scenarios and
     U = U1 + U2. Pure parametric payouts by default; passing a conditioner
     switches to the index-conditional scheme. The trigger mask is built
-    once. The pure payout is one level per side of the sample's
-    ``TriggeredSplit``, so each level reads the utility's two side sums
-    (``_sides``).
-
-    An index payout varies by row. Its triggered rows are listed once, and
-    a binned conditioner assigns them to bins once and solves each bin over
-    the whole grid at once. Payments sit in a full-sample buffer that holds
-    0 on the untriggered rows at every level, so a level writes only the
-    triggered rows; the premium, the wealth, u and both means still run
-    over the full sample, which keeps every sum's pairwise order. Once the
-    premium is taken, the same buffer takes the triggered utilities, so U1
-    is its mean over the same full-sample array of the same values, and a
-    level needs two sample-sized buffers, payments and wealth.
+    once, and each level reads the utility's two side sums
+    (``_payout_utilities``). An index payout varies by row, so its
+    triggered side sums its rows (``_RowSide``) and a level holds only the
+    triggered rows' payouts; the premium counts the other rows as zeros. A
+    binned conditioner solves each bin over the whole grid at once.
     """
     gammas = np.asarray(gamma_grid, dtype=np.float64)
     if not np.all((gammas > 0) & (gammas < 1)):
@@ -652,24 +644,20 @@ def utility_curve(sample: LossIndexSample, spec: ContractSpec,
         _check_payments(levels)
         sides, quants = _sides(split, utility), _pure_quantities(split.p, spec)
         for i, y in enumerate(levels.tolist()):
-            out[i, 1:3] = _constant_payout_utilities(sides, quants, w0, y)
+            out[i, 1:3] = _payout_utilities(sides, split.p, w0, y, quants.premium(y))
     else:
-        rows = np.flatnonzero(_trigger_mask(sample, spec))
-        n = len(sample)
-        payments, wealth = np.zeros(n), np.empty(n)
+        mask = _trigger_mask(sample, spec)
+        n, n_t, losses = mask.size, int(np.count_nonzero(mask)), sample.losses
+        sides = (_RowSide(utility, losses[mask], 1.0 / n_t),
+                 utility.side(losses[~mask], 1.0 / (n - n_t)))
         # the binned conditioner gathers each level into scratch; a column
         # from any other conditioner is only read
-        scratch = np.empty(rows.size)
-        columns = _expectile_columns(conditioner, sample.indices[rows], gammas, out=scratch)
+        scratch = np.empty(n_t)
+        columns = _expectile_columns(conditioner, sample.indices[mask], gammas, out=scratch)
         for i, column in enumerate(columns):
-            payments[rows] = np.maximum(column, 0.0, out=scratch)
-            _check_payments(payments)
-            pi = _premium_of(payments, spec)
-            np.add(np.subtract(w0, sample.losses, out=wealth), payments, out=wealth)
-            uvals = utility.u(np.subtract(wealth, pi, out=wealth), out=wealth)
-            # the payments are read; their triggered rows take the utilities
-            payments[rows] = np.take(uvals, rows, out=scratch, mode="clip")  # rows are in range
-            uvals[rows] = 0.0  # written, not multiplied: u may be -inf
-            out[i, 1:3] = float(np.mean(payments)), float(np.mean(uvals))
+            y = np.maximum(column, 0.0, out=scratch)
+            _check_payments(y)
+            pi = _premium_of(y, spec, n, out=sides[0].buf)
+            out[i, 1:3] = _payout_utilities(sides, n_t / n, w0, y, pi)
     out[:, 3] = out[:, 1] + out[:, 2]
     return out

@@ -30,3 +30,14 @@ def incident_wind(track, p, limit: float) -> float:
     v = hazard._unit_vectors(track.lat_deg, track.lon_deg)
     starts = np.zeros(1, dtype=np.int64)
     return float(hazard._winds(p, limit, v, track.wind_kn, starts)[0])
+
+
+def rel_close(got, want, rel: float = 1e-12) -> bool:
+    """Whether got agrees with the oracle want elementwise within rel relative,
+    with the same shape and the same infinities at the same positions."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    if got.shape != want.shape:
+        return False
+    inf = np.isinf(want)
+    return bool(np.array_equal(got[inf], want[inf])
+                and np.all(np.abs(got[~inf] - want[~inf]) <= rel * np.abs(want[~inf])))

@@ -13,6 +13,8 @@ from basisrisk.contracts import (
     PayoutVector,
     PremiumPrinciple,
     PureUtility,
+    _padded_moments,
+    _premium_of,
     asymmetric_objective,
     basis_risk,
     fit_piecewise_linear,
@@ -23,7 +25,7 @@ from basisrisk.contracts import (
 )
 from basisrisk.expectile import EmpiricalSample, expectile, expectile_exponential
 from basisrisk.weighting_pure import UtilityContext
-from conftest import rng
+from conftest import rel_close, rng
 
 
 def toy_sample():
@@ -123,6 +125,33 @@ class TestPremium:
         assert premium(pay, spec_e) == pytest.approx((1 + rho) * m)
         assert premium(pay, spec_s) == pytest.approx(m + rho * sd)
         assert premium(pay, spec_v) == pytest.approx(m + rho * var)
+
+    @pytest.mark.parametrize("principle", list(PremiumPrinciple))
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 100_003])
+    def test_full_sample_keeps_numpys_bits(self, principle, n):
+        y = rng(n).gamma(2.0, 3.0, size=n) * (rng(n + 1).random(n) < 0.6)
+        spec = ContractSpec(t_lo=1.0, rho=0.3, principle=principle)
+        m = float(np.mean(y))
+        want = {PremiumPrinciple.EXPECTED_VALUE: (1.0 + 0.3) * m,
+                PremiumPrinciple.STD_DEV: m + 0.3 * float(np.std(y)),
+                PremiumPrinciple.VARIANCE: m + 0.3 * float(np.var(y))}[principle]
+        assert repr(_premium_of(y, spec, y.size)) == repr(want)
+        assert repr(premium(PayoutVector(y), spec)) == repr(want)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 100_003])
+    def test_padded_moments_of_the_full_sample_are_numpys(self, n):
+        y = rng(n).normal(5.0, 3.0, size=n)
+        buf = np.empty(n)
+        assert _padded_moments(y, n, buf) == (float(np.mean(y)), float(np.var(y)))
+        assert _padded_moments(y, n) == (float(np.mean(y)), float(np.var(y)))
+        assert _padded_moments(y, n, variance=False) == (float(np.mean(y)), None)
+
+    @pytest.mark.parametrize("n_zeros", [1, 10, 50_000])
+    def test_padded_moments_count_the_zeros(self, n_zeros):
+        x = rng(n_zeros).gamma(2.0, 3.0, size=40_000)
+        padded = np.concatenate([x, np.zeros(n_zeros)])
+        assert rel_close(_padded_moments(x, padded.size),
+                         (np.mean(padded), np.var(padded)))
 
 
 class TestBasisRisk:

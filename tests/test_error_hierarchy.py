@@ -16,6 +16,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -297,6 +298,34 @@ def test_overflowing_loss_curve_exits_4_without_numpy_warnings(tmp_path, capsys)
     code, err = _run(tmp_path, "simulate", cfg, capsys)
     assert code == 4
     assert err == "numeric domain error: observations must be finite\n"
+
+
+def _one_line_under_error_warnings(tmp_path, command, cfg, capsys):
+    """(exit code, stderr) of an in-process run in which any warning raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = _run(tmp_path, command, cfg, capsys)
+    assert err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+    return code, err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("contract.rho", 1e300), ("utility.beta", 1e300), ("utility.beta", 1e308),
+    ("sample.synthetic.loss_model.v", 1e300), ("sample.synthetic.loss_model.v", 1e308)])
+def test_overflowing_index_solve_exits_4_with_one_line(tmp_path, capsys, key, value):
+    cfg = _with(yaml.safe_load((CONFIG_DIR / "index_fit.yaml").read_text()), key, value)
+    code, err = _one_line_under_error_warnings(tmp_path, "fit-weighting", cfg, capsys)
+    assert code == 4
+    assert err.startswith("numeric domain error: u' overflowed: ")
+
+
+def test_loss_envelope_of_a_huge_wind_range_exits_5_with_one_line(tmp_path, capsys):
+    cfg = yaml.safe_load((CONFIG_DIR / "simulate_synthetic.yaml").read_text())
+    cfg["wind"]["synthetic"]["lo"] = -1e308  # the envelope's edges sum past the largest double
+    code, err = _one_line_under_error_warnings(tmp_path, "simulate", cfg, capsys)
+    assert code == 5
+    assert err == "degenerate data: degenerate trigger\n"
 
 
 def _overflowing_closed_form():

@@ -5,7 +5,9 @@ measured with tracemalloc, to which numpy reports its buffers, so a peak is
 the same on every run. The reference of each case is the kernel as it was
 written before it reused its buffers, kept here. On a seeded input of
 n = 100 000 rows the kernel's result must be bitwise equal to the
-reference's, and its peak above the memory live on entry must be at least
+reference's, except where the kernel sums only the triggered rows (the
+index moments and the index utility curve): there it must agree within
+1e-12 relative. Its peak above the memory live on entry must be at least
 one float64 sample array (8n bytes) below the reference's, up to 2 KiB of
 bookkeeping: ``np.sum``'s reduction state (about 1 KB) is live beside the
 one buffer ``_MomentSide`` keeps, at its sum, while the reference peaked
@@ -33,7 +35,7 @@ from basisrisk.contracts import (
 from basisrisk.hazard import LossModelParams, loss_mean, simulate_losses
 from basisrisk.weighting_index import _index_moments, decompose
 from basisrisk.weighting_pure import IndexQuantities, UtilityContext, _MomentSide, utility_curve
-from conftest import rng
+from conftest import rel_close, rng
 
 N = 100_000
 ARRAY = 8 * N  # bytes in one float64 sample array
@@ -90,7 +92,7 @@ def _index_curve_reference(sample, spec, utility, gammas, conditioner):
     for i, column in enumerate(columns):
         payments[rows] = np.maximum(column, 0.0, out=scratch)
         _check_payments(payments)
-        pi = _premium_of(payments, spec)
+        pi = _premium_of(payments, spec, n)
         np.add(np.subtract(utility.w0, sample.losses, out=wealth), payments, out=wealth)
         uvals = utility.u(np.subtract(wealth, pi, out=wealth), out=wealth)
         part[rows] = np.take(uvals, rows, out=scratch, mode="clip")
@@ -176,7 +178,10 @@ def test_index_moments(principle):
     got, want, got_peak, want_peak = _compare(
         lambda: _index_moments(sample, spec, decomp),
         lambda: _index_moments_reference(sample, spec, decomp))
-    assert repr(got[0]) == repr(want[0])
+    moments = ("p_trigger", "int_h1", "int_h3", "v1", "v3", "v13")
+    assert rel_close([getattr(got[0], f) for f in moments],
+                     [getattr(want[0], f) for f in moments])
+    assert (got[0].rho, got[0].principle) == (want[0].rho, want[0].principle)
     assert all(_same_bits(a, b) for a, b in zip(got[1:], want[1:]))
     _assert_one_array_lower(got_peak, want_peak)
 
@@ -192,7 +197,7 @@ def test_index_utility_curve(utility, principle):
     got, want, got_peak, want_peak = _compare(
         lambda: utility_curve(sample, spec, u, gammas, conditioner=cond),
         lambda: _index_curve_reference(sample, spec, u, gammas, cond))
-    assert _same_bits(got, want)
+    assert rel_close(got, want)
     _assert_one_array_lower(got_peak, want_peak)
 
 
