@@ -15,6 +15,7 @@ exceeds memory (MemoryError), 5 degenerate data (DegenerateDataError).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import os
@@ -72,6 +73,13 @@ from .weighting_pure import (
     solve_gamma_star,
     utility_curve,
 )
+
+# Everything alive here is module state that lives until exit. Freezing it
+# once lets the collector skip it; unfrozen, interpreter teardown runs full
+# collections over numpy's, yaml's and the package's import-time objects at
+# the end of every run. Objects made later are collected as before. Only the
+# CLI freezes: a library import must not change its host's collector.
+gc.freeze()
 
 logger = logging.getLogger(__name__)
 

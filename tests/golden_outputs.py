@@ -72,9 +72,14 @@ def run_one(command, config, cwd, out) -> dict:
     lines = [line for line in err.getvalue().splitlines() if not line.startswith("WARNING")]
     record = {"exit": code, "stderr": lines[0] if lines else ""}
     if code == 0:
-        record["sha256"] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                            for p in sorted(Path(out).iterdir())}
+        record["sha256"] = digests(out)
     return record
+
+
+def digests(out) -> dict:
+    """{file name: SHA-256} of every file in the directory ``out``."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(Path(out).iterdir())}
 
 
 def record_all(work) -> dict:
