@@ -204,7 +204,7 @@ _CONTRACT = _Table({
     "t_lo": _NUMBER.but(required=True),
     "t_hi": _Key("number", (lambda x: x > -np.inf, "above -inf")),
     "principle": _Key("level", None, {p.value: p for p in PremiumPrinciple}),
-    "rho": _POSITIVE, "building_value": _POSITIVE,
+    "rho": _POSITIVE,
 }, rule=(lambda c: "t_hi" not in c or c["t_lo"] < c["t_hi"], "a mapping with t_lo < t_hi"),
     build=ContractSpec, required=True)
 _UTILITY = _Table({"family": _Key("level", None, {"exponential": UtilityContext.exponential,
@@ -487,9 +487,12 @@ def _loss_envelope(sample, n_bins):
     for i, (a, b) in enumerate(zip([0, *ends], ends)):
         if a < b:
             ls = losses[a:b]
+            with np.errstate(over="ignore"):
+                mean, top = float(ls.mean()), float(ls.max())
+            if mean == np.inf:  # the sum overflowed: scale the finite losses >= 0 by top > 0
+                mean = top * float((ls / top).mean())
             # each edge is halved first, so two large edges cannot overflow their sum
-            rows.append((0.5 * qedges[i] + 0.5 * qedges[i + 1], float(ls.mean()),
-                         float(ls.min()), float(ls.max())))
+            rows.append((0.5 * qedges[i] + 0.5 * qedges[i + 1], mean, float(ls.min()), top))
     return rows
 
 
@@ -529,8 +532,9 @@ def cmd_dependence_report(cfg, seed) -> dict[str, str]:
     if "winds_csv" in cfg:
         path = cfg["winds_csv"]
         winds = _read(path, "wind matrix", _numeric_csv)
-        if not np.all(np.isfinite(winds)):
-            raise ConfigError(f"wind matrix file {path} has a non-numeric or non-finite cell")
+        if not np.all((winds >= 0.0) & (winds < np.inf)):  # NaN fails too
+            raise ConfigError(
+                f"wind matrix file {path} has a non-numeric, negative or non-finite cell")
     else:  # loss_model is checked, but the report reads only the winds
         winds = _wind_matrix(_read(cfg["tracks_csv"], "track", TrackSet.from_csv),
                              cfg["sites"])

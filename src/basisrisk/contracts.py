@@ -313,11 +313,11 @@ class EmpiricalBinConditioner:
 
     Bins the triggered index values into n_bins equal-frequency bins (each
     with at least min_bin_count observations) and uses the within-bin
-    empirical expectile as a piecewise-constant conditional model.
-    ``expectile_table`` solves every bin over a level grid at once, one
-    ``expectile_grid`` per bin; ``conditional_expectile`` solves one level
-    in the bins its thetas fall in only. Both run the scalar solve's
-    arithmetic, so they agree bit for bit.
+    empirical expectile as a piecewise-constant conditional model. Every
+    solve runs through ``_expectile_columns``, one ``expectile_grid`` per bin
+    that the thetas fall in; ``conditional_expectile`` is its one-level
+    case. The grid solve runs the scalar solve's arithmetic, so the two
+    agree bit for bit.
     """
 
     def __init__(self, triggered: LossIndexSample, n_bins: int = 20,
@@ -350,37 +350,32 @@ class EmpiricalBinConditioner:
         return np.searchsorted(self.inner_edges, np.asarray(thetas, dtype=np.float64),
                                side="right")
 
-    def expectile_table(self, gammas) -> np.ndarray:
-        """Per-bin expectiles, shape (n_bins, len(gammas))."""
-        return np.array([expectile_grid(s, gammas) for s in self.bin_samples])
-
     def conditional_expectile(self, thetas, gamma):
         g = gamma.gamma if isinstance(gamma, Level) else Level(gamma).gamma
-        bins = self.assign(thetas)
-        per_bin = np.empty(self.n_bins)
-        # bincount, not np.unique, which imports numpy.ma (about 1 MB) on first use
-        used = np.bincount(bins.ravel(), minlength=self.n_bins) > 0
-        for b in np.flatnonzero(used).tolist():
-            per_bin[b] = expectile(self.bin_samples[b], g)
-        return per_bin[bins]
+        return next(_expectile_columns(self, thetas, np.array([g])))
 
 
 def _expectile_columns(conditioner, thetas, gammas, out=None):
     """Conditional expectiles at thetas, one array per level in gammas.
 
-    The binned conditioner assigns the thetas to bins once and gathers each
-    level from its per-bin table, into ``out`` when given. Any other
-    conditioner is asked level by level, and the arrays it returns may stay
-    its own: a caller must not write into them.
+    The binned conditioner assigns the thetas to bins once, solves each bin
+    they fall in over the whole grid (the package's one per-bin loop), and
+    gathers each level from its row of that table, into ``out`` when given.
+    Any other conditioner is asked level by level, and the arrays it returns
+    may stay its own: a caller must not write into them.
     """
     if isinstance(conditioner, EmpiricalBinConditioner):
         bins = conditioner.assign(thetas)
-        # one contiguous row per level, so a gather reads n_bins adjacent values
-        table = np.ascontiguousarray(conditioner.expectile_table(gammas).T)
-        for column in table:
-            # every bin number is a row of the table: "clip" only skips the
+        # one row per level, so a gather reads adjacent values; unused bins stay unset
+        table = np.empty((np.size(gammas), conditioner.n_bins))
+        # bincount, not np.unique, which imports numpy.ma (about 1 MB) on first use
+        used = np.bincount(bins.ravel(), minlength=conditioner.n_bins) > 0
+        for b in np.flatnonzero(used).tolist():
+            table[:, b] = expectile_grid(conditioner.bin_samples[b], gammas)
+        for row in table:
+            # every bin number is a column of the table: "clip" only skips the
             # buffered copy that take's bounds check makes of ``out``
-            yield np.take(column, bins, out=out, mode="clip")
+            yield np.take(row, bins, out=out, mode="clip")
     else:
         for g in gammas:
             yield conditioner.conditional_expectile(thetas, Level(float(g)))

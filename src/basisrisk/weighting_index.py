@@ -25,7 +25,7 @@ from .contracts import (
     _padded_moments,
     _trigger_mask,
 )
-from .expectile import DegenerateDataError, DomainError, Level
+from .expectile import DegenerateDataError, DomainError
 from .weighting_pure import (
     Decision,
     IndexQuantities,
@@ -60,10 +60,10 @@ class SeparableDecomposition:
     """Fitted e_gamma(S|theta) = h1(theta)H2(gamma) + H3(theta).
 
     thetas are the bin centers (or analytic evaluation points); h1 is
-    normalized to 1 at the reference bin. h2_eval, when present, evaluates
-    H2 exactly from the underlying conditioner instead of interpolating the
-    grid; h2_unbounded flags H2(1) = +inf (conditional losses with
-    unbounded essential supremum).
+    normalized to 1 at the reference bin. conditioner, when present, gives
+    H2 exactly, as the reference bin's conditional expectile less its H3,
+    instead of interpolating the grid; h2_unbounded flags H2(1) = +inf
+    (conditional losses with unbounded essential supremum).
     """
 
     thetas: np.ndarray
@@ -74,13 +74,19 @@ class SeparableDecomposition:
     residual: float
     ref_index: int
     h2_unbounded: bool = False
-    h2_eval: object = None
+    conditioner: object = None
 
-    def eval_h2(self, gamma: float) -> float:
-        if self.h2_eval is not None:
-            return float(self.h2_eval(float(gamma)))
-        g = min(max(float(gamma), self.gammas[0]), self.gammas[-1])
-        return float(np.interp(g, self.gammas, self.h2_grid))
+    def eval_h2(self, gammas):
+        """H2 at a level (a float) or at each of an array of levels, in one call."""
+        levels = np.atleast_1d(np.asarray(gammas, dtype=np.float64))
+        if self.conditioner is not None:
+            ref = self.ref_index
+            h2 = np.array([column[0] for column in _expectile_columns(
+                self.conditioner, self.thetas[ref:ref + 1], levels)]) - self.h3[ref]
+        else:
+            h2 = np.interp(np.clip(levels, self.gammas[0], self.gammas[-1]),
+                           self.gammas, self.h2_grid)
+        return float(h2[0]) if np.ndim(gammas) == 0 else h2
 
     def eval_theta(self, thetas):
         """(h1, H3) at arbitrary index values, linear between bin centers."""
@@ -111,8 +117,9 @@ def decompose(surface, gammas, thetas, *, tolerance: float = 1e-2,
     pair of the centered surface, normalized to h1 = 1 at the bin with the
     largest leverage. A max relative residual above ``tolerance`` raises
     SeparabilityError carrying the residual map. Passing the conditioner
-    attaches an exact H2 evaluator (needed for tight agreement with the
-    pure-parametric solver under degenerate conditioning).
+    makes ``eval_h2`` exact, one solve of the reference bin per level grid
+    (needed for tight agreement with the pure-parametric solver under
+    degenerate conditioning).
     """
     surface = np.asarray(surface, dtype=np.float64)
     gammas = np.asarray(gammas, dtype=np.float64)
@@ -154,16 +161,10 @@ def decompose(surface, gammas, thetas, *, tolerance: float = 1e-2,
         raise SeparabilityError("separability violated: fitted H2 not strictly increasing",
                                 residual=residual, residual_map=residual_map)
 
-    h2_eval = None
-    if conditioner is not None:
-        def h2_eval(g, _c=conditioner, _t=float(thetas[ref]), _h3=float(h3[ref])):
-            val = _c.conditional_expectile(np.array([_t]), Level(float(g)))
-            return float(val[0]) - _h3
-
     return SeparableDecomposition(
         thetas=thetas, h1=h1, h3=h3, gammas=gammas, h2_grid=h2_grid,
         residual=residual, ref_index=ref, h2_unbounded=h2_unbounded,
-        h2_eval=h2_eval)
+        conditioner=conditioner)
 
 
 def _index_moments(sample: LossIndexSample, spec: ContractSpec,
@@ -229,10 +230,9 @@ def solve_gamma_star_index(sample: LossIndexSample, spec: ContractSpec,
     to violated_boundary_decision_index.
     """
     system = _index_system(sample, spec, utility, decomp)
-    gammas = np.linspace(*_LEVEL_RANGE, grid_size)
     rho_i = spec.rho if rho_indemnity is None else rho_indemnity
     return _solve_system(
-        system, gammas, [decomp.eval_h2(float(g)) for g in gammas], _LEVEL_RANGE,
+        system, np.linspace(*_LEVEL_RANGE, grid_size), _LEVEL_RANGE,
         lambda lower, upper: (None, _fallback_decision_index(
             sample, spec, decomp, rho_i, lower, upper)))
 

@@ -309,12 +309,13 @@ class IndexQuantities:
 class _FirstOrderSystem:
     """First-order system V1(k) = V2(k) for the payout h1(theta)*k + H3(theta) on trigger.
 
-    Holds everything that does not depend on k: ``k_of``, the map from a
-    level gamma to its payout scale k (the triggered expectile for a pure
-    contract, H2 for an index contract); the triggered and the untriggered
-    side, each built here from its (losses, weights); h1 and H3 on the
-    triggered rows (the scalars 1 and 0 for a pure contract, where k is the
-    payout level); and the moments, which price the payout. With
+    Holds everything that does not depend on k: ``k_of``, the one map from
+    an array of levels to their payout scales k (the triggered sample's
+    ``expectile_grid`` for a pure contract, H2 for an index contract); the
+    triggered and the untriggered side, each built here from its (losses,
+    weights); h1 and H3 on the triggered rows (the scalars 1 and 0 for a
+    pure contract, where k is the payout level); and the moments, which
+    price the payout. With
     r = quants.slope(k) and pi = quants.premium(k),
 
         V1 = p * sum_T w (h1 - r) u'(w0 + h1 k + H3 - pi - S),
@@ -377,7 +378,7 @@ def _pure_system(split: TriggeredSplit, spec: ContractSpec,
     if spec.principle is not PremiumPrinciple.VARIANCE and quants.slope(0.0) >= 1.0:
         raise PremiumDominatesError("premium dominates payout (c >= 1)")
     st, su = split.triggered, split.untriggered
-    return _FirstOrderSystem(utility, quants, lambda g: expectile(st, g),
+    return _FirstOrderSystem(utility, quants, lambda gammas: expectile_grid(st, gammas),
                              (st.values, st.weights), (su.values, su.weights))
 
 
@@ -390,19 +391,19 @@ def v1_v2(split: TriggeredSplit, spec: ContractSpec, utility: UtilityContext,
 def _bounds_at_ends(system: _FirstOrderSystem, levels):
     """Existence boundary conditions at the ends (g_lo, g_hi) of a level range.
 
-    The system's k_of maps a level to its payout scale. V1 falls and V2
-    rises in k, so the lower bound is V1 > V2 at k_of(g_lo), and V1 < V2
-    holds somewhere on the range exactly when it holds at k_of(g_hi).
-    V1 <= V2 at the low end, a tie included, fails the lower bound and holds
-    the upper one there. Returns (lower_holds, upper_holds, witnesses): k,
-    V1 and V2 where each bound was decided.
+    The system's k_of maps both ends to their payout scales in one call.
+    V1 falls and V2 rises in k, so the lower bound is V1 > V2 at k(g_lo),
+    and V1 < V2 holds somewhere on the range exactly when it holds at
+    k(g_hi). V1 <= V2 at the low end, a tie included, fails the lower bound
+    and holds the upper one there. Returns (lower_holds, upper_holds,
+    witnesses): k, V1 and V2 where each bound was decided.
     """
-    k = system.k_of(levels[0])
+    k, k_hi = system.k_of(np.array(levels)).tolist()
     v1, v2 = system.v_pair(k)
     witnesses = {"lower_k": k, "lower_v1": v1, "lower_v2": v2}
     lower = v1 > v2
     if lower:
-        k = system.k_of(levels[1])
+        k = k_hi
         v1, v2 = system.v_pair(k)
     witnesses.update(upper_k=k, upper_v1=v1, upper_v2=v2)
     return lower, not lower or v1 < v2, witnesses
@@ -431,16 +432,16 @@ _BISECTION_TOL = 1e-10  # bisection stops at this gamma bracket or relative |V1 
 _LEVEL_RANGE = (1e-9, 1.0 - 1e-9)  # the levels a solve traces and brackets, inside (0, 1)
 
 
-def _solve_system(system: _FirstOrderSystem, gammas, ks, bracket,
-                  fallback) -> WeightingSolution:
+def _solve_system(system: _FirstOrderSystem, gammas, bracket, fallback) -> WeightingSolution:
     """Trace, the boundary conditions at the bracket's ends and, when both hold, bisection.
 
-    ks are the payout scales at the levels gammas, and the system's k_of
-    maps any other level to its scale. The bisection runs over gamma on the
-    same bracket whose ends decide the bounds. When a bound fails,
+    The system's k_of is the one level map: it maps the trace's levels
+    gammas in one call, the bracket's two ends in one more, and each
+    bisection midpoint and gamma* alone. The bisection runs over gamma on
+    the same bracket whose ends decide the bounds. When a bound fails,
     fallback(lower, upper) gives the solution's (gamma_star or None, decision).
     """
-    pairs = np.array([system.v_pair(float(k)) for k in ks]).reshape(-1, 2)
+    pairs = np.array([system.v_pair(k) for k in system.k_of(gammas).tolist()]).reshape(-1, 2)
     v1_trace, v2_trace = pairs[:, 0], pairs[:, 1]
     _check_monotone(v1_trace, v2_trace)
     trace = {"gamma": gammas, "v1": v1_trace, "v2": v2_trace}
@@ -456,7 +457,7 @@ def _solve_system(system: _FirstOrderSystem, gammas, ks, bracket,
     a, b = bracket
     while b - a > _BISECTION_TOL:
         mid = 0.5 * (a + b)
-        v1m, v2m = system.v_pair(system.k_of(mid))
+        v1m, v2m = system.v_pair(system.k_of(np.array([mid])).item())
         if abs(v1m - v2m) <= _BISECTION_TOL * (abs(v1m) + abs(v2m)):
             a = b = mid
             break
@@ -465,7 +466,7 @@ def _solve_system(system: _FirstOrderSystem, gammas, ks, bracket,
         else:
             b = mid
     g_star = 0.5 * (a + b)
-    v1s, v2s = system.v_pair(system.k_of(g_star))
+    v1s, v2s = system.v_pair(system.k_of(np.array([g_star])).item())
     return WeightingSolution(
         gamma_star=g_star, alpha_star=alpha_from_gamma(Level(g_star)).alpha,
         lower_bound_holds=True, upper_bound_holds=True,
@@ -497,8 +498,7 @@ def solve_gamma_star(split: TriggeredSplit, spec: ContractSpec,
         return None, _fallback_decision(
             system, split, spec.rho if rho_indemnity is None else rho_indemnity, lower, upper)
 
-    return _solve_system(system, gammas, expectile_grid(split.triggered, gammas),
-                         (g_lo, g_hi), fallback)
+    return _solve_system(system, gammas, (g_lo, g_hi), fallback)
 
 
 def expected_utility_constant_payout(split: TriggeredSplit, spec: ContractSpec,

@@ -236,7 +236,8 @@ class TestErrorPaths:
         "s0,s1\n90,95\nabc,80\n85,0\n",     # non-numeric cell
         "s0,s1\n90,95\n,80\n85,0\n",        # empty cell
         "s0,s1\n90,95\ninf,80\n85,0\n",     # non-finite cell
-    ], ids=["non_numeric", "empty", "inf"])
+        "s0,s1\n90,95\n-90,80\n85,0\n",     # negative cell
+    ], ids=["non_numeric", "empty", "inf", "negative"])
     def test_malformed_winds_csv_exits_2(self, tmp_path, text):
         winds = tmp_path / "winds.csv"
         winds.write_text(text)
@@ -388,7 +389,6 @@ class TestErrorPaths:
             "w0": ["utility", "w0"],
             "beta": ["utility", "beta"],
             "p_trigger": ["sample", "two_point", "p_trigger"],
-            "building_value": ["contract", "building_value"],
             "two_point_rho": ["contract", "rho"],
             "two_point_t_lo": ["contract", "t_lo"],
             "two_point_utility": ["utility"],
@@ -440,7 +440,6 @@ class TestErrorPaths:
          {"family": "exponential", "beta": float("nan"), "w0": 10.0}),
         ("fit-weighting", "two_point_utility",
          {"family": "power", "eta": float("nan"), "w0": 10.0}),
-        ("fit-weighting", "building_value", float("nan")),
         ("fit-weighting", "wind_beta_lo", float("nan")),
         ("fit-weighting", "wind_beta_a", float("nan")),
         ("fit-weighting", "wind_beta_loss_model", {"rate": float("nan")}),
@@ -467,7 +466,7 @@ class TestErrorPaths:
             "separability_tolerance_nan", "separability_tolerance_negative",
             "threshold_kn_nan", "threshold_kn_zero", "rho_indemnity_nan",
             "rho_indemnity_negative", "two_point_rho_nan", "two_point_t_lo_nan",
-            "two_point_beta_nan", "two_point_eta_nan", "building_value_nan",
+            "two_point_beta_nan", "two_point_eta_nan",
             "wind_beta_lo_nan", "wind_beta_a_nan", "loss_model_rate_nan",
             "loss_model_offset_inf", "loss_model_steepness_nan", "gamma_regime_lo_nan",
             "gamma_regime_lo_above_hi", "gamma_regime_lo_negative",
@@ -716,8 +715,7 @@ WIND_BETA = {"kind": "wind_beta", "n": 200, "lo": 25.0, "hi": 135.0, "a": 2.0, "
              "loss_model": LOSS_MODEL}
 GAMMA_REGIME = {"kind": "gamma_regime", "n": 200, "lo": 2.0, "hi": 4.0, "switch": 3.5,
                 "shape_lo": 3.0, "shape_hi": 3.5}
-CONTRACT = {"t_lo": 83.0, "t_hi": 200.0, "principle": "expected_value", "rho": 0.2,
-            "building_value": 100.0}
+CONTRACT = {"t_lo": 83.0, "t_hi": 200.0, "principle": "expected_value", "rho": 0.2}
 EXPONENTIAL = {"family": "exponential", "beta": 0.15, "w0": 0.0}
 POWER = {"family": "power", "eta": 2.0, "w0": 65.0}
 TWO_POINT = {"triggered_values": [5.0, 10.0], "triggered_weights": [0.5, 0.5],
@@ -891,15 +889,21 @@ class TestConfigTable:
         assert code == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("command,cfg", [
-        ("simulate", {"seed": 7, "wind": {"tracks_csv": TRACKS, "site": SITE}, "typo": 1}),
-        ("simulate", {"seed": 7, "wind": {"synthetic": {"n": 200, "typo": 1}}}),
-        ("fit-weighting", interior_fit_cfg(typo=1)),
+    @pytest.mark.parametrize("command,cfg,key", [
+        ("simulate", {"seed": 7, "wind": {"tracks_csv": TRACKS, "site": SITE}, "typo": 1},
+         "typo"),
+        ("simulate", {"seed": 7, "wind": {"synthetic": {"n": 200, "typo": 1}}},
+         "wind.synthetic.typo"),
+        ("fit-weighting", interior_fit_cfg(typo=1), "typo"),
         ("dependence-report", {"seed": 7, "tracks_csv": TRACKS, "sites": [SITE, SITE],
-                               "loss_model": {"typo": 1}}),
-    ], ids=["simulate_tracks", "simulate_synthetic", "fit_weighting", "dependence_report"])
-    def test_unknown_key_exits_2_before_any_sample(self, tmp_path, monkeypatch, command,
-                                                   cfg):
+                               "loss_model": {"typo": 1}}, "loss_model.typo"),
+        # it set only the cap of a fit no subcommand runs
+        ("fit-weighting", interior_fit_cfg(contract={**CONTRACT, "building_value": 100.0}),
+         "contract.building_value"),
+    ], ids=["simulate_tracks", "simulate_synthetic", "fit_weighting", "dependence_report",
+            "building_value"])
+    def test_unknown_key_exits_2_before_any_sample(self, tmp_path, monkeypatch, capsys,
+                                                   command, cfg, key):
         def boom(*args, **kwargs):
             raise AssertionError("a sample was built before the config was checked")
 
@@ -908,6 +912,7 @@ class TestConfigTable:
         code, out = run(tmp_path, command, write_cfg(tmp_path, "c.yaml", cfg))
         assert code == 2
         assert not out.exists()
+        assert f"{key} is not a key this run reads" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", [-3, -1])
     def test_negative_seed_flag_exits_2(self, tmp_path, seed):

@@ -29,6 +29,7 @@ from basisrisk.contracts import (
     LossIndexSample,
     PayoutVector,
     PremiumPrinciple,
+    _expectile_columns,
     premium,
     split_by_trigger,
 )
@@ -158,7 +159,9 @@ def _analytic_conditioners():
 def test_table_holds_the_scalar_solves(seed):
     _, cond = _binned(seed)
     assert any(s.is_constant() for s in cond.bin_samples)
-    table = cond.expectile_table(GAMMAS)
+    # one theta in each bin, so the one per-bin loop solves every bin
+    assert cond.assign(cond.bin_centers).tolist() == list(range(cond.n_bins))
+    table = np.array(list(_expectile_columns(cond, cond.bin_centers, GAMMAS))).T
     assert table.shape == (cond.n_bins, GAMMAS.size)
     want = np.array([[expectile(s, float(g)) for g in GAMMAS] for s in cond.bin_samples])
     assert _same_bits(table, want)
@@ -244,7 +247,7 @@ def test_nan_and_boundary_levels_rejected(bad):
     sample, cond = _binned(0)
     grid = np.array([0.3, bad])
     with pytest.raises(ValueError):
-        cond.expectile_table(grid)
+        list(_expectile_columns(cond, cond.bin_centers, grid))
     with pytest.raises(ValueError):
         build_surface(cond, cond.bin_centers, grid)
     with pytest.raises(ValueError):
@@ -288,10 +291,11 @@ def test_index_fit_solves_each_bin_once(config_dir, solve_counter):
     checked = cli._TABLES["fit-weighting"].check(cfg, "")
     solution = json.loads(cli.cmd_fit_weighting(checked, cfg["seed"])["solution.json"])
     assert solution["decision"] == "interior_optimum"
-    # H2 is evaluated at the trace's 40 levels, at both ends of its range,
-    # at 32 bisection midpoints and at gamma*; each is one single-bin solve
-    assert solve_counter["eval_h2"] == 40 + 2 + 32 + 1
-    assert solve_counter["solves"] == cfg["conditioner"]["n_bins"] + 75
+    # H2 maps the trace's 40 levels in one call, both ends of its range in
+    # one more, then each of 32 bisection midpoints and gamma*; each call is
+    # one single-bin solve
+    assert solve_counter["eval_h2"] == 1 + 1 + 32 + 1
+    assert solve_counter["solves"] == cfg["conditioner"]["n_bins"] + 35
 
 
 def test_index_utility_curve_solves_each_bin_once(config_dir, solve_counter):

@@ -88,3 +88,15 @@ def test_simulate_envelope_csv_matches_loop(config_dir):
     rows = _ref_envelope(sample, checked["envelope_bins"])
     assert outputs["loss_envelope.csv"] == cli._csv_text(
         ("theta", "mean", "min", "max"), *zip(*rows))
+
+
+def test_envelope_mean_does_not_overflow():
+    # each loss is finite, but the first bin's sum is not
+    losses = np.array([1e308, 1.5e308, 0.0, 1.7e308, 1e300])
+    sample = LossIndexSample(losses, np.array([1.0, 1.1, 1.2, 2.0, 2.1]))
+    rows = cli._loss_envelope(sample, 2)
+    assert [r[1:] for r in rows] == [
+        (1.5e308 * float(np.mean(losses[:2] / 1.5e308)), 1e308, 1.5e308),
+        (float(np.mean(losses[2:])), 0.0, 1.7e308)]
+    assert rows[0][1] == pytest.approx(1.25e308, rel=1e-15)
+
