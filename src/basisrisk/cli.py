@@ -538,7 +538,7 @@ def cmd_dependence_report(cfg, seed) -> dict[str, str]:
     else:  # loss_model is checked, but the report reads only the winds
         winds = _wind_matrix(_read(cfg["tracks_csv"], "track", TrackSet.from_csv),
                              cfg["sites"])
-    if winds.ndim != 2 or winds.shape[1] < 2:
+    if winds.shape[1] < 2:
         raise DegenerateDataError("dependence report needs >= 2 sites")
 
     p_inc, p_trig = conditional_probabilities(winds, cfg["threshold_kn"])

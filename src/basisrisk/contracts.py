@@ -325,7 +325,8 @@ class EmpiricalBinConditioner:
         n = len(triggered)
         if n_bins < 1:
             raise ValueError("n_bins must be >= 1")
-        counts = np.diff(np.linspace(0, n, n_bins + 1).astype(int))
+        edges_pos = np.linspace(0, n, n_bins + 1).astype(int)
+        counts = np.diff(edges_pos)
         if counts.min() < min_bin_count:
             raise InsufficientConditionalDataError(
                 f"insufficient conditional data: smallest bin has {counts.min()} "
@@ -333,7 +334,6 @@ class EmpiricalBinConditioner:
         order = np.argsort(triggered.indices, kind="stable")
         idx_sorted = triggered.indices[order]
         loss_sorted = triggered.losses[order]
-        edges_pos = np.linspace(0, n, n_bins + 1).astype(int)
         self.bin_samples = []
         self.bin_centers = np.empty(n_bins)
         inner_edges = []

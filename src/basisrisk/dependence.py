@@ -313,38 +313,15 @@ def sigma_u_sq(eta: float) -> float:
     return (2.0 ** (1.0 / eta + 1.0) - 2.0 ** (2.0 / eta)) * (2.0 ** (1.0 / eta - 1.0) - 0.5)
 
 
-def normal_quantile(p: float) -> float:
-    """Standard normal quantile via the Acklam rational approximation (~1e-9)."""
-    if not (0.0 < p < 1.0):
-        raise ValueError("p must lie in (0,1)")
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        return ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-                / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    if p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        return ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
-                / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0))
-    q = math.sqrt(-2.0 * math.log(1.0 - p))
-    return -((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-             / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-
-
 def tail_ci(lambda_hat: float, k: int, eta_hat: float, level: float = 0.95):
-    """Normal-approximation CI: lambda_hat +/- z * sqrt(sigma_U^2(eta)/k)."""
+    """Normal-approximation CI: lambda_hat +/- z * sqrt(sigma_U^2(eta)/k), where z is the
+    standard library's exact normal quantile at 0.5 + level/2 (``NormalDist.inv_cdf``)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    z = normal_quantile(0.5 + level / 2.0)
+    if not -1.0 < level < 1.0:  # NaN too, which inv_cdf would pass through
+        raise ValueError("level must lie in (-1, 1)")
+    from statistics import NormalDist  # here, so a cold start that builds no interval skips it
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     half = z * math.sqrt(sigma_u_sq(eta_hat) / k)
     return lambda_hat - half, lambda_hat + half
 
@@ -352,6 +329,7 @@ def tail_ci(lambda_hat: float, k: int, eta_hat: float, level: float = 0.95):
 def tail_estimate(pairs: PairedObservations, k: int | None = None) -> TailEstimate:
     """Full upper-tail summary: plateau k (unless given), MLE eta, 95% CI.
 
+    The CI's z is the standard library's exact normal quantile at 0.975 (``tail_ci``).
     The tail counts are computed once, for both k and lambda_hat(k).
     """
     counts = _tail_counts(pairs)

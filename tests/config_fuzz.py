@@ -1,4 +1,4 @@
-"""Config fuzz: the CLI's exit-code contract under out-of-range numbers.
+"""Config fuzz: the CLI's exit-code contract under out-of-range numbers and wrong shapes.
 
 Run from the repository root:
 
@@ -6,9 +6,11 @@ Run from the repository root:
 
 Each shipped config in ``configs/``, with its lists cut to their first 3
 entries, has each numeric leaf set in turn to each of the 13 values in
-``VALUES``. Each mutated config runs in process under all 4 subcommands, one
-run at a time, in one child process that this script starts. The child sets
-an address-space limit on itself only, and an alarm for each run. The script
+``VALUES``, and then each of its nodes (a mapping, list, string or number
+below the top) set in turn to each of the 9 values in ``SHAPES``. Each
+mutated config runs in process under all 4 subcommands, one run at a time,
+in one child process that this script starts. The child sets an
+address-space limit on itself only, and an alarm for each run. The script
 asserts four things:
 
 - every run exits 0, 2, 3, 4 or 5, and no run outlives its alarm;
@@ -48,6 +50,7 @@ import yaml
 REPO = Path(__file__).resolve().parent.parent
 VALUES = (0, -1, 0.0, -0.0, 1e-300, 1e300, 1e308, -1e308, 0.5, 1.0, 2 ** 63, math.nan,
           math.inf)
+SHAPES = (None, True, False, "x", "", [], {}, [1.0], {"a": 1})
 COMMANDS = ("fit-weighting", "simulate", "dependence-report", "utility-curve")
 LIST_CUT = 3
 ADDRESS_SPACE = 3 << 30  # bytes, the child's limit
@@ -65,17 +68,16 @@ def _cut(node):
     return node
 
 
-def _leaves(node, path=()):
-    """The paths of node's numeric leaves (a bool is not one), in document order."""
+def _nodes(node, path=()):
+    """(path, value) of every node below node, in document order."""
     if isinstance(node, (dict, list)):
         for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
-            yield from _leaves(value, path + (key,))
-    elif isinstance(node, (int, float)) and not isinstance(node, bool):
-        yield path
+            yield path + (key,), value
+            yield from _nodes(value, path + (key,))
 
 
 def _with(node, path, value):
-    """A copy of node with its leaf at path set to value."""
+    """A copy of node with what sits at path replaced by value."""
     if not path:
         return value
     copy = dict(node) if isinstance(node, dict) else list(node)
@@ -84,11 +86,16 @@ def _with(node, path, value):
 
 
 def mutations():
-    """(config name, leaf path, value, mutated config), in a fixed order."""
+    """(config name, node path, value, mutated config), in a fixed order."""
     for config in sorted((REPO / "configs").glob("*.yaml")):
         base = _cut(yaml.safe_load(config.read_text()))
-        for path in _leaves(base):
-            for value in VALUES:
+        nodes = list(_nodes(base))
+        for path, node in nodes:
+            if isinstance(node, (int, float)) and not isinstance(node, bool):
+                for value in VALUES:
+                    yield config.stem, path, value, _with(base, path, value)
+        for path, _ in nodes:
+            for value in SHAPES:
                 yield config.stem, path, value, _with(base, path, value)
 
 
@@ -159,7 +166,7 @@ def child(results):
                 yaml.safe_dump(cfg, fh)
             for command in COMMANDS:
                 code, err = _run(main, command, config, out)
-                record = {"config": name, "leaf": list(path), "value": repr(value),
+                record = {"config": name, "node": list(path), "value": repr(value),
                           "command": command, "code": code, "stderr": err,
                           "out_left": code != 0 and os.path.exists(out)}
                 if code == 0 and draw.random() < REPEAT_SHARE:
@@ -178,7 +185,7 @@ def child(results):
 
 def _problems(record):
     """The rules this run broke."""
-    code, where = record["code"], "{command} {config} {leaf}={value}".format(**record)
+    code, where = record["code"], "{command} {config} {node}={value}".format(**record)
     if code not in EXIT_CODES:
         yield f"{where}: exit {code}: {record['stderr'].strip()[-300:]!r}"
         return

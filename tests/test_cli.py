@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from basisrisk import cli, hazard
+from basisrisk import cli, hazard, weighting_index
 from basisrisk.cli import main
 from basisrisk.dependence import kendall_tau
 from conftest import CONFIG_DIR, REPO_ROOT
@@ -96,6 +96,31 @@ class TestFitWeighting:
         assert code == 0
         sol = json.loads((out / "solution.json").read_text())
         assert sol["separability_residual"] >= 0.0
+
+    def test_index_lower_bound_fallback(self, tmp_path, config_dir, monkeypatch):
+        # a light loading and a near-neutral utility: V1 > V2 already at the
+        # smallest level, so the solve decides by the index fallback
+        cfg = yaml.safe_load((config_dir / "index_fit.yaml").read_text())
+        cfg["contract"]["rho"] = 0.05
+        cfg["utility"]["beta"] = 0.0001
+        path = write_cfg(tmp_path, "c.yaml", cfg)
+        fallback = weighting_index._fallback_decision_index
+        calls = []
+        monkeypatch.setattr(weighting_index, "_fallback_decision_index",
+                            lambda *args: calls.append(args[-2:]) or fallback(*args))
+        code, out = run(tmp_path, "fit-weighting", path)
+        assert code == 0
+        assert calls == [(False, True)]
+        sol = json.loads((out / "solution.json").read_text())
+        assert sol["decision"] == "prefer_smallest_alpha"
+        assert (sol["lower_bound_holds"], sol["upper_bound_holds"]) == (False, True)
+        assert sol["gamma_star"] is None and sol["alpha_star"] is None
+        rows = (out / "trace.csv").read_text().splitlines()
+        assert rows[0] == "gamma,v1,v2" and len(rows) == 1 + 200  # the default grid_size
+        code, again = run(tmp_path, "fit-weighting", path, out_name="again")
+        assert code == 0
+        for name in ("manifest.json", "solution.json", "trace.csv"):
+            assert (again / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_manifest_contents(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.yaml", interior_fit_cfg())

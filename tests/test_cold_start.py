@@ -106,6 +106,12 @@ def test_package_import_loads_no_numpy_and_leaves_environ():
     assert (numpy_loaded, environ_kept) == (False, True)
 
 
+def test_cli_import_leaves_statistics_unloaded():
+    # tail_ci imports it, so only a run that builds an interval pays for it
+    assert _fresh("import json, sys, basisrisk.cli; "
+                  "print(json.dumps('statistics' in sys.modules))") is False
+
+
 def test_every_export_resolves_to_its_submodule_attribute():
     all_names, mismatched = _fresh(
         "import importlib, json, basisrisk; "

@@ -13,7 +13,6 @@ from basisrisk.dependence import (
     gumbel_lambda_u,
     gumbel_mle,
     kendall_tau,
-    normal_quantile,
     plateau_k,
     sample_gumbel,
     sigma_u_sq,
@@ -195,28 +194,22 @@ class TestGumbelModel:
             gumbel_mle(PairedObservations(np.arange(5.0), np.arange(5.0)))
 
 
-class TestNormalQuantile:
-    def test_against_scipy(self):
-        for p in (1e-6, 0.001, 0.025, 0.3, 0.5, 0.7, 0.975, 0.999, 1 - 1e-6):
-            assert normal_quantile(p) == pytest.approx(float(norm.ppf(p)), abs=1e-8)
-
-    def test_domain(self):
-        for bad in (0.0, 1.0, -0.5):
-            with pytest.raises(ValueError):
-                normal_quantile(bad)
-
-
 class TestTailCI:
     def test_degenerate_width_at_independence(self):
         lo, hi = tail_ci(0.3, k=50, eta_hat=1.0)
         assert lo == hi == pytest.approx(0.3)
 
-    def test_symmetric_width(self):
-        lo, hi = tail_ci(0.5, k=100, eta_hat=2.0, level=0.95)
-        z = normal_quantile(0.975)
-        half = z * math.sqrt(sigma_u_sq(2.0) / 100)
-        assert hi - 0.5 == pytest.approx(half)
-        assert 0.5 - lo == pytest.approx(half)
+    @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.99, 1 - 2e-6])
+    def test_half_width_takes_the_exact_normal_quantile(self, level):
+        lo, hi = tail_ci(0.5, k=100, eta_hat=2.0, level=level)
+        half = float(norm.ppf(0.5 + level / 2)) * math.sqrt(sigma_u_sq(2.0) / 100)
+        assert hi - 0.5 == pytest.approx(half, rel=1e-14)
+        assert 0.5 - lo == pytest.approx(half, rel=1e-14)
+
+    @pytest.mark.parametrize("level", [1.0, 1.5, -1.0, math.nan])
+    def test_level_outside_the_unit_interval_is_a_value_error(self, level):
+        with pytest.raises(ValueError):
+            tail_ci(0.5, k=100, eta_hat=2.0, level=level)
 
     @pytest.mark.parametrize("k", [0, -3])
     def test_k_validation(self, k):
